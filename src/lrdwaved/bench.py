@@ -86,17 +86,12 @@ def run_benchmark(config: ExperimentConfig, threads: int = 1) -> BenchResult:
         for i, (method, smooth_spec) in enumerate(zip(config.methods, config.smoothing)):
             alpha = config.alpha if method == "lrd" else 1.0
             smoothing = resolve_smoothing(smooth_spec, alpha)
-            table = tables.get(i)
-            if table is None:
-                table = VarianceTable(kernel=problem.kernel, alpha=alpha)
-                tables[i] = table
-            else:
-                # kernels are rebuilt per replication but identical by construction
-                table = VarianceTable(kernel=problem.kernel, alpha=alpha, taus=table.taus)
+            if i not in tables:
+                tables[i] = VarianceTable(kernel=problem.kernel, alpha=alpha)
             rng = derive_rng(config.seed, rep, i)
             try:
                 report = run_estimator(
-                    problem, method, smoothing, rng=rng, variance_table=table
+                    problem, method, smoothing, rng=rng, variance_table=tables[i]
                 )
             except Exception as exc:
                 raise RuntimeError(

@@ -15,8 +15,12 @@ H = 1/2).  The constant makes the formula an exact variance, which a
 quadrature oracle and Monte Carlo over discrete fGn confirm at desk scale.
 
 The per-level factor tau_{alpha,j} propagates this covariance through the
-deconvolution weights of one detail level and calibrates the LRD thresholds;
-the classical i.i.d. variant uses the kernel magnitudes alone.
+deconvolution weights of one detail level and calibrates the LRD thresholds.
+The divisibility condition makes it a sum of squared residue-class folds
+(``meyer._band_fold``, the fold behind analysis and deconvolution), one fold
+per level j-1, j, j+1; the pairwise ``z_cov`` is kept as the dense oracle the
+folds are tested against.  The classical i.i.d. variant uses the kernel
+magnitudes alone.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .meyer import band_set, periodized_psi_hat, psi_hat
+from .meyer import _band_fold, band_set, psi_hat
 
 __all__ = [
     "KernelSpec",
@@ -51,6 +55,10 @@ class KernelSpec:
 
     fourier: np.ndarray = field(repr=False)
     dip: float | None = None
+
+    def __post_init__(self) -> None:
+        if not np.all(np.isfinite(self.fourier)):
+            raise ValueError("kernel Fourier coefficients must be finite (found NaN or inf)")
 
     @property
     def n(self) -> int:
@@ -139,52 +147,37 @@ def z_var(ell, hurst: float):
     return out
 
 
-def _pair_candidates(omega: int, j: int) -> np.ndarray:
-    """Frequencies ell that can have nonzero z_cov with omega inside band j.
-
-    Contributing levels for two members of band_set(j) lie in
-    {j-1, j, j+1}, so ell - omega must be a multiple of 2^(j-1); the band
-    spans less than 7 such steps on either side.
-    """
-    if j == 0:
-        return band_set(0).frequencies
-    step = 2 ** (j - 1)
-    return omega + step * np.arange(-7, 8)
-
-
 def tau_level(j: int, kernel: KernelSpec, alpha: float) -> float:
-    """LRD variance factor tau_{alpha,j} at shift k = 0 (positive root).
+    """LRD variance factor tau_{alpha,j} (positive root), the same for every shift k.
 
-    tau^2 propagates z_cov through the deconvolution weights
-    conj(Psi_hat[l]) / K_hat[l] summed over the level-j band.  The shift
-    dependence is mild (checked by Monte Carlo); k = 0 is the convention.
+    tau^2 is the variance of a deconvolved level-j coefficient, the double sum
+    of z_cov over band_set(j) weighted by conj(Psi_hat[l]) / K_hat[l].  The
+    level sum inside z_cov turns it into residue-class folds,
+
+        tau^2 = C_H sum_{j'} sum_r |sum_{l in band j, l = r mod 2^j'} a_l psi_hat(l 2^-j')|^2,
+        a_l = 2^(-j/2) psi_hat(l 2^-j) |l|^(1/2 - H) / conj(K_hat[l]),
+
+    over j' in {j-1, j, j+1}: no other level's band meets band j.  A sum of
+    squares, so real and nonnegative by construction; z_cov is the dense
+    oracle it is tested against.  The shift phase exp(-2 pi i l k 2^-j) is
+    constant on every fold class, whose members differ by multiples of 2^j
+    (at level j-1 the contributing members differ by exactly 2^j), so tau
+    does not depend on k.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     hurst = 1.0 - alpha / 2.0
-    kernel.validate_band(j)
+    coeffs = kernel.validate_band(j)
     ells = band_set(j).frequencies
-    in_band = set(int(e) for e in ells)
-    psi0 = {int(e): complex(periodized_psi_hat(j, 0, int(e))) for e in ells}
-    kl = {int(e): complex(kernel.coefficient(int(e))) for e in ells}
-
-    acc = 0.0 + 0.0j
-    for w in ells:
-        w = int(w)
-        lhs = psi0[w] / np.conj(kl[w])
-        for cand in _pair_candidates(w, j):
-            le = int(cand)
-            if le not in in_band:
-                continue
-            zc = z_cov(w, le, hurst)
-            if zc == 0:
-                continue
-            acc += np.conj(psi0[le]) / kl[le] * lhs * zc
-    if abs(acc.imag) > 1e-9 * max(abs(acc.real), 1e-300):
-        raise AssertionError(f"tau^2 must be real, got imaginary part {acc.imag:.3e}")
-    if acc.real <= 0:
-        raise AssertionError(f"tau^2 must be positive, got {acc.real:.3e}")
-    return math.sqrt(acc.real)
+    a = 2.0 ** (-j / 2.0) * psi_hat(ells / 2**j) * np.abs(ells) ** (0.5 - hurst) / np.conj(coeffs)
+    tau2 = 0.0
+    for level in range(max(j - 1, 0), j + 2):
+        z = _band_fold(a * psi_hat(ells / 2**level), ells, 2**level)
+        tau2 += float(np.sum(z.real**2 + z.imag**2))
+    tau2 *= fbm_spectral_constant(hurst)
+    if not (math.isfinite(tau2) and tau2 > 0.0):
+        raise ValueError(f"tau^2 must be finite and positive, got {tau2:.3e} at level {j}")
+    return math.sqrt(tau2)
 
 
 def waved_tau_level(j: int, kernel: KernelSpec, *, verbatim: bool = False) -> float:
@@ -212,7 +205,12 @@ def sigma_scale(j: int, nu: float, alpha: float) -> float:
 
 @dataclass
 class VarianceTable:
-    """Cached tau_{alpha,j} values for one (kernel, alpha) pair."""
+    """Cached tau_{alpha,j} values for one (kernel, alpha) pair.
+
+    ``build_policy`` reuses a table whose alpha and kernel coefficients equal
+    the requested ones by value, so one table serves every replication of a
+    cell even though each replication builds its own kernel object.
+    """
 
     kernel: KernelSpec
     alpha: float

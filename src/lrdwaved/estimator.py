@@ -17,7 +17,7 @@ import numpy as np
 from . import meyer
 from .covariance import KernelSpec, VarianceTable
 from .finescale import fine_level_details
-from .meyer import WaveletCoefficients, band_set, phi_hat, psi_hat, scale_band_set
+from .meyer import WaveletCoefficients, scale_band_set
 from .thresholds import DEFAULT_COARSE_LEVEL, ThresholdPolicy, build_policy
 
 __all__ = [
@@ -45,6 +45,8 @@ class DeconvolutionProblem:
         object.__setattr__(self, "observations", y)
         if y.ndim != 1 or y.shape[0] < 32 or (y.shape[0] & (y.shape[0] - 1)) != 0:
             raise ValueError("observations must be a 1-d array of power-of-two length >= 32")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("observations must be finite (found NaN or inf)")
         if y.shape[0] != self.kernel.n:
             raise ValueError("observation grid and kernel grid disagree")
         if not 0.0 < self.alpha <= 1.0:
@@ -56,7 +58,7 @@ class DeconvolutionProblem:
 
 
 def deconvolve_coefficients(problem: DeconvolutionProblem, j0: int, j1: int) -> WaveletCoefficients:
-    """Unbiased coefficient estimates via Fourier division over the bands.
+    """Unbiased coefficient estimates: the Meyer analysis of Y_hat / K_hat.
 
     beta_hat[j,k] = sum over band_set(j) of (Y_hat[l]/K_hat[l]) conj(Psi_hat[j,k][l]);
     the scale coefficients use the scaling window the same way.
@@ -65,27 +67,24 @@ def deconvolve_coefficients(problem: DeconvolutionProblem, j0: int, j1: int) -> 
     meyer._check_grid(n, j1)
     if j0 > j1:
         raise ValueError(f"need j0 <= j1, got ({j0}, {j1})")
-    spectrum = np.fft.fft(problem.observations) / n
-
     ells = scale_band_set(j0)
     kphi = problem.kernel.coefficient(ells)
     dead = np.abs(kphi) == 0.0
     if np.any(dead):
         ell = int(ells[np.argmax(dead)])
         raise ValueError(f"kernel Fourier coefficient vanishes at frequency {ell} (scale level {j0})")
-    zs = np.zeros(2**j0, dtype=complex)
-    np.add.at(zs, ells % 2**j0, spectrum[ells % n] / kphi * np.conj(phi_hat(ells / 2**j0)))
-    scale = meyer._real_part(2.0 ** (j0 / 2.0) * np.fft.ifft(zs), "deconvolved scale coefficients")
-
-    detail: dict[int, np.ndarray] = {}
     for j in range(j0, j1 + 1):
-        kpsi = problem.kernel.validate_band(j)
-        bells = band_set(j).frequencies
-        z = np.zeros(2**j, dtype=complex)
-        np.add.at(z, bells % 2**j, spectrum[bells % n] / kpsi * np.conj(psi_hat(bells / 2**j)))
-        detail[j] = meyer._real_part(
-            2.0 ** (j / 2.0) * np.fft.ifft(z), f"deconvolved detail coefficients at level {j}"
-        )
+        problem.kernel.validate_band(j)
+
+    # the scale band and the detail bands j0..j1 cover every |l| <= hi
+    hi = 2 ** (j1 + 2) // 3
+    needed = np.arange(-hi, hi + 1) % n
+    spectrum = np.fft.fft(problem.observations) / n
+    ratio = np.zeros(n, dtype=complex)
+    ratio[needed] = spectrum[needed] / problem.kernel.fourier[needed]
+
+    scale = meyer._scale_from_spectrum(ratio, j0, n)
+    detail = {j: meyer._detail_from_spectrum(ratio, j, n) for j in range(j0, j1 + 1)}
     return WaveletCoefficients(j0=j0, j1=j1, n=n, scale=scale, detail=detail)
 
 
@@ -95,7 +94,8 @@ def estimate_sigma(problem: DeconvolutionProblem, finest_level: int | None = Non
     sigma_hat = MAD(y_{J,k}) / 0.6745 * sqrt(n); the sqrt(n) undoes the 1/n
     Fourier convention so the value is in per-sample noise units.  Uses the
     observed (not deconvolved) signal, so at high SNR the fine-scale
-    coefficients are noise dominated.
+    coefficients are noise dominated.  Raises ValueError unless the estimate
+    is finite and positive, since every threshold scales with it.
     """
     n = problem.n
     level = int(math.log2(n)) - 2 if finest_level is None else finest_level
@@ -103,7 +103,10 @@ def estimate_sigma(problem: DeconvolutionProblem, finest_level: int | None = Non
         raise ValueError(f"need at least 8 coefficients at level {level}")
     coeffs = meyer.detail_coefficients(problem.observations, level)
     mad = float(np.median(np.abs(coeffs - np.median(coeffs))))
-    return mad / MAD_TO_SIGMA * math.sqrt(n)
+    sigma_hat = mad / MAD_TO_SIGMA * math.sqrt(n)
+    if not (math.isfinite(sigma_hat) and sigma_hat > 0.0):
+        raise ValueError(f"noise scale estimate must be finite and positive, got {sigma_hat}")
+    return sigma_hat
 
 
 def hard_threshold(coeffs: WaveletCoefficients, policy: ThresholdPolicy) -> WaveletCoefficients:

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "MeyerWindow",
     "BandSet",
     "WaveletCoefficients",
     "aux_polynomial",
@@ -29,10 +28,8 @@ __all__ = [
     "band_set",
     "scale_band_set",
     "periodized_psi_hat",
-    "periodized_phi_hat",
     "forward_transform",
     "detail_coefficients",
-    "scale_coefficients",
     "inverse_transform",
 ]
 
@@ -91,22 +88,6 @@ def psi_hat(omega):
     return out
 
 
-@dataclass(frozen=True)
-class MeyerWindow:
-    """Meyer window pair with the degree-3 auxiliary polynomial."""
-
-    degree: int = 3
-
-    def v(self, x):
-        return aux_polynomial(x)
-
-    def scaling(self, omega):
-        return phi_hat(omega)
-
-    def detail(self, omega):
-        return psi_hat(omega)
-
-
 def _band_bounds(j: int) -> tuple[int, int]:
     # 2^j is never divisible by 3, so ceil(2^j/3) = 2^j//3 + 1.
     return 2**j // 3 + 1, 2 ** (j + 2) // 3
@@ -156,14 +137,6 @@ def periodized_psi_hat(j: int, k: int, ell):
         raise ValueError(f"shift k={k} out of range for level j={j}")
     ell = np.asarray(ell, dtype=float)
     return 2.0 ** (-j / 2.0) * np.exp(-2j * np.pi * ell * k / 2**j) * psi_hat(ell / 2**j)
-
-
-def periodized_phi_hat(j: int, k: int, ell):
-    """Fourier coefficient of the periodized scaling function at frequency ell."""
-    if not 0 <= k < 2**j:
-        raise ValueError(f"shift k={k} out of range for level j={j}")
-    ell = np.asarray(ell, dtype=float)
-    return 2.0 ** (-j / 2.0) * np.exp(-2j * np.pi * ell * k / 2**j) * phi_hat(ell / 2**j)
 
 
 @dataclass
@@ -226,11 +199,14 @@ def _real_part(values: np.ndarray, what: str) -> np.ndarray:
     return values.real
 
 
-def _band_fold(spectrum: np.ndarray, weights, ells: np.ndarray, width: int) -> np.ndarray:
-    """Fold band frequencies modulo ``width`` with conjugated basis weights."""
-    n = spectrum.shape[0]
+def _band_fold(values: np.ndarray, ells: np.ndarray, width: int) -> np.ndarray:
+    """Sum ``values`` over the residue classes of the frequencies ``ells`` mod ``width``.
+
+    The one fold behind analysis, deconvolution and the tau variance factors:
+    a level-j coefficient vector is the inverse FFT of a fold of width 2^j.
+    """
     z = np.zeros(width, dtype=complex)
-    np.add.at(z, ells % width, spectrum[ells % n] * weights)
+    np.add.at(z, ells % width, values)
     return z
 
 
@@ -246,7 +222,7 @@ def detail_coefficients(signal: np.ndarray, j: int) -> np.ndarray:
 def _detail_from_spectrum(spectrum: np.ndarray, j: int, n: int) -> np.ndarray:
     ells = band_set(j).frequencies
     weights = np.conj(psi_hat(ells / 2**j))
-    z = _band_fold(spectrum, weights, ells, 2**j)
+    z = _band_fold(spectrum[ells % n] * weights, ells, 2**j)
     coeffs = 2.0 ** (j / 2.0) * np.fft.ifft(z)
     return _real_part(coeffs, f"detail coefficients at level {j}")
 
@@ -254,18 +230,9 @@ def _detail_from_spectrum(spectrum: np.ndarray, j: int, n: int) -> np.ndarray:
 def _scale_from_spectrum(spectrum: np.ndarray, j0: int, n: int) -> np.ndarray:
     ells = scale_band_set(j0)
     weights = np.conj(phi_hat(ells / 2**j0))
-    z = _band_fold(spectrum, weights, ells, 2**j0)
+    z = _band_fold(spectrum[ells % n] * weights, ells, 2**j0)
     coeffs = 2.0 ** (j0 / 2.0) * np.fft.ifft(z)
     return _real_part(coeffs, f"scale coefficients at level {j0}")
-
-
-def scale_coefficients(signal: np.ndarray, j0: int) -> np.ndarray:
-    """Scale (approximation) coefficients at level j0."""
-    signal = np.asarray(signal, dtype=float)
-    n = signal.shape[0]
-    _check_grid(n, j0)
-    spectrum = np.fft.fft(signal) / n
-    return _scale_from_spectrum(spectrum, j0, n)
 
 
 def forward_transform(signal: np.ndarray, j0: int, j1: int) -> WaveletCoefficients:

@@ -18,7 +18,6 @@ from .noise import NoiseModel
 
 __all__ = [
     "SIGNAL_NAMES",
-    "TestSignal",
     "ExperimentConfig",
     "make_signal",
     "gamma_kernel",
@@ -76,20 +75,6 @@ def make_signal(name: str, n: int) -> np.ndarray:
     else:
         raise ValueError(f"unknown signal {name!r}; choose from {SIGNAL_NAMES}")
     return _SIGNAL_SCALE[key] * out
-
-
-@dataclass(frozen=True)
-class TestSignal:
-    """Named benchmark signal with its frozen normalization."""
-
-    name: str
-
-    def samples(self, n: int) -> np.ndarray:
-        return make_signal(self.name, n)
-
-    def peak_to_peak(self, n: int = 4096) -> float:
-        s = self.samples(n)
-        return float(s.max() - s.min())
 
 
 def _gamma_pdf(t: np.ndarray, shape: float, scale: float) -> np.ndarray:

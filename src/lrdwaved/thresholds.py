@@ -16,6 +16,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .covariance import KernelSpec, VarianceTable, waved_tau_level
 
 __all__ = [
@@ -113,7 +115,11 @@ def build_policy(
 
     if method == "lrd":
         table = variance_table
-        if table is None or table.kernel is not kernel or table.alpha != alpha:
+        if (
+            table is None
+            or table.alpha != alpha
+            or not np.array_equal(table.kernel.fourier, kernel.fourier)
+        ):
             table = VarianceTable(kernel=kernel, alpha=alpha)
         factor = sigma_hat * c_n(n, alpha)
         lambdas = {j: smoothing * table.tau(j) * factor for j in range(j0, j1 + 1)}

@@ -196,14 +196,15 @@ class TestCriterion3VarianceOracle:
         assert ok
 
 
-class TestCriterion4TableReproduction:
-    @pytest.fixture(scope="class")
-    def cusp_row(self):
-        start = time.monotonic()
-        results = run_cusp_row()
-        elapsed = time.monotonic() - start
-        return results, elapsed
+@pytest.fixture(scope="class")
+def cusp_row():
+    start = time.monotonic()
+    results = run_cusp_row()
+    elapsed = time.monotonic() - start
+    return results, elapsed
 
+
+class TestCriterion4TableReproduction:
     def test_4a_cell_values_within_factor_two(self, cusp_row):
         results, _ = cusp_row
         violations = []

@@ -108,6 +108,20 @@ class TestEstimate:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_observation_is_validation_error(self, tmp_path, capsys):
+        dataset = self._simulate(tmp_path)
+        lines = dataset.read_text().splitlines()
+        head = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        row = lines[head + 1].split(",")
+        row[lines[head].split(",").index("y")] = "nan"
+        lines[head + 1] = ",".join(row)
+        dataset.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "est"
+        code = run_cli(["estimate", dataset, "--seed", 5, "--out", out])
+        assert code == 3
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "estimate.csv").exists()
+
     def test_kernel_file(self, tmp_path):
         dataset = self._simulate(tmp_path)
         n = 1024

@@ -14,7 +14,7 @@ from lrdwaved.covariance import (
     z_cov,
     z_var,
 )
-from lrdwaved.meyer import band_set, psi_hat
+from lrdwaved.meyer import band_set, periodized_psi_hat, psi_hat
 from lrdwaved.signals import gamma_kernel
 
 
@@ -130,12 +130,20 @@ class TestTauLevel:
             assert tau_level(j, kernel, 1.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_dense_double_sum(self):
-        # candidate-pair pruning agrees with the full band double sum
-        kernel = gamma_kernel(1024)
-        for j, alpha in ((2, 0.6), (3, 0.3), (4, 0.8)):
+        # the residue-class folds agree with the full band double sum of z_cov
+        # at any shift k, including the band-edge levels 0 and 1 and a
+        # non-Hermitian kernel
+        gamma = gamma_kernel(1024)
+        rng = np.random.default_rng(17)
+        rand = KernelSpec(fourier=rng.standard_normal(1024) + 1j * rng.standard_normal(1024))
+        cases = [(gamma, j, alpha, k) for j, alpha, k in (
+            (0, 0.6, 0), (1, 0.3, 1), (2, 0.6, 0), (3, 0.3, 5), (4, 0.8, 0), (5, 0.4, 0))]
+        cases += [(rand, j, alpha, k) for j, alpha, k in (
+            (0, 0.5, 0), (1, 0.2, 1), (3, 0.7, 0), (5, 0.3, 31))]
+        for kernel, j, alpha, k in cases:
             hurst = 1.0 - alpha / 2.0
             ells = band_set(j).frequencies
-            psi0 = {int(e): complex(2.0 ** (-j / 2) * psi_hat(e / 2**j)) for e in ells}
+            psi0 = {int(e): complex(periodized_psi_hat(j, k, int(e))) for e in ells}
             kl = {int(e): complex(kernel.coefficient(int(e))) for e in ells}
             acc = 0.0 + 0.0j
             for w in ells:
@@ -195,6 +203,11 @@ class TestTauLevel:
         fourier[5] = 0.0
         kernel = KernelSpec(fourier=fourier)
         with pytest.raises(ValueError, match="frequency"):
+            tau_level(3, kernel, 0.6)
+
+    def test_overflowing_tau_rejected(self):
+        kernel = KernelSpec(fourier=np.full(256, 1e-200 + 0.0j))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite and positive"):
             tau_level(3, kernel, 0.6)
 
     def test_band_exceeding_grid_rejected(self):

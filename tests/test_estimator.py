@@ -45,6 +45,17 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             DeconvolutionProblem(observations=np.zeros(64), kernel=identity_kernel(128))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_input_rejected(self, bad):
+        y = np.zeros(64)
+        y[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            DeconvolutionProblem(observations=y, kernel=identity_kernel(64))
+        fourier = np.ones(64, dtype=complex)
+        fourier[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            KernelSpec(fourier=fourier)
+
 
 class TestDeconvolveCoefficients:
     def test_identity_kernel_recovers_basis_coefficient(self):
@@ -148,6 +159,11 @@ class TestEstimateSigma:
             problem = DeconvolutionProblem(observations=y, kernel=kernel)
             good += abs(estimate_sigma(problem) - sigma) <= 0.15 * sigma
         assert good >= 18
+
+    def test_constant_data_has_no_noise_scale(self):
+        problem = DeconvolutionProblem(observations=np.ones(256), kernel=identity_kernel(256))
+        with pytest.raises(ValueError, match="finite and positive"):
+            estimate_sigma(problem)
 
     def test_too_few_coefficients(self):
         problem = DeconvolutionProblem(observations=np.zeros(32), kernel=identity_kernel(32))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lrdwaved.covariance import KernelSpec
+from lrdwaved.covariance import KernelSpec, VarianceTable
 from lrdwaved.signals import gamma_kernel
 from lrdwaved.thresholds import (
     build_policy,
@@ -97,6 +97,19 @@ class TestBuildPolicy:
             a: build_policy("lrd", kernel, n, a, 1.0, 1.0, 4, 4).lam(4) for a in (1.0, 0.6, 0.3)
         }
         assert lam[0.3] > lam[0.6] > lam[1.0]
+
+    def test_variance_table_reused_by_kernel_value(self):
+        # a table fills only when build_policy accepts it: equal alpha and
+        # equal kernel coefficients, whichever object holds them
+        n = 1024
+        kernel = gamma_kernel(n)
+        same = VarianceTable(kernel=gamma_kernel(n), alpha=0.6)
+        build_policy("lrd", kernel, n, 0.6, 1.0, 1.0, 3, 5, variance_table=same)
+        assert set(same.taus) == {3, 4, 5}
+        for table in (VarianceTable(kernel=gamma_kernel(n, shape=0.5), alpha=0.6),
+                      VarianceTable(kernel=gamma_kernel(n), alpha=0.8)):
+            build_policy("lrd", kernel, n, 0.6, 1.0, 1.0, 3, 5, variance_table=table)
+            assert table.taus == {}
 
     def test_positivity_and_validation(self):
         n = 256
