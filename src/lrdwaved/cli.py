@@ -467,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default="iid,lrd,lrd")
     p.add_argument("--smoothing", default="sqrt6,sqrtalpha,sqrt2alpha")
     p.add_argument("--replications", type=int, default=64)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=1, help="replication threads (GIL-bound)")
     _add_common(p)
     p.set_defaults(func=cmd_benchmark)
 
@@ -483,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", default="sqrt6")
     p.add_argument("--n-grid", default="1024,2048,4096,8192,16384")
     p.add_argument("--replications", type=int, default=32)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=1, help="replication threads (GIL-bound)")
     _add_common(p)
     p.set_defaults(func=cmd_rates)
 

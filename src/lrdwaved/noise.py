@@ -1,13 +1,10 @@
 """Long-range dependent Gaussian noise generators.
 
 Two stationary unit-variance generators parameterized by the dependence level
-alpha in (0, 1] (Hurst index H = 1 - alpha/2, memory d = (1 - alpha)/2):
-
-* fractional Gaussian noise, sampled exactly by circulant embedding of its
-  autocovariance (Davies-Harte);
-* FARIMA(0, d, 0), sampled exactly by the Durbin-Levinson recursion on its
-  autocovariance and standardized to unit marginal variance.
-
+alpha in (0, 1] (Hurst index H = 1 - alpha/2, memory d = (1 - alpha)/2), both
+exact and O(n log n) from factors cached by (parameter, n): fractional Gaussian
+noise by circulant embedding (Davies-Harte), and FARIMA(0, d, 0) as its
+Durbin-Levinson path, one FFT convolution with the closed-form Cholesky factor.
 alpha = 1 reduces both to i.i.d. standard Gaussians.
 """
 
@@ -15,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,9 +60,17 @@ class NoiseModel:
         return derive_rng(self.seed, *key)
 
     def sample(self, n: int, *key: int) -> np.ndarray:
+        """Exact unit-variance sample of length n for a replication key."""
+        if n < 1:
+            raise ValueError("need n >= 1")
+        rng = self.rng(*key)
         if self.kind == "fgn":
-            return sample_fgn(self, n, *key)
-        return sample_farima(self, n, *key)
+            return _circulant_sample(_sqrt_embedding_eigenvalues(self.hurst, n), n, rng)
+        innovations = rng.standard_normal(n)
+        if self.d == 0.0:
+            return innovations
+        psi_hat, weights, inv_b = _farima_factor(self.d, n)
+        return np.fft.irfft(psi_hat * np.fft.rfft(weights * innovations, 2 * n), 2 * n)[:n] * inv_b
 
 
 def fgn_autocovariance(h, hurst: float):
@@ -81,84 +87,76 @@ def fgn_autocovariance(h, hurst: float):
 def farima_autocovariance(h, d: float):
     """Autocovariance of FARIMA(0, d, 0) with unit innovation variance.
 
-    gamma(0) = Gamma(1-2d)/Gamma(1-d)^2 and
-    gamma(h) = gamma(h-1) (h-1+d)/(h-d).
+    gamma(0) = Gamma(1-2d)/Gamma(1-d)^2 and gamma(h) = gamma(h-1) (h-1+d)/(h-d).
     """
     if not 0.0 <= d < 0.5:
         raise ValueError(f"memory parameter d must lie in [0, 1/2), got {d}")
-    hmax = int(np.max(np.abs(h)))
-    gam = np.empty(hmax + 1)
-    gam[0] = math.gamma(1.0 - 2.0 * d) / math.gamma(1.0 - d) ** 2
-    for lag in range(1, hmax + 1):
-        gam[lag] = gam[lag - 1] * (lag - 1.0 + d) / (lag - d)
-    out = gam[np.abs(np.asarray(h, dtype=int))]
-    if out.ndim == 0:
-        return float(out)
-    return out
+    lag = np.arange(1.0, int(np.max(np.abs(h))) + 1)
+    gam0 = math.gamma(1.0 - 2.0 * d) / math.gamma(1.0 - d) ** 2
+    out = np.cumprod(np.r_[gam0, (lag - 1.0 + d) / (lag - d)])[np.abs(np.asarray(h, dtype=int))]
+    return float(out) if out.ndim == 0 else out
 
 
-def _circulant_eigenvalues(hurst: float, m: int) -> np.ndarray:
-    gam = fgn_autocovariance(np.arange(m + 1), hurst)
-    c = np.concatenate([gam, gam[-2:0:-1]])  # length 2m
-    return np.fft.fft(c).real
+def _embedding_sqrt(acov, n: int) -> np.ndarray:
+    """Square-rooted eigenvalues of the size-2m circulant embedding of acov(m), lags 0..m,
+    with m = max(n, 2) doubled until the embedding is nonnegative definite."""
+    m = max(n, 2)
+    for _ in range(_MAX_EMBED_DOUBLINGS + 1):
+        gam = acov(m)
+        eig = np.fft.fft(np.concatenate([gam, gam[-2:0:-1]])).real
+        if eig.min() >= -1e-12 * eig.max():
+            return np.sqrt(np.maximum(eig, 0.0))
+        m *= 2
+    raise RuntimeError(f"circulant embedding stayed non-positive up to size {m}")
+
+
+@lru_cache(maxsize=16)
+def _sqrt_embedding_eigenvalues(hurst: float, n: int) -> np.ndarray:
+    root = _embedding_sqrt(lambda m: fgn_autocovariance(np.arange(m + 1), hurst), n)
+    root.flags.writeable = False
+    return root
+
+
+def _circulant_sample(sqrt_eig: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """First n values of one draw with the embedded circulant covariance."""
+    size = sqrt_eig.size
+    m = size // 2
+    zeta = np.empty(size, dtype=complex)
+    zeta[0] = rng.standard_normal()
+    zeta[m] = rng.standard_normal()
+    zeta[1:m] = (rng.standard_normal(m - 1) + 1j * rng.standard_normal(m - 1)) / np.sqrt(2.0)
+    zeta[m + 1 :] = np.conj(zeta[1:m][::-1])
+    return (np.sqrt(size) * np.fft.ifft(sqrt_eig * zeta)).real[:n]
+
+
+@lru_cache(maxsize=16)
+def _farima_factor(d: float, n: int) -> tuple[np.ndarray, ...]:
+    """Read-only (psi_hat, w, 1/b) with L e = (psi * (w e))[:n] / b, L the Cholesky factor.
+
+    Durbin-Levinson builds x from A x = D^(1/2) e; Hosking's (1981) phi_tj =
+    -a_j b_(t-j) / b_t, a = coefficients of (1 - z)^d, b_t = Gamma(t+1-d) / Gamma(t+1)
+    make A = B^-1 T_a B, so L = B^-1 T_psi B (D / D_0)^(1/2) with psi = coefficients
+    of (1 - z)^-d and w_t = b_t (D_t / D_0)^(1/2) = (Gamma(t+1-2d) / Gamma(t+1))^(1/2).
+    """
+    t = np.arange(1.0, n)
+    psi = np.cumprod(np.r_[1.0, (t - 1.0 + d) / t])
+    b = np.cumprod(np.r_[1.0, (t - d) / t])
+    weights = np.sqrt(np.cumprod(np.r_[1.0, (t - 2.0 * d) / t]))
+    parts = (np.fft.rfft(psi, 2 * n), weights, 1.0 / b)
+    for part in parts:
+        part.flags.writeable = False
+    return parts
 
 
 def sample_fgn(model: NoiseModel, n: int, *key: int) -> np.ndarray:
     """Exact unit-variance fGn sample by circulant embedding."""
     if model.kind != "fgn":
         raise ValueError("model kind must be 'fgn'")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    rng = model.rng(*key)
-
-    m = max(n, 2)
-    for _ in range(_MAX_EMBED_DOUBLINGS + 1):
-        eig = _circulant_eigenvalues(model.hurst, m)
-        if eig.min() >= -1e-12 * eig.max():
-            break
-        m *= 2
-    else:
-        raise RuntimeError(f"circulant embedding stayed non-positive up to size {2 * m}")
-    eig = np.maximum(eig, 0.0)
-
-    size = 2 * m
-    zeta = np.empty(size, dtype=complex)
-    zeta[0] = rng.standard_normal()
-    zeta[m] = rng.standard_normal()
-    re = rng.standard_normal(m - 1)
-    im = rng.standard_normal(m - 1)
-    zeta[1:m] = (re + 1j * im) / np.sqrt(2.0)
-    zeta[m + 1 :] = np.conj(zeta[1:m][::-1])
-
-    x = np.sqrt(size) * np.fft.ifft(np.sqrt(eig) * zeta)
-    return x.real[:n]
+    return model.sample(n, *key)
 
 
 def sample_farima(model: NoiseModel, n: int, *key: int) -> np.ndarray:
-    """Exact FARIMA(0, d, 0) sample via Durbin-Levinson, unit variance."""
+    """Exact unit-variance FARIMA(0, d, 0) sample: the Durbin-Levinson path in O(n log n)."""
     if model.kind != "farima":
         raise ValueError("model kind must be 'farima'")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    d = model.d
-    rng = model.rng(*key)
-    innovations = rng.standard_normal(n)
-    if d == 0.0:
-        return innovations
-
-    gam = farima_autocovariance(np.arange(n), d)
-    x = np.empty(n)
-    phi = np.empty(n - 1) if n > 1 else np.empty(0)
-    v = gam[0]
-    x[0] = innovations[0] * math.sqrt(v)
-    for t in range(1, n):
-        if t == 1:
-            kappa = gam[1] / gam[0]
-        else:
-            kappa = (gam[t] - phi[: t - 1] @ gam[t - 1 : 0 : -1]) / v
-            # reversed slice overlaps the assignment target; force a temporary
-            phi[: t - 1] = phi[: t - 1] - kappa * phi[t - 2 :: -1]
-        phi[t - 1] = kappa
-        v *= 1.0 - kappa * kappa
-        x[t] = phi[:t] @ x[t - 1 :: -1] + innovations[t] * math.sqrt(v)
-    return x / math.sqrt(gam[0])
+    return model.sample(n, *key)

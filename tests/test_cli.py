@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lrdwaved.cli import main
+from lrdwaved.cli import build_parser, main
 
 
 def run_cli(args):
@@ -171,6 +171,11 @@ class TestBenchmarkCommand:
         assert code == 0
         assert capsys.readouterr().out.strip() == first.strip()
         assert (tmp_path / "re" / "table.txt").read_text() == first
+
+    def test_threads_default_to_one(self):
+        parser = build_parser()
+        assert parser.parse_args(["benchmark", "--signal", "cusp"]).threads == 1
+        assert parser.parse_args(["rates", "--signal", "cusp"]).threads == 1
 
     def test_deterministic_outputs(self, tmp_path):
         args = ["benchmark", "--signal", "cusp", "--n", 512, "--alpha-grid", "0.6",

@@ -1,9 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import linalg, stats
 
 from lrdwaved.noise import (
     NoiseModel,
+    _embedding_sqrt,
+    _farima_factor,
+    _sqrt_embedding_eigenvalues,
     derive_rng,
     farima_autocovariance,
     fgn_autocovariance,
@@ -45,6 +50,15 @@ class TestAutocovariances:
         for d in (0.1, 0.25, 0.4):
             ratio = farima_autocovariance(1, d) / farima_autocovariance(0, d)
             assert ratio == pytest.approx(d / (1 - d), rel=1e-12)
+
+    def test_farima_matches_lag_recursion(self):
+        # per-lag reference; the cumulative product rounds in another order
+        for d in (0.05, 0.25, 0.45):
+            gam = [farima_autocovariance(0, d)]
+            for lag in range(1, 4096):
+                gam.append(gam[-1] * (lag - 1.0 + d) / (lag - d))
+            rtol = 4 * 4096 * np.finfo(float).eps
+            np.testing.assert_allclose(farima_autocovariance(np.arange(4096), d), gam, rtol=rtol)
 
     def test_farima_d_range(self):
         with pytest.raises(ValueError):
@@ -199,3 +213,112 @@ class TestEmbeddingGuard:
         m = NoiseModel(alpha=0.3, kind="fgn", seed=9)
         x = sample_fgn(m, 3)
         assert x.shape == (3,)
+
+
+def durbin_levinson_reference(gam, innovations):
+    """Reference O(n^2) recursion x_t = sum_j phi_tj x_(t-j) + v_t^(1/2) e_t, unit variance."""
+    n = innovations.size
+    x = np.empty(n)
+    phi = np.empty(max(n - 1, 0))
+    v = gam[0]
+    x[0] = innovations[0] * np.sqrt(v)
+    for t in range(1, n):
+        if t == 1:
+            kappa = gam[1] / gam[0]
+        else:
+            kappa = (gam[t] - phi[: t - 1] @ gam[t - 1 : 0 : -1]) / v
+            phi[: t - 1] = phi[: t - 1] - kappa * phi[t - 2 :: -1]
+        phi[t - 1] = kappa
+        v *= 1.0 - kappa * kappa
+        x[t] = phi[:t] @ x[t - 1 :: -1] + innovations[t] * np.sqrt(v)
+    return x / np.sqrt(gam[0])
+
+
+def correlation_matrix(kind, alpha, n):
+    m = NoiseModel(alpha=alpha, kind=kind)
+    if kind == "farima":
+        gam = farima_autocovariance(np.arange(n), m.d)
+    else:
+        gam = fgn_autocovariance(np.arange(n), m.hurst)
+    return linalg.toeplitz(gam / gam[0])
+
+
+class TestExactness:
+    @pytest.mark.parametrize("hurst", [0.5, 0.6, 0.9])
+    def test_fgn_embedding_reproduces_autocovariance(self, hurst):
+        n = 1000
+        root = _sqrt_embedding_eigenvalues(hurst, n)
+        np.testing.assert_allclose(
+            np.fft.ifft(root**2)[:n].real, fgn_autocovariance(np.arange(n), hurst), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("d", [0.1, 0.3, 0.45])
+    @pytest.mark.parametrize("n", [1, 2, 5, 64, 1000])
+    def test_farima_is_cholesky_factor_times_innovations(self, d, n):
+        # the Durbin-Levinson path: x = L e, L L^T = R, e the model's first n normals
+        m = NoiseModel(alpha=1.0 - 2.0 * d, kind="farima", seed=23)
+        chol = linalg.cholesky(correlation_matrix("farima", m.alpha, n), lower=True)
+        expected = chol @ m.rng(4).standard_normal(n)
+        np.testing.assert_allclose(sample_farima(m, n, 4), expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.95, 0.6, 0.2, 0.05])
+    @pytest.mark.parametrize("n", [1, 2, 3, 1024])
+    def test_farima_matches_durbin_levinson_path(self, alpha, n):
+        # same innovations, so the same path; float64 roundoff only
+        m = NoiseModel(alpha=alpha, kind="farima", seed=29)
+        gam = farima_autocovariance(np.arange(max(n, 2)), m.d)
+        expected = durbin_levinson_reference(gam, m.rng(0, 2).standard_normal(n))
+        atol = 64 * max(n, 16) * np.finfo(float).eps
+        np.testing.assert_allclose(sample_farima(m, n, 0, 2), expected, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("kind, alpha", [("farima", 0.2), ("farima", 0.6), ("fgn", 0.2)])
+    def test_dense_cholesky_whitening(self, kind, alpha):
+        # L^-1 x is i.i.d. N(0, 1) when x has the Toeplitz correlation L L^T
+        n, reps = 64, 2000
+        m = NoiseModel(alpha=alpha, kind=kind, seed=17)
+        chol = linalg.cholesky(correlation_matrix(kind, alpha, n), lower=True)
+        draws = np.stack([m.sample(n, r) for r in range(reps)])
+        z = linalg.solve_triangular(chol, draws.T, lower=True).T
+        _, pvalue = stats.kstest(z.ravel(), "norm")
+        assert pvalue > 0.01
+        lag1 = np.mean(z[:, :-1] * z[:, 1:])
+        assert abs(lag1) <= 3.0 / np.sqrt(reps * (n - 1))
+
+    def test_factors_are_read_only_and_keyed_by_value(self):
+        a = _farima_factor(NoiseModel(alpha=0.6).d, 128)
+        b = _farima_factor(NoiseModel(alpha=0.6, seed=3).d, 128)
+        assert a is b
+        assert not any(part.flags.writeable for part in a)
+        assert not _sqrt_embedding_eigenvalues(0.7, 128).flags.writeable
+        for cached in (_farima_factor, _sqrt_embedding_eigenvalues):
+            assert cached.cache_info().maxsize is not None
+
+    def test_embedding_failure_reports_last_size(self):
+        # lag-1 correlation 1 and nothing beyond: eigenvalues 1 + 2 cos(w) dip to -1
+        # at every size; n=16 tries circulant sizes 32, 64, ..., 512
+        def not_psd(m):
+            return np.concatenate([[1.0, 1.0], np.zeros(m - 1)])
+
+        with pytest.raises(RuntimeError, match=r"up to size 512$"):
+            _embedding_sqrt(not_psd, 16)
+
+
+class TestStreamPins:
+    # sha256 of the float64 bytes for NoiseModel(seed=2024) and key (0, 1); the
+    # fGn and i.i.d. FARIMA streams feed the white-noise and fGn benchmark cells
+    PINS = {
+        ("fgn", 1.0, 3): "97c739a00bb01ad24ce6ed8ba0dc80c3fd5d1c07d8382d03381a7e3ed2a65de5",
+        ("fgn", 1.0, 4096): "5119697beb4831f238bf0ca576256dcd4fa3a21eead3f2775ba94a3f468afb42",
+        ("fgn", 0.6, 3): "476ecfa3a70b312185e737654058455e9d6c58ca57d1c6d9a1bfc8596c8b70f0",
+        ("fgn", 0.6, 4096): "be27da679ff0fd91256b7d25f96523434c31500552570c263130c3398ed955e5",
+        ("fgn", 0.2, 3): "6a61419175659ee2d47bac617340d685835d485c889f18bdbfadaa70f27f9de3",
+        ("fgn", 0.2, 4096): "ad24e856b3018db6b6e78926b8966b6f5b90cccceb0992ee93f0782da7375b43",
+        ("farima", 1.0, 3): "ba19fa50707584d99da9da10870103c63dc875e9e697695308aa5b39e452608c",
+        ("farima", 1.0, 4096): "e70aed2046e1c91eee06ad76bb67f60e2549e474d8d28917803d49c334307ebf",
+    }
+
+    @pytest.mark.parametrize("kind, alpha, n", sorted(PINS))
+    def test_stream_is_pinned(self, kind, alpha, n):
+        sampler = sample_fgn if kind == "fgn" else sample_farima
+        x = sampler(NoiseModel(alpha=alpha, kind=kind, seed=2024), n, 0, 1)
+        assert hashlib.sha256(x.tobytes()).hexdigest() == self.PINS[(kind, alpha, n)]
