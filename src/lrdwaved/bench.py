@@ -11,7 +11,7 @@ import numpy as np
 from .covariance import VarianceTable
 from .estimator import run_estimator
 from .noise import derive_rng
-from .signals import ExperimentConfig, generate_dataset, resolve_smoothing
+from .signals import ExperimentConfig, _clean_cell, _noisy_problem, resolve_smoothing
 
 __all__ = [
     "MethodResult",
@@ -71,7 +71,10 @@ def run_benchmark(config: ExperimentConfig, threads: int = 1) -> BenchResult:
 
     Each replication shares one dataset across methods (paired comparison);
     the stopping-rule noise stream derives from (seed, replication, method
-    index) so results are independent of scheduling and thread count.
+    index) so results are independent of scheduling and thread count.  The
+    signal, kernel, blur and noise scale are built once per call; a
+    replication draws only its noise, giving the same dataset as
+    ``generate_dataset(config, rep)``.
     """
     n_methods = len(config.methods)
     mses = np.empty((n_methods, config.replications))
@@ -81,8 +84,11 @@ def run_benchmark(config: ExperimentConfig, threads: int = 1) -> BenchResult:
     # tau values are shared across replications of one cell
     tables: dict[int, VarianceTable] = {}
 
+    cell = _clean_cell(config)
+    f_true = cell.f_true
+
     def one_rep(rep: int) -> None:
-        problem, f_true = generate_dataset(config, rep)
+        problem = _noisy_problem(cell, rep)
         for i, (method, smooth_spec) in enumerate(zip(config.methods, config.smoothing)):
             alpha = config.alpha if method == "lrd" else 1.0
             smoothing = resolve_smoothing(smooth_spec, alpha)

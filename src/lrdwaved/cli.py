@@ -178,10 +178,34 @@ def _read_kernel_file(path: Path, n: int) -> KernelSpec:
     for col in ("ell", "re", "im"):
         if col not in table:
             raise ValidationError(f"kernel table {path} needs columns ell,re,im")
+    ell = table["ell"]
+    whole = np.isfinite(ell) & (ell == np.round(ell))
+    if not np.all(whole):
+        bad = float(ell[np.argmin(whole)])
+        raise ValidationError(f"kernel table {path}: ell={bad!r} is not an integer")
+    idx = ell.astype(int) % n
+    counts = np.bincount(idx, minlength=n)
+    if np.any(counts > 1):
+        raise ValidationError(
+            f"kernel table {path}: frequency {_signed(int(np.argmax(counts > 1)), n)} "
+            f"appears {counts.max()} times (rows wrap mod n={n})"
+        )
+    # every |l| < n/2 must be given; the Nyquist frequency n/2 may stay unset
+    counts[n // 2] = 1
+    if not np.all(counts):
+        missing = [_signed(int(i), n) for i in np.flatnonzero(counts == 0)]
+        first = min(missing, key=lambda f: (abs(f), f < 0))
+        raise ValidationError(
+            f"kernel table {path} leaves frequency {first} unset "
+            f"({len(missing)} of the {n - 1} with |l| < n/2 missing)"
+        )
     fourier = np.zeros(n, dtype=complex)
-    idx = table["ell"].astype(int) % n
     fourier[idx] = table["re"] + 1j * table["im"]
     return KernelSpec(fourier=fourier, dip=None)
+
+
+def _signed(index: int, n: int) -> int:
+    return index - n if index > n // 2 else index
 
 
 def cmd_estimate(args) -> int:
@@ -453,7 +477,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--nu", type=float, default=0.7)
     p.add_argument("--kernel-scale", type=float, default=0.25)
-    p.add_argument("--kernel-file", default=None, help="CSV with columns ell,re,im")
+    p.add_argument(
+        "--kernel-file",
+        default=None,
+        help="CSV with columns ell,re,im: one row per integer frequency |ell| < n/2",
+    )
     p.add_argument("--xi", default="sqrt2alpha", help="LRD smoothing: sqrtalpha|sqrt2alpha|number")
     p.add_argument("--eta", default="sqrt6", help="IID smoothing constant")
     p.add_argument("--j0", type=int, default=3)

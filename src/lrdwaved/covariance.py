@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .meyer import _band_fold, band_set, psi_hat
+from .meyer import _band_bounds, _band_fold, _detail_plan, psi_hat
 
 __all__ = [
     "KernelSpec",
@@ -71,15 +71,15 @@ class KernelSpec:
 
     def validate_band(self, j: int) -> np.ndarray:
         """Kernel coefficients over band_set(j); raises if any vanishes."""
-        ells = band_set(j).frequencies
-        if np.max(np.abs(ells)) >= self.n // 2:
+        if _band_bounds(j)[1] >= self.n // 2:
             raise ValueError(
                 f"band of level {j} exceeds representable frequencies for n={self.n}"
             )
-        coeffs = self.coefficient(ells)
+        plan = _detail_plan(j, self.n)
+        coeffs = self.fourier[plan.index]
         dead = np.abs(coeffs) == 0.0
         if np.any(dead):
-            ell = int(ells[np.argmax(dead)])
+            ell = int(plan.frequencies[np.argmax(dead)])
             raise ValueError(
                 f"kernel Fourier coefficient vanishes at frequency {ell} (level {j})"
             )
@@ -168,11 +168,12 @@ def tau_level(j: int, kernel: KernelSpec, alpha: float) -> float:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     hurst = 1.0 - alpha / 2.0
     coeffs = kernel.validate_band(j)
-    ells = band_set(j).frequencies
-    a = 2.0 ** (-j / 2.0) * psi_hat(ells / 2**j) * np.abs(ells) ** (0.5 - hurst) / np.conj(coeffs)
+    plan = _detail_plan(j, kernel.n)
+    ells = plan.frequencies
+    a = plan.synthesis * np.abs(ells) ** (0.5 - hurst) / np.conj(coeffs)
     tau2 = 0.0
     for level in range(max(j - 1, 0), j + 2):
-        z = _band_fold(a * psi_hat(ells / 2**level), ells, 2**level)
+        z = _band_fold(a * psi_hat(ells / 2**level), ells % 2**level, 2**level)
         tau2 += float(np.sum(z.real**2 + z.imag**2))
     tau2 *= fbm_spectral_constant(hurst)
     if not (math.isfinite(tau2) and tau2 > 0.0):

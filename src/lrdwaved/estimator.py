@@ -11,13 +11,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import meyer
 from .covariance import KernelSpec, VarianceTable
 from .finescale import fine_level_details
-from .meyer import WaveletCoefficients, scale_band_set
+from .meyer import WaveletCoefficients
 from .thresholds import DEFAULT_COARSE_LEVEL, ThresholdPolicy, build_policy
 
 __all__ = [
@@ -34,14 +35,19 @@ MAD_TO_SIGMA = 0.6745  # median absolute deviation of a standard Gaussian
 
 @dataclass(frozen=True)
 class DeconvolutionProblem:
-    """Observed samples, blur kernel and the (known) dependence level."""
+    """Observed samples, blur kernel and the (known) dependence level.
+
+    ``observations`` is stored as a read-only copy, so the cached spectrum
+    always describes it.
+    """
 
     observations: np.ndarray = field(repr=False)
     kernel: KernelSpec
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        y = np.asarray(self.observations, dtype=float)
+        y = np.array(self.observations, dtype=float)
+        y.setflags(write=False)
         object.__setattr__(self, "observations", y)
         if y.ndim != 1 or y.shape[0] < 32 or (y.shape[0] & (y.shape[0] - 1)) != 0:
             raise ValueError("observations must be a 1-d array of power-of-two length >= 32")
@@ -56,6 +62,13 @@ class DeconvolutionProblem:
     def n(self) -> int:
         return self.observations.shape[0]
 
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Y_hat = fft(y) / n, computed once and read-only."""
+        out = np.fft.fft(self.observations) / self.n
+        out.setflags(write=False)
+        return out
+
 
 def deconvolve_coefficients(problem: DeconvolutionProblem, j0: int, j1: int) -> WaveletCoefficients:
     """Unbiased coefficient estimates: the Meyer analysis of Y_hat / K_hat.
@@ -67,11 +80,10 @@ def deconvolve_coefficients(problem: DeconvolutionProblem, j0: int, j1: int) -> 
     meyer._check_grid(n, j1)
     if j0 > j1:
         raise ValueError(f"need j0 <= j1, got ({j0}, {j1})")
-    ells = scale_band_set(j0)
-    kphi = problem.kernel.coefficient(ells)
-    dead = np.abs(kphi) == 0.0
+    plan = meyer._scale_plan(j0, n)
+    dead = np.abs(problem.kernel.fourier[plan.index]) == 0.0
     if np.any(dead):
-        ell = int(ells[np.argmax(dead)])
+        ell = int(plan.frequencies[np.argmax(dead)])
         raise ValueError(f"kernel Fourier coefficient vanishes at frequency {ell} (scale level {j0})")
     for j in range(j0, j1 + 1):
         problem.kernel.validate_band(j)
@@ -79,7 +91,7 @@ def deconvolve_coefficients(problem: DeconvolutionProblem, j0: int, j1: int) -> 
     # the scale band and the detail bands j0..j1 cover every |l| <= hi
     hi = 2 ** (j1 + 2) // 3
     needed = np.arange(-hi, hi + 1) % n
-    spectrum = np.fft.fft(problem.observations) / n
+    spectrum = problem.spectrum
     ratio = np.zeros(n, dtype=complex)
     ratio[needed] = spectrum[needed] / problem.kernel.fourier[needed]
 
@@ -101,7 +113,8 @@ def estimate_sigma(problem: DeconvolutionProblem, finest_level: int | None = Non
     level = int(math.log2(n)) - 2 if finest_level is None else finest_level
     if 2**level < 8:
         raise ValueError(f"need at least 8 coefficients at level {level}")
-    coeffs = meyer.detail_coefficients(problem.observations, level)
+    meyer._check_grid(n, level)
+    coeffs = meyer._detail_from_spectrum(problem.spectrum, level, n)
     mad = float(np.median(np.abs(coeffs - np.median(coeffs))))
     sigma_hat = mad / MAD_TO_SIGMA * math.sqrt(n)
     if not (math.isfinite(sigma_hat) and sigma_hat > 0.0):

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,12 +67,25 @@ class StoppingResult:
 OPERATIONAL_LOG_POWER = 0.5
 
 
+@lru_cache(maxsize=32)
 def _cutoffs(n_freq: int, alpha: float, epsilon: float, log_power: float) -> np.ndarray:
+    """Read-only cutoff(l) for l = 1..n_freq, cached by value."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     ells = np.arange(1, n_freq + 1, dtype=float)
     log_term = -2.0 * math.log(epsilon)
-    return ells ** (alpha / 2.0) * epsilon**alpha * log_term**log_power
+    out = ells ** (alpha / 2.0) * epsilon**alpha * log_term**log_power
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=32)
+def _channel_noise_sd(n: int, noise_alpha: float) -> np.ndarray:
+    """Read-only per-part s.d. sqrt(z_var(l) / 2) of the channel noise, l = 1..n/2-1."""
+    hurst = 1.0 - noise_alpha / 2.0
+    out = np.sqrt(z_var(np.arange(1, n // 2), hurst) / 2.0)
+    out.setflags(write=False)
+    return out
 
 
 def stopping_time(
@@ -113,13 +127,11 @@ def kernel_channel(
     if sigma_hat <= 0:
         raise ValueError(f"sigma_hat must be positive, got {sigma_hat}")
     n = kernel.n
-    ells = np.arange(1, n // 2)
-    channel = np.asarray(kernel.coefficient(ells), dtype=complex) / sigma_hat
+    channel = np.asarray(kernel.fourier[1 : n // 2], dtype=complex) / sigma_hat
     if rng is not None:
-        hurst = 1.0 - noise_alpha / 2.0
-        var = z_var(ells, hurst)
-        w = (rng.standard_normal(ells.size) + 1j * rng.standard_normal(ells.size)) * np.sqrt(
-            var / 2.0
+        size = channel.size
+        w = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * _channel_noise_sd(
+            n, noise_alpha
         )
         channel = channel + n ** (-noise_alpha / 2.0) * w
     return channel

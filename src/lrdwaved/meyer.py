@@ -3,7 +3,9 @@
 The scaling window ``phi_hat`` and detail window ``psi_hat`` are band-limited,
 so every periodized basis function has finitely many nonzero Fourier
 coefficients.  Analysis and synthesis of length-n sampled signals therefore
-reduce to an FFT plus per-level sums over small frequency bands.
+reduce to an FFT plus per-level sums over small frequency bands.  A band's
+layout and windows depend only on (level, n), so each pair's spectral plan
+is built on first use and then read from a bounded cache.
 
 Fourier convention throughout: for samples y_0..y_{n-1} on t_i = i/n,
 
@@ -16,6 +18,7 @@ Parseval sums against basis coefficients need no extra scaling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -199,15 +202,64 @@ def _real_part(values: np.ndarray, what: str) -> np.ndarray:
     return values.real
 
 
-def _band_fold(values: np.ndarray, ells: np.ndarray, width: int) -> np.ndarray:
-    """Sum ``values`` over the residue classes of the frequencies ``ells`` mod ``width``.
+def _band_fold(values: np.ndarray, residues: np.ndarray, width: int) -> np.ndarray:
+    """Sum ``values`` over the frequency residue classes ``residues`` (= l mod ``width``).
 
     The one fold behind analysis, deconvolution and the tau variance factors:
     a level-j coefficient vector is the inverse FFT of a fold of width 2^j.
     """
     z = np.zeros(width, dtype=complex)
-    np.add.at(z, ells % width, values)
+    np.add.at(z, residues, values)
     return z
+
+
+@dataclass(frozen=True)
+class _BandPlan:
+    """Read-only layout of one level's band on the length-n grid.
+
+    ``index`` holds l mod n (the FFT position), ``residues`` l mod 2^level
+    (the fold class), ``analysis`` the conjugate window and ``synthesis`` the
+    window times 2^(-level/2).
+    """
+
+    level: int
+    frequencies: np.ndarray
+    index: np.ndarray
+    residues: np.ndarray
+    analysis: np.ndarray
+    synthesis: np.ndarray
+
+
+def _plan(level: int, n: int, ells: np.ndarray, window: np.ndarray) -> _BandPlan:
+    arrays = {
+        "frequencies": ells,
+        "index": ells % n,
+        "residues": ells % 2**level,
+        "analysis": np.conj(window),
+        "synthesis": 2.0 ** (-level / 2.0) * window,
+    }
+    for values in arrays.values():
+        values.setflags(write=False)
+    return _BandPlan(level=level, **arrays)
+
+
+# A plan depends only on (level, n); callers check the grid first.
+@lru_cache(maxsize=64)
+def _detail_plan(j: int, n: int) -> _BandPlan:
+    ells = band_set(j).frequencies
+    return _plan(j, n, ells, psi_hat(ells / 2**j))
+
+
+@lru_cache(maxsize=64)
+def _scale_plan(j: int, n: int) -> _BandPlan:
+    ells = scale_band_set(j)
+    return _plan(j, n, ells, phi_hat(ells / 2**j))
+
+
+def _analyze(spectrum: np.ndarray, plan: _BandPlan, what: str) -> np.ndarray:
+    z = _band_fold(spectrum[plan.index] * plan.analysis, plan.residues, 2**plan.level)
+    coeffs = 2.0 ** (plan.level / 2.0) * np.fft.ifft(z)
+    return _real_part(coeffs, f"{what} coefficients at level {plan.level}")
 
 
 def detail_coefficients(signal: np.ndarray, j: int) -> np.ndarray:
@@ -220,19 +272,11 @@ def detail_coefficients(signal: np.ndarray, j: int) -> np.ndarray:
 
 
 def _detail_from_spectrum(spectrum: np.ndarray, j: int, n: int) -> np.ndarray:
-    ells = band_set(j).frequencies
-    weights = np.conj(psi_hat(ells / 2**j))
-    z = _band_fold(spectrum[ells % n] * weights, ells, 2**j)
-    coeffs = 2.0 ** (j / 2.0) * np.fft.ifft(z)
-    return _real_part(coeffs, f"detail coefficients at level {j}")
+    return _analyze(spectrum, _detail_plan(j, n), "detail")
 
 
 def _scale_from_spectrum(spectrum: np.ndarray, j0: int, n: int) -> np.ndarray:
-    ells = scale_band_set(j0)
-    weights = np.conj(phi_hat(ells / 2**j0))
-    z = _band_fold(spectrum[ells % n] * weights, ells, 2**j0)
-    coeffs = 2.0 ** (j0 / 2.0) * np.fft.ifft(z)
-    return _real_part(coeffs, f"scale coefficients at level {j0}")
+    return _analyze(spectrum, _scale_plan(j0, n), "scale")
 
 
 def forward_transform(signal: np.ndarray, j0: int, j1: int) -> WaveletCoefficients:
@@ -256,16 +300,11 @@ def coefficients_to_spectrum(coeffs: WaveletCoefficients, n: int) -> np.ndarray:
     """Accumulate the Fourier coefficients of the synthesized expansion."""
     _check_grid(n, coeffs.j1)
     spectrum = np.zeros(n, dtype=complex)
-
-    j0 = coeffs.j0
-    ells = scale_band_set(j0)
-    fa = np.fft.fft(np.asarray(coeffs.scale, dtype=complex))
-    spectrum[ells % n] += 2.0 ** (-j0 / 2.0) * phi_hat(ells / 2**j0) * fa[ells % 2**j0]
-
-    for j in coeffs.levels():
-        ells = band_set(j).frequencies
-        fb = np.fft.fft(np.asarray(coeffs.detail[j], dtype=complex))
-        spectrum[ells % n] += 2.0 ** (-j / 2.0) * psi_hat(ells / 2**j) * fb[ells % 2**j]
+    bands = [(_scale_plan(coeffs.j0, n), coeffs.scale)]
+    bands += [(_detail_plan(j, n), coeffs.detail[j]) for j in coeffs.levels()]
+    for plan, values in bands:
+        fb = np.fft.fft(np.asarray(values, dtype=complex))
+        spectrum[plan.index] += plan.synthesis * fb[plan.residues]
     return spectrum
 
 

@@ -189,20 +189,46 @@ def resolve_smoothing(spec: str | float, alpha: float) -> float:
     return value
 
 
+@dataclass(frozen=True)
+class _CleanCell:
+    """The replication-independent part of a dataset: read-only, shared by replications."""
+
+    f_true: np.ndarray
+    kernel: KernelSpec
+    blurred: np.ndarray
+    noise_scale: float  # sigma 2^(-alpha/2)
+    noise: NoiseModel
+
+
+def _clean_cell(config: ExperimentConfig) -> _CleanCell:
+    f_true = make_signal(config.signal, config.n)
+    kernel = gamma_kernel(config.n, shape=config.nu, scale=config.kernel_scale)
+    blurred = blur(f_true, kernel)
+    sigma = calibrate_sigma(blurred, config.snr_db)
+    for values in (f_true, kernel.fourier, blurred):
+        values.setflags(write=False)
+    return _CleanCell(
+        f_true=f_true,
+        kernel=kernel,
+        blurred=blurred,
+        noise_scale=sigma * 2.0 ** (-config.alpha / 2.0),
+        noise=NoiseModel(alpha=config.alpha, kind=config.noise_kind, seed=config.seed),
+    )
+
+
+def _noisy_problem(cell: _CleanCell, replication: int):
+    from .estimator import DeconvolutionProblem
+
+    e = cell.noise.sample(cell.f_true.shape[0], replication)
+    y = cell.blurred + cell.noise_scale * e
+    return DeconvolutionProblem(observations=y, kernel=cell.kernel, alpha=cell.noise.alpha)
+
+
 def generate_dataset(config: ExperimentConfig, replication: int = 0):
     """One synthetic dataset: observations y_i = (k*f)(t_i) + sigma 2^(-alpha/2) e_i.
 
     Returns (problem, f_true).  Deterministic given (config, replication): the
     noise stream derives from (config.seed, replication).
     """
-    from .estimator import DeconvolutionProblem
-
-    f_true = make_signal(config.signal, config.n)
-    kernel = gamma_kernel(config.n, shape=config.nu, scale=config.kernel_scale)
-    blurred = blur(f_true, kernel)
-    sigma = calibrate_sigma(blurred, config.snr_db)
-    model = NoiseModel(alpha=config.alpha, kind=config.noise_kind, seed=config.seed)
-    e = model.sample(config.n, replication)
-    y = blurred + sigma * 2.0 ** (-config.alpha / 2.0) * e
-    problem = DeconvolutionProblem(observations=y, kernel=kernel, alpha=config.alpha)
-    return problem, f_true
+    cell = _clean_cell(config)
+    return _noisy_problem(cell, replication), cell.f_true

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,7 +9,10 @@ from lrdwaved.bench import (
     run_benchmark,
     run_rate_experiment,
 )
-from lrdwaved.signals import ExperimentConfig
+from lrdwaved.covariance import VarianceTable
+from lrdwaved.estimator import run_estimator
+from lrdwaved.noise import derive_rng
+from lrdwaved.signals import ExperimentConfig, generate_dataset, resolve_smoothing
 
 
 def small_config(**overrides):
@@ -51,6 +55,27 @@ class TestRunBenchmark:
         for ma, mb in zip(serial.methods, threaded.methods):
             np.testing.assert_array_equal(ma.mses, mb.mses)
 
+    def test_threads_share_cold_caches(self):
+        # threads build the spectral plans and read the shared clean cell at
+        # once, with the interpreter switching threads as often as it can
+        import sys
+
+        from lrdwaved import finescale, meyer
+
+        serial = run_benchmark(small_config(replications=8, n=2048), threads=1)
+        for cache in (meyer._detail_plan, meyer._scale_plan, finescale._cutoffs,
+                      finescale._channel_noise_sd):
+            cache.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_benchmark(small_config(replications=8, n=2048), threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        for ma, mb in zip(serial.methods, threaded.methods):
+            np.testing.assert_array_equal(ma.mses, mb.mses)
+            np.testing.assert_array_equal(ma.fine_levels, mb.fine_levels)
+
     def test_se_shrinks_with_replications(self):
         small = run_benchmark(small_config(replications=16, alpha=1.0))
         large = run_benchmark(small_config(replications=64, alpha=1.0))
@@ -78,6 +103,44 @@ class TestRunBenchmark:
         monkeypatch.setattr(bench_module, "run_estimator", boom)
         with pytest.raises(RuntimeError, match=r"replication 0 \(seed 3\)"):
             run_benchmark(small_config())
+
+    # sha256 of every method's mses (float64) then fine_levels (int64), in
+    # method order, recorded before the spectral plans and the once-per-call
+    # clean cell went in; fixed-seed outputs must stay byte-identical.
+    @pytest.mark.parametrize(
+        "alpha, digest",
+        [
+            (1.0, "92c2d751904e1f1d54b430b4416ad081af8b17be285aba91955313cdfb9d613e"),
+            (0.4, "a4cb642331f4c98e6bf99923130b2b1b3b8b7aeeea8c0a64f0c75d183cb08584"),
+        ],
+    )
+    def test_pinned_cusp_outputs(self, alpha, digest):
+        config = ExperimentConfig(
+            "cusp", n=4096, alpha=alpha, snr_db=20.0, replications=4, seed=11,
+            noise_kind="farima",
+        )
+        h = hashlib.sha256()
+        for m in run_benchmark(config).methods:
+            h.update(np.ascontiguousarray(m.mses, dtype=np.float64).tobytes())
+            h.update(np.ascontiguousarray(m.fine_levels, dtype=np.int64).tobytes())
+        assert h.hexdigest() == digest
+
+    def test_replications_match_generate_dataset(self):
+        # the once-per-call clean cell gives each replication the dataset
+        # generate_dataset(config, rep) gives
+        config = small_config(replications=3)
+        result = run_benchmark(config)
+        for rep in range(config.replications):
+            problem, f_true = generate_dataset(config, rep)
+            for i, (method, spec) in enumerate(zip(config.methods, config.smoothing)):
+                alpha = config.alpha if method == "lrd" else 1.0
+                report = run_estimator(
+                    problem, method, resolve_smoothing(spec, alpha),
+                    rng=derive_rng(config.seed, rep, i),
+                    variance_table=VarianceTable(kernel=problem.kernel, alpha=alpha),
+                )
+                mse = float(np.mean((report.estimate - f_true) ** 2))
+                assert result.methods[i].mses[rep] == mse
 
     def test_as_dict_roundtrip(self):
         result = run_benchmark(small_config(replications=2))

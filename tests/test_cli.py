@@ -122,19 +122,57 @@ class TestEstimate:
         assert "finite" in capsys.readouterr().err
         assert not (out / "estimate.csv").exists()
 
-    def test_kernel_file(self, tmp_path):
-        dataset = self._simulate(tmp_path)
-        n = 1024
+    @staticmethod
+    def _kernel_file(tmp_path, ells, n=1024, zero_beyond=None):
+        """Write the built-in Gamma kernel's rows for ``ells`` as an ell,re,im table."""
         from lrdwaved.signals import gamma_kernel
 
         kernel = gamma_kernel(n)
-        ells = np.arange(-n // 2 + 1, n // 2)
         lines = ["ell,re,im"]
         for ell in ells:
-            c = kernel.coefficient(int(ell))
-            lines.append(f"{int(ell)},{float(c.real)!r},{float(c.imag)!r}")
+            c = kernel.fourier[int(np.floor(ell)) % n]
+            if zero_beyond is not None and abs(ell) > zero_beyond:
+                c = 0.0j
+            lines.append(f"{ell!r},{float(c.real)!r},{float(c.imag)!r}")
         kfile = tmp_path / "kernel.csv"
         kfile.write_text("\n".join(lines) + "\n")
+        return kfile
+
+    def _estimate_with(self, tmp_path, kfile):
+        dataset = self._simulate(tmp_path)
+        return run_cli(["estimate", dataset, "--kernel-file", kfile, "--seed", 5,
+                        "--out", tmp_path / "kf"])
+
+    def test_kernel_file_non_integer_ell_rejected(self, tmp_path, capsys):
+        ells = [int(e) for e in range(-511, 512)] + [1.5]
+        ells.remove(1)
+        code = self._estimate_with(tmp_path, self._kernel_file(tmp_path, ells))
+        assert code == 3
+        assert "ell=1.5 is not an integer" in capsys.readouterr().err
+
+    def test_kernel_file_duplicate_frequency_rejected(self, tmp_path, capsys):
+        # 1029 wraps onto 5 mod 1024; the last row must not silently win
+        ells = list(range(-511, 512)) + [1029]
+        code = self._estimate_with(tmp_path, self._kernel_file(tmp_path, ells))
+        assert code == 3
+        assert "frequency 5 appears 2 times" in capsys.readouterr().err
+
+    def test_kernel_file_missing_frequency_named(self, tmp_path, capsys):
+        # only |l| <= 40 given: the rest used to read as K_hat = 0
+        code = self._estimate_with(tmp_path, self._kernel_file(tmp_path, range(-40, 41)))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "leaves frequency 41 unset" in err
+        assert not (tmp_path / "kf" / "estimate.csv").exists()
+
+    def test_kernel_file_explicit_zero_rows_allowed(self, tmp_path):
+        kfile = self._kernel_file(tmp_path, range(-512, 512), zero_beyond=300)
+        assert self._estimate_with(tmp_path, kfile) == 0
+
+    def test_kernel_file(self, tmp_path):
+        dataset = self._simulate(tmp_path)
+        n = 1024
+        kfile = self._kernel_file(tmp_path, range(-n // 2 + 1, n // 2), n)
         code = run_cli(["estimate", dataset, "--kernel-file", kfile, "--seed", 5,
                         "--out", tmp_path / "kf"])
         assert code == 0

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from lrdwaved.covariance import (
@@ -197,6 +199,23 @@ class TestTauLevel:
             var /= n**2
             theory = n ** (-alpha) * tau_level(j, kernel, alpha) ** 2
             assert var / theory == pytest.approx(1.0, abs=tol), (alpha, j, k)
+
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(0, 6),
+        st.floats(0.05, 1.0, allow_nan=False),
+        st.floats(-12.0, 3.0, allow_nan=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_finite_and_positive_for_random_kernels(self, seed, j, alpha, log_scale):
+        # any kernel with no zero on the band is admissible, Hermitian or not,
+        # at magnitudes from 1e-12 to 1e3
+        rng = np.random.default_rng(seed)
+        n = 256
+        mags = 10.0**log_scale * rng.uniform(0.01, 1.0, n)
+        kernel = KernelSpec(fourier=mags * np.exp(2j * np.pi * rng.uniform(size=n)))
+        tau = tau_level(j, kernel, alpha)
+        assert math.isfinite(tau) and tau > 0.0
 
     def test_vanishing_kernel_rejected(self):
         fourier = np.ones(256, dtype=complex)

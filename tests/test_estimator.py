@@ -129,6 +129,96 @@ class TestDeconvolveCoefficients:
             deconvolve_coefficients(problem, 3, 5)
 
 
+def random_kernel(n, seed):
+    """A real kernel's spectrum with no zero: Hermitian, |K_hat| in [0.05, 1]."""
+    rng = np.random.default_rng(seed)
+    half = rng.uniform(0.05, 1.0, n // 2 + 1) * np.exp(2j * np.pi * rng.uniform(size=n // 2 + 1))
+    half[0] = half[0].real
+    half[-1] = abs(half[-1])
+    return KernelSpec(fourier=np.concatenate([half, np.conj(half[-2:0:-1])]))
+
+
+class TestDeconvolutionProperties:
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.floats(-3.0, 3.0, allow_nan=False),
+        st.floats(-3.0, 3.0, allow_nan=False),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_linear_in_observations(self, seed, a, b):
+        n = 256
+        kernel = random_kernel(n, seed)
+        rng = np.random.default_rng(seed + 1)
+        y1, y2 = rng.standard_normal(n), rng.standard_normal(n)
+
+        def dec(y):
+            return deconvolve_coefficients(DeconvolutionProblem(observations=y, kernel=kernel), 3, 6)
+
+        mix, c1, c2 = dec(a * y1 + b * y2), dec(y1), dec(y2)
+        scale = 1.0 + abs(a) * np.abs(c1.detail[6]).max() + abs(b) * np.abs(c2.detail[6]).max()
+        np.testing.assert_allclose(mix.scale, a * c1.scale + b * c2.scale, rtol=0, atol=1e-12 * scale)
+        for j in mix.levels():
+            np.testing.assert_allclose(
+                mix.detail[j], a * c1.detail[j] + b * c2.detail[j], rtol=0, atol=1e-12 * scale
+            )
+
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 4), st.integers(1, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_circular_shift_equivariance(self, seed, j0, steps):
+        # rolling y by n 2^-j0 samples shifts time by 2^-j0: level-j coefficients
+        # roll by 2^(j - j0) places and the scale coefficients by one
+        n = 256
+        kernel = random_kernel(n, seed)
+        y = np.random.default_rng(seed + 1).standard_normal(n)
+        shift = steps * n // 2**j0
+        base = deconvolve_coefficients(DeconvolutionProblem(observations=y, kernel=kernel), j0, 6)
+        moved = deconvolve_coefficients(
+            DeconvolutionProblem(observations=np.roll(y, shift), kernel=kernel), j0, 6
+        )
+        scale = 1.0 + max(np.abs(base.detail[j]).max() for j in base.levels())
+        np.testing.assert_allclose(moved.scale, np.roll(base.scale, steps), rtol=0, atol=1e-12 * scale)
+        for j in base.levels():
+            np.testing.assert_allclose(
+                moved.detail[j], np.roll(base.detail[j], steps * 2 ** (j - j0)),
+                rtol=0, atol=1e-12 * scale,
+            )
+
+
+class TestObservationSpectrum:
+    def test_observations_are_a_read_only_copy(self):
+        y = np.arange(64, dtype=float)
+        problem = DeconvolutionProblem(observations=y, kernel=identity_kernel(64))
+        y[0] = 99.0
+        assert problem.observations[0] == 0.0
+        with pytest.raises(ValueError):
+            problem.observations[1] = 5.0
+
+    def test_spectrum_computed_once_and_read_only(self):
+        y = np.random.default_rng(1).standard_normal(128)
+        problem = DeconvolutionProblem(observations=y, kernel=identity_kernel(128))
+        assert problem.spectrum is problem.spectrum
+        np.testing.assert_array_equal(problem.spectrum, np.fft.fft(y) / 128)
+        assert not problem.spectrum.flags.writeable
+
+    def test_one_fft_of_y_per_problem(self, monkeypatch):
+        # sigma_hat and the deconvolution of every method read one cached Y_hat
+        from lrdwaved.signals import ExperimentConfig, generate_dataset
+
+        problem, _ = generate_dataset(ExperimentConfig(signal="cusp", n=1024, alpha=0.6), 0)
+        calls = []
+        real_fft = np.fft.fft
+
+        def counting_fft(a, *args, **kwargs):
+            if np.shape(a) == (problem.n,):
+                calls.append(1)
+            return real_fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counting_fft)
+        for method, smoothing in (("iid", 2.4), ("lrd", 1.0), ("lrd", 1.4)):
+            run_estimator(problem, method, smoothing, rng=derive_rng(1, 0))
+        assert len(calls) == 1
+
+
 class TestEstimateSigma:
     def test_pure_gaussian_noise(self):
         n = 4096
@@ -169,6 +259,13 @@ class TestEstimateSigma:
         problem = DeconvolutionProblem(observations=np.zeros(32), kernel=identity_kernel(32))
         with pytest.raises(ValueError):
             estimate_sigma(problem, finest_level=2)
+
+    def test_level_beyond_grid_rejected(self):
+        # level 7 of n=256 would need frequencies up to 170 > n/2
+        y = np.random.default_rng(2).standard_normal(256)
+        problem = DeconvolutionProblem(observations=y, kernel=identity_kernel(256))
+        with pytest.raises(ValueError, match="too large for n=256"):
+            estimate_sigma(problem, finest_level=7)
 
 
 class TestHardThreshold:
@@ -301,6 +398,32 @@ class TestRunEstimator:
         payload = json.loads(report.to_json())
         assert payload["method"] == "lrd"
         assert "lambdas" in payload and "kept_count" in payload
+
+    def test_warm_replication_evaluates_no_window(self, monkeypatch):
+        # after one warm-up run at a given n, a replication reads every band
+        # layout and window from the cached plans and every tau from its table
+        from lrdwaved import covariance, meyer
+        from lrdwaved.covariance import VarianceTable
+        from lrdwaved.signals import ExperimentConfig, generate_dataset
+
+        config = ExperimentConfig(signal="cusp", n=1024, alpha=0.6, snr_db=20.0, seed=8)
+        warm, _ = generate_dataset(config, 0)
+        tables = {m: VarianceTable(kernel=warm.kernel, alpha=a) for m, a in (("iid", 1.0), ("lrd", 0.6))}
+        for method, table in tables.items():
+            run_estimator(warm, method, 1.0, j1_override=8, variance_table=table)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a warm replication evaluated a Meyer window or band")
+
+        for name in ("psi_hat", "phi_hat", "band_set", "scale_band_set"):
+            monkeypatch.setattr(meyer, name, forbidden)
+        monkeypatch.setattr(covariance, "psi_hat", forbidden)
+        problem, _ = generate_dataset(config, 1)
+        for method, table in tables.items():
+            report = run_estimator(
+                problem, method, 1.0, rng=derive_rng(8, 1), variance_table=table
+            )
+            assert np.all(np.isfinite(report.estimate))
 
     def test_unknown_method(self):
         problem, _ = self._problem()

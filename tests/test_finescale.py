@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from lrdwaved.covariance import z_var
 from lrdwaved.estimator import estimate_sigma
 from lrdwaved.finescale import (
     OPERATIONAL_LOG_POWER,
+    _channel_noise_sd,
+    _cutoffs,
     StoppingResult,
     estimate_fine_level,
     fine_level_details,
@@ -88,6 +91,33 @@ class TestKernelChannel:
             devs[alpha] = np.abs(resid[:8]).mean()
         # strong dependence carries much larger low-frequency channel noise
         assert devs[0.2] > 3.0 * devs[1.0]
+
+    def test_matches_gathered_formula(self):
+        # the sliced kernel and the cached noise s.d. give the channel the
+        # per-call gather and z_var evaluation gave, bit for bit
+        n, alpha, sigma = 512, 0.4, 0.3
+        kernel = gamma_kernel(n)
+        ells = np.arange(1, n // 2)
+        rng = derive_rng(5, 1)
+        w = (rng.standard_normal(ells.size) + 1j * rng.standard_normal(ells.size)) * np.sqrt(
+            z_var(ells, 1.0 - alpha / 2.0) / 2.0
+        )
+        want = kernel.coefficient(ells) / sigma + n ** (-alpha / 2.0) * w
+        np.testing.assert_array_equal(kernel_channel(kernel, alpha, sigma, derive_rng(5, 1)), want)
+
+    def test_cached_arrays_read_only_bounded_and_keyed_by_value(self):
+        for build, args, same in (
+            (_cutoffs, (100, 0.6, 0.1, 0.5), (np.int64(100), np.float64(0.6), 0.1, 0.5)),
+            (_channel_noise_sd, (256, 0.6), (np.int64(256), np.float64(0.6))),
+        ):
+            values = build(*args)
+            assert build(*same) is values
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 1.0
+            info = build.cache_info()
+            assert info.maxsize is not None and info.currsize <= info.maxsize
+        assert _channel_noise_sd(256, 0.6) is not _channel_noise_sd(256, 0.8)
 
     def test_sigma_validation(self):
         with pytest.raises(ValueError):

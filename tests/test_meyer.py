@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrdwaved import meyer
 from lrdwaved.meyer import (
     WaveletCoefficients,
     aux_polynomial,
@@ -223,3 +224,33 @@ class TestTransforms:
 
     def test_scale_band_set(self):
         assert scale_band_set(3).tolist() == list(range(-5, 6))
+
+
+class TestSpectralPlans:
+    def test_plan_matches_windows(self):
+        n, j = 1024, 5
+        plan = meyer._detail_plan(j, n)
+        ells = band_set(j).frequencies
+        np.testing.assert_array_equal(plan.frequencies, ells)
+        np.testing.assert_array_equal(plan.index, ells % n)
+        np.testing.assert_array_equal(plan.residues, ells % 2**j)
+        np.testing.assert_array_equal(plan.analysis, np.conj(psi_hat(ells / 2**j)))
+        np.testing.assert_array_equal(plan.synthesis, 2.0 ** (-j / 2.0) * psi_hat(ells / 2**j))
+        scale = meyer._scale_plan(3, n)
+        np.testing.assert_array_equal(scale.frequencies, scale_band_set(3))
+        np.testing.assert_array_equal(scale.synthesis, 2.0**-1.5 * phi_hat(scale_band_set(3) / 8))
+
+    def test_plan_entries_read_only(self):
+        for plan in (meyer._detail_plan(4, 256), meyer._scale_plan(3, 256)):
+            for name in ("frequencies", "index", "residues", "analysis", "synthesis"):
+                values = getattr(plan, name)
+                assert not values.flags.writeable
+                with pytest.raises(ValueError):
+                    values[0] = 0
+
+    def test_plans_keyed_by_value_and_bounded(self):
+        for build in (meyer._detail_plan, meyer._scale_plan):
+            assert build(4, 512) is build(np.int64(4), np.int64(512))
+            assert build(4, 512) is not build(4, 1024)
+            info = build.cache_info()
+            assert info.maxsize is not None and info.currsize <= info.maxsize
