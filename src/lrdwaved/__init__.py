@@ -13,10 +13,8 @@ from .covariance import (
     KernelSpec,
     VarianceTable,
     fbm_spectral_constant,
-    sigma_scale,
     tau_level,
     waved_tau_level,
-    z_cov,
     z_var,
 )
 from .estimator import (
@@ -27,9 +25,8 @@ from .estimator import (
     hard_threshold,
     run_estimator,
 )
-from .finescale import StoppingResult, estimate_fine_level, lemma_bracket, stopping_time
+from .finescale import StoppingResult, lemma_bracket, stopping_time
 from .meyer import (
-    BandSet,
     WaveletCoefficients,
     aux_polynomial,
     band_set,
@@ -44,8 +41,6 @@ from .noise import (
     derive_rng,
     farima_autocovariance,
     fgn_autocovariance,
-    sample_farima,
-    sample_fgn,
 )
 from .signals import (
     ExperimentConfig,
@@ -61,12 +56,10 @@ from .thresholds import (
     build_policy,
     c_n,
     fine_level_theoretical,
-    xi_lower_bound,
 )
 
 __all__ = [
     "__version__",
-    "BandSet",
     "BenchResult",
     "DeconvolutionProblem",
     "EstimateReport",
@@ -86,7 +79,6 @@ __all__ = [
     "calibrate_sigma",
     "deconvolve_coefficients",
     "derive_rng",
-    "estimate_fine_level",
     "estimate_sigma",
     "farima_autocovariance",
     "fbm_spectral_constant",
@@ -107,13 +99,8 @@ __all__ = [
     "run_benchmark",
     "run_estimator",
     "run_rate_experiment",
-    "sample_farima",
-    "sample_fgn",
-    "sigma_scale",
     "stopping_time",
     "tau_level",
     "waved_tau_level",
-    "xi_lower_bound",
-    "z_cov",
     "z_var",
 ]

@@ -81,24 +81,21 @@ def run_benchmark(config: ExperimentConfig, threads: int = 1) -> BenchResult:
     levels = np.empty((n_methods, config.replications), dtype=int)
     kept = np.empty((n_methods, config.replications))
 
-    # tau values are shared across replications of one cell
-    tables: dict[int, VarianceTable] = {}
-
     cell = _clean_cell(config)
     f_true = cell.f_true
+    # every LRD method thresholds at config.alpha, so they share one tau table
+    # across methods and replications; the IID method reads none
+    lrd_table = VarianceTable(kernel=cell.kernel, alpha=config.alpha)
 
     def one_rep(rep: int) -> None:
         problem = _noisy_problem(cell, rep)
         for i, (method, smooth_spec) in enumerate(zip(config.methods, config.smoothing)):
             alpha = config.alpha if method == "lrd" else 1.0
             smoothing = resolve_smoothing(smooth_spec, alpha)
-            if i not in tables:
-                tables[i] = VarianceTable(kernel=problem.kernel, alpha=alpha)
+            table = lrd_table if method == "lrd" else None
             rng = derive_rng(config.seed, rep, i)
             try:
-                report = run_estimator(
-                    problem, method, smoothing, rng=rng, variance_table=tables[i]
-                )
+                report = run_estimator(problem, method, smoothing, rng=rng, variance_table=table)
             except Exception as exc:
                 raise RuntimeError(
                     f"replication {rep} (seed {config.seed}) failed for method "

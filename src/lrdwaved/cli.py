@@ -201,7 +201,7 @@ def _read_kernel_file(path: Path, n: int) -> KernelSpec:
         )
     fourier = np.zeros(n, dtype=complex)
     fourier[idx] = table["re"] + 1j * table["im"]
-    return KernelSpec(fourier=fourier, dip=None)
+    return KernelSpec(fourier=fourier)
 
 
 def _signed(index: int, n: int) -> int:

@@ -8,7 +8,6 @@ Fourier-domain division over the Meyer bands, threshold, synthesize.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -69,6 +68,25 @@ class DeconvolutionProblem:
         out.setflags(write=False)
         return out
 
+    @cached_property
+    def sigma_hat(self) -> float:
+        """Noise scale from the finest-level detail coefficients of the raw data.
+
+        sigma_hat = MAD(y_{J,k}) / 0.6745 * sqrt(n) at J = log2(n) - 2; the
+        sqrt(n) undoes the 1/n Fourier convention so the value is in
+        per-sample noise units.  Uses the observed (not deconvolved) signal,
+        so at high SNR the fine-scale coefficients are noise dominated.
+        Computed once; raises ValueError (on every access) unless the
+        estimate is finite and positive, since every threshold scales with it.
+        """
+        n = self.n
+        coeffs = meyer._detail_from_spectrum(self.spectrum, int(math.log2(n)) - 2, n)
+        mad = float(np.median(np.abs(coeffs - np.median(coeffs))))
+        sigma_hat = mad / MAD_TO_SIGMA * math.sqrt(n)
+        if not (math.isfinite(sigma_hat) and sigma_hat > 0.0):
+            raise ValueError(f"noise scale estimate must be finite and positive, got {sigma_hat}")
+        return sigma_hat
+
 
 def deconvolve_coefficients(problem: DeconvolutionProblem, j0: int, j1: int) -> WaveletCoefficients:
     """Unbiased coefficient estimates: the Meyer analysis of Y_hat / K_hat.
@@ -80,62 +98,40 @@ def deconvolve_coefficients(problem: DeconvolutionProblem, j0: int, j1: int) -> 
     meyer._check_grid(n, j1)
     if j0 > j1:
         raise ValueError(f"need j0 <= j1, got ({j0}, {j1})")
+    kernel = problem.kernel
     plan = meyer._scale_plan(j0, n)
-    dead = np.abs(problem.kernel.fourier[plan.index]) == 0.0
+    scale_kernel = kernel.fourier[plan.index]
+    dead = np.abs(scale_kernel) == 0.0
     if np.any(dead):
         ell = int(plan.frequencies[np.argmax(dead)])
         raise ValueError(f"kernel Fourier coefficient vanishes at frequency {ell} (scale level {j0})")
-    for j in range(j0, j1 + 1):
-        problem.kernel.validate_band(j)
+    detail_kernel = {j: kernel.validate_band(j) for j in range(j0, j1 + 1)}
 
-    # the scale band and the detail bands j0..j1 cover every |l| <= hi
-    hi = 2 ** (j1 + 2) // 3
-    needed = np.arange(-hi, hi + 1) % n
+    # Y_hat / K_hat is needed on the bands only
     spectrum = problem.spectrum
-    ratio = np.zeros(n, dtype=complex)
-    ratio[needed] = spectrum[needed] / problem.kernel.fourier[needed]
-
-    scale = meyer._scale_from_spectrum(ratio, j0, n)
-    detail = {j: meyer._detail_from_spectrum(ratio, j, n) for j in range(j0, j1 + 1)}
+    scale = meyer._analyze(spectrum[plan.index] / scale_kernel, plan, "scale")
+    detail = {}
+    for j, coeffs in detail_kernel.items():
+        band = meyer._detail_plan(j, n)
+        detail[j] = meyer._analyze(spectrum[band.index] / coeffs, band, "detail")
     return WaveletCoefficients(j0=j0, j1=j1, n=n, scale=scale, detail=detail)
 
 
-def estimate_sigma(problem: DeconvolutionProblem, finest_level: int | None = None) -> float:
-    """Noise scale from the finest-level detail coefficients of the raw data.
-
-    sigma_hat = MAD(y_{J,k}) / 0.6745 * sqrt(n); the sqrt(n) undoes the 1/n
-    Fourier convention so the value is in per-sample noise units.  Uses the
-    observed (not deconvolved) signal, so at high SNR the fine-scale
-    coefficients are noise dominated.  Raises ValueError unless the estimate
-    is finite and positive, since every threshold scales with it.
-    """
-    n = problem.n
-    level = int(math.log2(n)) - 2 if finest_level is None else finest_level
-    if 2**level < 8:
-        raise ValueError(f"need at least 8 coefficients at level {level}")
-    meyer._check_grid(n, level)
-    coeffs = meyer._detail_from_spectrum(problem.spectrum, level, n)
-    mad = float(np.median(np.abs(coeffs - np.median(coeffs))))
-    sigma_hat = mad / MAD_TO_SIGMA * math.sqrt(n)
-    if not (math.isfinite(sigma_hat) and sigma_hat > 0.0):
-        raise ValueError(f"noise scale estimate must be finite and positive, got {sigma_hat}")
-    return sigma_hat
+def estimate_sigma(problem: DeconvolutionProblem) -> float:
+    """The problem's noise scale estimate, ``problem.sigma_hat``."""
+    return problem.sigma_hat
 
 
 def hard_threshold(coeffs: WaveletCoefficients, policy: ThresholdPolicy) -> WaveletCoefficients:
     """Keep detail coefficients with |beta| >= lambda_j, zero the rest.
 
-    Scale coefficients pass through unless the policy opts into thresholding
-    them at lambda_{j0}.
+    Scale coefficients pass through.
     """
     out = coeffs.copy()
     for j in out.levels():
         lam = policy.lam(j)
         d = out.detail[j]
         d[np.abs(d) < lam] = 0.0
-    if policy.threshold_scale:
-        lam = policy.lam(coeffs.j0)
-        out.scale[np.abs(out.scale) < lam] = 0.0
     return out
 
 
@@ -145,7 +141,6 @@ class EstimateReport:
 
     estimate: np.ndarray = field(repr=False)
     coefficients: WaveletCoefficients = field(repr=False)
-    raw_coefficients: WaveletCoefficients = field(repr=False)
     policy: ThresholdPolicy
     fine_level_used: int
     sigma_hat: float
@@ -167,9 +162,6 @@ class EstimateReport:
             "kept_count": {str(j): c for j, c in sorted(self.kept_count.items())},
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
-
 
 def run_estimator(
     problem: DeconvolutionProblem,
@@ -180,7 +172,6 @@ def run_estimator(
     j0: int = DEFAULT_COARSE_LEVEL,
     rng: np.random.Generator | None = None,
     variance_table: VarianceTable | None = None,
-    threshold_scale: bool = False,
 ) -> EstimateReport:
     """Full deconvolution pipeline for one method.
 
@@ -192,14 +183,12 @@ def run_estimator(
         raise ValueError(f"unknown method {method!r}")
     n = problem.n
     alpha = problem.alpha if method == "lrd" else 1.0
-    sigma_hat = estimate_sigma(problem)
+    sigma_hat = problem.sigma_hat
 
     stopping_m: int | None = None
     saturated = False
     if j1_override is None:
-        j1, stopping = fine_level_details(
-            problem, alpha, sigma_hat=sigma_hat, rng=rng, j0=j0
-        )
+        j1, stopping = fine_level_details(problem, alpha, rng=rng, j0=j0)
         stopping_m = stopping.M
         saturated = stopping.saturated
     else:
@@ -217,7 +206,6 @@ def run_estimator(
         j0,
         j1,
         variance_table=variance_table,
-        threshold_scale=threshold_scale,
     )
     raw = deconvolve_coefficients(problem, j0, j1)
     kept = hard_threshold(raw, policy)
@@ -226,7 +214,6 @@ def run_estimator(
     return EstimateReport(
         estimate=estimate,
         coefficients=kept,
-        raw_coefficients=raw,
         policy=policy,
         fine_level_used=j1,
         sigma_hat=sigma_hat,

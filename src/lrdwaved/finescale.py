@@ -42,7 +42,6 @@ __all__ = [
     "stopping_time",
     "kernel_channel",
     "lemma_bracket",
-    "estimate_fine_level",
     "fine_level_details",
 ]
 
@@ -172,30 +171,17 @@ def fine_level_details(
 ) -> tuple[int, StoppingResult]:
     """Clamped data-driven fine level plus the underlying stopping result.
 
-    ``alpha`` is the dependence level the stopping rule assumes (1 for the
-    default white-noise rule); the channel noise always carries the data's
-    true level problem.alpha.
+    The level lies in [j0, theoretical direct-case level].  ``alpha`` is the
+    dependence level the stopping rule assumes (1 for the default white-noise
+    rule); the channel noise always carries the data's true level
+    problem.alpha.  ``sigma_hat`` defaults to problem.sigma_hat.
     """
     n = problem.n
     if sigma_hat is None:
-        from .estimator import estimate_sigma
-
-        sigma_hat = estimate_sigma(problem)
+        sigma_hat = problem.sigma_hat
     channel = kernel_channel(problem.kernel, problem.alpha, sigma_hat, rng)
     result = stopping_time(channel, alpha, epsilon=n**-0.5, log_power=OPERATIONAL_LOG_POWER)
     ceiling = fine_level_theoretical(n, 1.0, 0.0)
     level = min(max(result.j_hat, j0), ceiling)
     return level, result
 
-
-def estimate_fine_level(
-    problem,
-    alpha: float,
-    *,
-    sigma_hat: float | None = None,
-    rng: np.random.Generator | None = None,
-    j0: int = DEFAULT_COARSE_LEVEL,
-) -> int:
-    """Data-driven fine level, clamped to [j0, theoretical direct-case level]."""
-    level, _ = fine_level_details(problem, alpha, sigma_hat=sigma_hat, rng=rng, j0=j0)
-    return level

@@ -17,13 +17,12 @@ Parseval sums against basis coefficients need no extra scaling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "BandSet",
     "WaveletCoefficients",
     "aux_polynomial",
     "phi_hat",
@@ -32,7 +31,6 @@ __all__ = [
     "scale_band_set",
     "periodized_psi_hat",
     "forward_transform",
-    "detail_coefficients",
     "inverse_transform",
 ]
 
@@ -96,30 +94,13 @@ def _band_bounds(j: int) -> tuple[int, int]:
     return 2**j // 3 + 1, 2 ** (j + 2) // 3
 
 
-@dataclass(frozen=True)
-class BandSet:
-    """Signed integer frequencies carrying level-j detail coefficients."""
-
-    j: int
-    frequencies: np.ndarray = field(repr=False)
-
-    @property
-    def cardinality(self) -> int:
-        return self.frequencies.size
-
-    def __contains__(self, ell: int) -> bool:
-        lo, hi = _band_bounds(self.j)
-        return lo <= abs(int(ell)) <= hi
-
-
-def band_set(j: int) -> BandSet:
+def band_set(j: int) -> np.ndarray:
     """Frequencies {±a : ceil(2^j/3) <= a <= floor(2^(j+2)/3)}; size 2^(j+1)."""
     if j < 0:
         raise ValueError(f"detail level must be nonnegative, got {j}")
     lo, hi = _band_bounds(j)
     pos = np.arange(lo, hi + 1, dtype=int)
-    freqs = np.concatenate([-pos[::-1], pos])
-    return BandSet(j=j, frequencies=freqs)
+    return np.concatenate([-pos[::-1], pos])
 
 
 def scale_band_set(j: int) -> np.ndarray:
@@ -246,7 +227,7 @@ def _plan(level: int, n: int, ells: np.ndarray, window: np.ndarray) -> _BandPlan
 # A plan depends only on (level, n); callers check the grid first.
 @lru_cache(maxsize=64)
 def _detail_plan(j: int, n: int) -> _BandPlan:
-    ells = band_set(j).frequencies
+    ells = band_set(j)
     return _plan(j, n, ells, psi_hat(ells / 2**j))
 
 
@@ -256,27 +237,21 @@ def _scale_plan(j: int, n: int) -> _BandPlan:
     return _plan(j, n, ells, phi_hat(ells / 2**j))
 
 
-def _analyze(spectrum: np.ndarray, plan: _BandPlan, what: str) -> np.ndarray:
-    z = _band_fold(spectrum[plan.index] * plan.analysis, plan.residues, 2**plan.level)
+def _analyze(values: np.ndarray, plan: _BandPlan, what: str) -> np.ndarray:
+    """Coefficients of one band from ``values``, the spectrum at ``plan.index``."""
+    z = _band_fold(values * plan.analysis, plan.residues, 2**plan.level)
     coeffs = 2.0 ** (plan.level / 2.0) * np.fft.ifft(z)
     return _real_part(coeffs, f"{what} coefficients at level {plan.level}")
 
 
-def detail_coefficients(signal: np.ndarray, j: int) -> np.ndarray:
-    """Detail coefficients of one level without a full transform."""
-    signal = np.asarray(signal, dtype=float)
-    n = signal.shape[0]
-    _check_grid(n, j)
-    spectrum = np.fft.fft(signal) / n
-    return _detail_from_spectrum(spectrum, j, n)
-
-
 def _detail_from_spectrum(spectrum: np.ndarray, j: int, n: int) -> np.ndarray:
-    return _analyze(spectrum, _detail_plan(j, n), "detail")
+    plan = _detail_plan(j, n)
+    return _analyze(spectrum[plan.index], plan, "detail")
 
 
 def _scale_from_spectrum(spectrum: np.ndarray, j0: int, n: int) -> np.ndarray:
-    return _analyze(spectrum, _scale_plan(j0, n), "scale")
+    plan = _scale_plan(j0, n)
+    return _analyze(spectrum[plan.index], plan, "scale")
 
 
 def forward_transform(signal: np.ndarray, j0: int, j1: int) -> WaveletCoefficients:

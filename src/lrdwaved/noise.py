@@ -20,8 +20,6 @@ __all__ = [
     "NoiseModel",
     "fgn_autocovariance",
     "farima_autocovariance",
-    "sample_fgn",
-    "sample_farima",
     "derive_rng",
 ]
 
@@ -147,16 +145,3 @@ def _farima_factor(d: float, n: int) -> tuple[np.ndarray, ...]:
         part.flags.writeable = False
     return parts
 
-
-def sample_fgn(model: NoiseModel, n: int, *key: int) -> np.ndarray:
-    """Exact unit-variance fGn sample by circulant embedding."""
-    if model.kind != "fgn":
-        raise ValueError("model kind must be 'fgn'")
-    return model.sample(n, *key)
-
-
-def sample_farima(model: NoiseModel, n: int, *key: int) -> np.ndarray:
-    """Exact unit-variance FARIMA(0, d, 0) sample: the Durbin-Levinson path in O(n log n)."""
-    if model.kind != "farima":
-        raise ValueError("model kind must be 'farima'")
-    return model.sample(n, *key)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import KernelSpec
+from .estimator import DeconvolutionProblem
 from .noise import NoiseModel
 
 __all__ = [
@@ -101,7 +102,7 @@ def gamma_kernel(n: int, shape: float = 0.7, scale: float = 0.25) -> KernelSpec:
     mid = (np.arange(n) + 0.5) / n
     weights = _gamma_pdf(mid, shape, scale)
     weights /= weights.sum()
-    return KernelSpec(fourier=np.fft.fft(weights), dip=shape)
+    return KernelSpec(fourier=np.fft.fft(weights))
 
 
 def blur(signal: np.ndarray, kernel: KernelSpec) -> np.ndarray:
@@ -216,9 +217,7 @@ def _clean_cell(config: ExperimentConfig) -> _CleanCell:
     )
 
 
-def _noisy_problem(cell: _CleanCell, replication: int):
-    from .estimator import DeconvolutionProblem
-
+def _noisy_problem(cell: _CleanCell, replication: int) -> DeconvolutionProblem:
     e = cell.noise.sample(cell.f_true.shape[0], replication)
     y = cell.blurred + cell.noise_scale * e
     return DeconvolutionProblem(observations=y, kernel=cell.kernel, alpha=cell.noise.alpha)

@@ -12,7 +12,6 @@ sample factor c_n = sqrt(n^-alpha log n) is recovered with sigma_hat = 1.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -24,7 +23,6 @@ __all__ = [
     "ThresholdPolicy",
     "c_n",
     "fine_level_theoretical",
-    "xi_lower_bound",
     "build_policy",
 ]
 
@@ -51,15 +49,6 @@ def fine_level_theoretical(n: int, alpha: float, nu: float) -> int:
     return int(math.floor(math.log2(value)))
 
 
-def xi_lower_bound(alpha: float, p: float = 2.0) -> float:
-    """Theoretical tail bound 2 sqrt(alpha (p v 2)); advisory only.
-
-    Exposed as a query because the bound is far too conservative in practice;
-    the working defaults are sqrt(alpha) and sqrt(2 alpha).
-    """
-    return 2.0 * math.sqrt(alpha * max(p, 2.0))
-
-
 @dataclass(frozen=True)
 class ThresholdPolicy:
     """Per-level hard thresholds for one method."""
@@ -70,26 +59,11 @@ class ThresholdPolicy:
     alpha: float
     n: int
     lambdas: dict[int, float]
-    threshold_scale: bool = False
 
     def lam(self, j: int) -> float:
         if j not in self.lambdas:
             raise KeyError(f"policy has no threshold for level {j}")
         return self.lambdas[j]
-
-    def as_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "smoothing": self.smoothing,
-            "sigma_hat": self.sigma_hat,
-            "alpha": self.alpha,
-            "n": self.n,
-            "lambdas": {str(j): lam for j, lam in sorted(self.lambdas.items())},
-            "threshold_scale": self.threshold_scale,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
 
 
 def build_policy(
@@ -103,7 +77,6 @@ def build_policy(
     j1: int,
     *,
     variance_table: VarianceTable | None = None,
-    threshold_scale: bool = False,
 ) -> ThresholdPolicy:
     """Assemble lambda_j for levels j0..j1 using the per-level tau factors."""
     if smoothing <= 0:
@@ -135,5 +108,4 @@ def build_policy(
         alpha=alpha,
         n=n,
         lambdas=lambdas,
-        threshold_scale=threshold_scale,
     )

@@ -125,6 +125,26 @@ class TestRunBenchmark:
             h.update(np.ascontiguousarray(m.fine_levels, dtype=np.int64).tobytes())
         assert h.hexdigest() == digest
 
+    def test_each_tau_level_computed_once_per_cell(self, monkeypatch):
+        # the two default LRD methods threshold at the same alpha and share one
+        # tau table; the IID method reads none
+        from lrdwaved import covariance
+
+        calls = []
+        real = covariance.tau_level
+
+        def counting(j, kernel, alpha):
+            calls.append((j, alpha))
+            return real(j, kernel, alpha)
+
+        monkeypatch.setattr(covariance, "tau_level", counting)
+        config = ExperimentConfig("cusp", n=1024, alpha=0.6, snr_db=30.0, replications=6, seed=5)
+        result = run_benchmark(config)
+        assert config.methods == ("iid", "lrd", "lrd")
+        assert calls and len(calls) == len(set(calls))
+        assert {alpha for _, alpha in calls} == {0.6}
+        assert max(j for j, _ in calls) == max(m.fine_levels.max() for m in result.methods[1:])
+
     def test_replications_match_generate_dataset(self):
         # the once-per-call clean cell gives each replication the dataset
         # generate_dataset(config, rep) gives

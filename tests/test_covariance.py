@@ -10,14 +10,50 @@ from lrdwaved.covariance import (
     KernelSpec,
     VarianceTable,
     fbm_spectral_constant,
-    sigma_scale,
     tau_level,
     waved_tau_level,
-    z_cov,
     z_var,
 )
 from lrdwaved.meyer import band_set, periodized_psi_hat, psi_hat
 from lrdwaved.signals import gamma_kernel
+
+
+# Dense oracle for tau_level: the pairwise Fourier-domain noise covariance.
+def _support_levels(omega: int) -> range:
+    """Levels j with psi_hat(omega 2^-j) != 0, i.e. |omega| in band_set(j)."""
+    a = abs(omega)
+    # band membership: 2^j//3 + 1 <= a <= 2^(j+2)//3
+    lo = max(int(math.floor(math.log2(3.0 * a / 4.0))) - 1, 0)
+    hi = int(math.ceil(math.log2(3.0 * a))) + 1
+    levels = []
+    for j in range(lo, hi + 1):
+        if 2**j // 3 + 1 <= a <= 2 ** (j + 2) // 3:
+            levels.append(j)
+    return range(levels[0], levels[-1] + 1) if levels else range(0)
+
+
+def z_cov(omega: int, ell: int, hurst: float) -> complex:
+    """Covariance of the Fourier-domain noise at integer frequencies.
+
+    Closed form: for each level j whose band contains both frequencies, the
+    shift sum collapses to 2^j when 2^j divides ell - omega and to 0
+    otherwise, leaving at most three contributing levels.
+    """
+    omega = int(omega)
+    ell = int(ell)
+    if omega == 0 or ell == 0:
+        raise ValueError("frequencies must be nonzero")
+    acc = 0.0 + 0.0j
+    for j in _support_levels(omega):
+        if (ell - omega) % 2**j != 0:
+            continue
+        b = complex(psi_hat(ell / 2**j))
+        if b == 0:
+            continue
+        a = complex(psi_hat(omega / 2**j))
+        acc += a * np.conj(b)
+    const = fbm_spectral_constant(hurst)
+    return const * abs(omega * ell) ** (0.5 - hurst) * acc
 
 
 def brute_force_z_cov(omega, ell, hurst, max_level=20):
@@ -34,7 +70,7 @@ def brute_force_z_cov(omega, ell, hurst, max_level=20):
 
 
 def identity_kernel(n=4096):
-    return KernelSpec(fourier=np.ones(n, dtype=complex), dip=0.0)
+    return KernelSpec(fourier=np.ones(n, dtype=complex))
 
 
 class TestSpectralConstant:
@@ -144,9 +180,9 @@ class TestTauLevel:
             (0, 0.5, 0), (1, 0.2, 1), (3, 0.7, 0), (5, 0.3, 31))]
         for kernel, j, alpha, k in cases:
             hurst = 1.0 - alpha / 2.0
-            ells = band_set(j).frequencies
+            ells = band_set(j)
             psi0 = {int(e): complex(periodized_psi_hat(j, k, int(e))) for e in ells}
-            kl = {int(e): complex(kernel.coefficient(int(e))) for e in ells}
+            kl = {int(e): complex(kernel.fourier[int(e) % kernel.n]) for e in ells}
             acc = 0.0 + 0.0j
             for w in ells:
                 for le in ells:
@@ -181,10 +217,10 @@ class TestTauLevel:
         for alpha, j, k, tol in ((1.0, 4, 0, 1e-6), (0.6, 4, 0, 0.05), (0.6, 4, 8, 0.05)):
             hurst = 1.0 - alpha / 2.0
             gam = fgn_autocovariance(np.arange(n), hurst)
-            ells = band_set(j).frequencies
+            ells = band_set(j)
             weights = np.conj(
                 2.0 ** (-j / 2) * np.exp(-2j * np.pi * ells * k / 2**j) * psi_hat(ells / 2**j)
-            ) / kernel.coefficient(ells)
+            ) / kernel.fourier[ells % n]
             g = np.zeros(n, dtype=complex)
             for ell, w in zip(ells, weights):
                 g += w * np.exp(-2j * np.pi * ell * idx / n)
@@ -240,36 +276,16 @@ class TestWavedTau:
         kernel = identity_kernel()
         for j in (3, 5, 7):
             assert waved_tau_level(j, kernel) == pytest.approx(1.0, abs=1e-12)
-            assert waved_tau_level(j, kernel, verbatim=True) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_kernel_orientations(self):
         kernel = KernelSpec(fourier=np.full(512, 0.5 + 0.0j))
-        # published form: direct substitution gives |c|
-        assert waved_tau_level(4, kernel, verbatim=True) == pytest.approx(0.5, rel=1e-12)
-        # default variance-faithful orientation grows as the kernel shrinks
+        # the variance-faithful orientation grows as the kernel shrinks
         assert waved_tau_level(4, kernel) == pytest.approx(2.0, rel=1e-12)
 
     def test_gamma_kernel_golden_value(self):
         # regression lock for the default orientation at level 5
         kernel = gamma_kernel(4096)
         assert waved_tau_level(5, kernel) == pytest.approx(13.852277, rel=1e-5)
-
-
-class TestSigmaScale:
-    def test_direct_case(self):
-        for j in (0, 3, 9):
-            assert sigma_scale(j, 0.0, 1.0) == 1.0
-
-    def test_example_value(self):
-        assert sigma_scale(4, 0.7, 0.6) == pytest.approx(4.0, rel=1e-12)
-
-    def test_monotone_when_ill_posed(self):
-        values = [sigma_scale(j, 0.7, 0.6) for j in range(8)]
-        assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_negative_level_rejected(self):
-        with pytest.raises(ValueError):
-            sigma_scale(-1, 0.5, 0.5)
 
 
 class TestVarianceTable:
@@ -280,7 +296,3 @@ class TestVarianceTable:
         assert table.taus[4] == first
         assert table.tau(4) == first
 
-    def test_build(self):
-        kernel = gamma_kernel(1024)
-        table = VarianceTable.build(kernel, 0.8, levels=range(3, 6))
-        assert set(table.taus) == {3, 4, 5}

@@ -21,10 +21,10 @@ from lrdwaved.thresholds import ThresholdPolicy
 
 
 def identity_kernel(n):
-    return KernelSpec(fourier=np.ones(n, dtype=complex), dip=0.0)
+    return KernelSpec(fourier=np.ones(n, dtype=complex))
 
 
-def make_policy(lambdas, method="iid", threshold_scale=False, n=1024):
+def make_policy(lambdas, method="iid", n=1024):
     return ThresholdPolicy(
         method=method,
         smoothing=1.0,
@@ -32,7 +32,6 @@ def make_policy(lambdas, method="iid", threshold_scale=False, n=1024):
         alpha=1.0,
         n=n,
         lambdas=lambdas,
-        threshold_scale=threshold_scale,
     )
 
 
@@ -53,6 +52,25 @@ class TestProblemValidation:
             DeconvolutionProblem(observations=y, kernel=identity_kernel(64))
         fourier = np.ones(64, dtype=complex)
         fourier[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            KernelSpec(fourier=fourier)
+
+    @given(
+        st.sampled_from([32, 64, 256]),
+        st.integers(0, 2**31 - 1),
+        st.sampled_from([np.nan, np.inf, -np.inf]),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_non_finite_at_any_position_rejected(self, n, where, bad, imaginary):
+        # one NaN or infinity anywhere in y, or in either part of K_hat, is refused
+        position = where % n
+        y = np.random.default_rng(where).standard_normal(n)
+        y[position] = bad
+        with pytest.raises(ValueError, match="finite"):
+            DeconvolutionProblem(observations=y, kernel=identity_kernel(n))
+        fourier = np.ones(n, dtype=complex)
+        fourier[position] = complex(0.0, bad) if imaginary else complex(bad, 0.0)
         with pytest.raises(ValueError, match="finite"):
             KernelSpec(fourier=fourier)
 
@@ -254,18 +272,33 @@ class TestEstimateSigma:
         problem = DeconvolutionProblem(observations=np.ones(256), kernel=identity_kernel(256))
         with pytest.raises(ValueError, match="finite and positive"):
             estimate_sigma(problem)
+        # a failed estimate is not cached: every read raises again
+        with pytest.raises(ValueError, match="finite and positive"):
+            problem.sigma_hat
 
-    def test_too_few_coefficients(self):
-        problem = DeconvolutionProblem(observations=np.zeros(32), kernel=identity_kernel(32))
-        with pytest.raises(ValueError):
-            estimate_sigma(problem, finest_level=2)
+    def test_mad_computed_once_for_every_method(self, monkeypatch):
+        # the stopping rule and the thresholds of all three default methods
+        # read one cached sigma_hat: one analysis of the finest level J
+        from lrdwaved import meyer
+        from lrdwaved.signals import ExperimentConfig, generate_dataset
 
-    def test_level_beyond_grid_rejected(self):
-        # level 7 of n=256 would need frequencies up to 170 > n/2
-        y = np.random.default_rng(2).standard_normal(256)
-        problem = DeconvolutionProblem(observations=y, kernel=identity_kernel(256))
-        with pytest.raises(ValueError, match="too large for n=256"):
-            estimate_sigma(problem, finest_level=7)
+        problem, _ = generate_dataset(ExperimentConfig(signal="cusp", n=1024, alpha=0.6), 0)
+        finest = int(math.log2(problem.n)) - 2
+        calls = []
+        real = meyer._detail_from_spectrum
+
+        def counting(spectrum, j, n):
+            calls.append(j)
+            return real(spectrum, j, n)
+
+        monkeypatch.setattr(meyer, "_detail_from_spectrum", counting)
+        reports = [
+            run_estimator(problem, method, smoothing, rng=derive_rng(1, i))
+            for i, (method, smoothing) in enumerate((("iid", 2.4), ("lrd", 0.77), ("lrd", 1.1)))
+        ]
+        assert calls.count(finest) == 1
+        assert estimate_sigma(problem) == problem.sigma_hat
+        assert {r.sigma_hat for r in reports} == {problem.sigma_hat}
 
 
 class TestHardThreshold:
@@ -303,12 +336,6 @@ class TestHardThreshold:
         c.detail[3][0] = 1.0
         out = hard_threshold(c, make_policy({3: 1.0}, n=256))
         assert out.detail[3][0] == 1.0
-
-    def test_scale_threshold_option(self):
-        c = WaveletCoefficients.zeros(3, 3, 256)
-        c.scale[:] = 0.5
-        out = hard_threshold(c, make_policy({3: 1.0}, threshold_scale=True, n=256))
-        assert np.all(out.scale == 0.0)
 
     def test_input_unchanged(self):
         c = self._coeffs()
@@ -395,7 +422,7 @@ class TestRunEstimator:
     def test_report_json(self):
         problem, _ = self._problem()
         report = run_estimator(problem, "lrd", 1.0, rng=derive_rng(5, 0))
-        payload = json.loads(report.to_json())
+        payload = json.loads(json.dumps(report.as_dict(), sort_keys=True))
         assert payload["method"] == "lrd"
         assert "lambdas" in payload and "kept_count" in payload
 

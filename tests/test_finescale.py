@@ -10,7 +10,6 @@ from lrdwaved.finescale import (
     _channel_noise_sd,
     _cutoffs,
     StoppingResult,
-    estimate_fine_level,
     fine_level_details,
     kernel_channel,
     lemma_bracket,
@@ -79,7 +78,7 @@ class TestKernelChannel:
         kernel = gamma_kernel(1024)
         channel = kernel_channel(kernel, 0.6, 2.0, None)
         ells = np.arange(1, 512)
-        np.testing.assert_allclose(channel, kernel.coefficient(ells) / 2.0)
+        np.testing.assert_allclose(channel, kernel.fourier[ells] / 2.0)
 
     def test_noise_level_scales_with_alpha(self):
         kernel = gamma_kernel(1024)
@@ -102,7 +101,7 @@ class TestKernelChannel:
         w = (rng.standard_normal(ells.size) + 1j * rng.standard_normal(ells.size)) * np.sqrt(
             z_var(ells, 1.0 - alpha / 2.0) / 2.0
         )
-        want = kernel.coefficient(ells) / sigma + n ** (-alpha / 2.0) * w
+        want = kernel.fourier[ells] / sigma + n ** (-alpha / 2.0) * w
         np.testing.assert_array_equal(kernel_channel(kernel, alpha, sigma, derive_rng(5, 1)), want)
 
     def test_cached_arrays_read_only_bounded_and_keyed_by_value(self):
@@ -150,7 +149,7 @@ class TestEstimateFineLevel:
         levels = []
         for rep in range(40):
             problem = self._problem(1.0, rep=rep)
-            levels.append(estimate_fine_level(problem, 1.0, rng=derive_rng(43, rep)))
+            levels.append(fine_level_details(problem, 1.0, rng=derive_rng(43, rep))[0])
         values, counts = np.unique(levels, return_counts=True)
         assert values[np.argmax(counts)] == 5
 
@@ -158,13 +157,13 @@ class TestEstimateFineLevel:
         levels = []
         for rep in range(40):
             problem = self._problem(0.4, rep=rep)
-            levels.append(estimate_fine_level(problem, 0.4, rng=derive_rng(47, rep)))
+            levels.append(fine_level_details(problem, 0.4, rng=derive_rng(47, rep))[0])
         values, counts = np.unique(levels, return_counts=True)
         assert values[np.argmax(counts)] == 3
 
     def test_never_below_coarse_level(self):
         problem = self._problem(0.2, snr_db=5.0)
-        level = estimate_fine_level(problem, 0.2, rng=derive_rng(53, 0))
+        level = fine_level_details(problem, 0.2, rng=derive_rng(53, 0))[0]
         assert level >= 3
 
     def test_monotone_in_alpha_for_fixed_realization(self):
@@ -181,8 +180,8 @@ class TestEstimateFineLevel:
 
     def test_determinism_given_rng(self):
         problem = self._problem(0.6)
-        a = estimate_fine_level(problem, 0.6, rng=derive_rng(61, 0))
-        b = estimate_fine_level(problem, 0.6, rng=derive_rng(61, 0))
+        a = fine_level_details(problem, 0.6, rng=derive_rng(61, 0))[0]
+        b = fine_level_details(problem, 0.6, rng=derive_rng(61, 0))[0]
         assert a == b
 
     def test_saturation_reported_not_clamped(self):

@@ -12,8 +12,6 @@ from lrdwaved.noise import (
     derive_rng,
     farima_autocovariance,
     fgn_autocovariance,
-    sample_farima,
-    sample_fgn,
 )
 
 
@@ -83,23 +81,17 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(alpha=0.5, kind="garch")
 
-    def test_kind_mismatch(self):
-        with pytest.raises(ValueError):
-            sample_fgn(NoiseModel(alpha=0.5, kind="farima"), 16)
-        with pytest.raises(ValueError):
-            sample_farima(NoiseModel(alpha=0.5, kind="fgn"), 16)
-
 
 class TestDeterminism:
     def test_fgn_reproducible(self):
         m = NoiseModel(alpha=0.4, kind="fgn", seed=42)
-        a = sample_fgn(m, 512)
-        b = sample_fgn(m, 512)
+        a = m.sample(512)
+        b = m.sample(512)
         np.testing.assert_array_equal(a, b)
 
     def test_farima_reproducible(self):
         m = NoiseModel(alpha=0.4, kind="farima", seed=42)
-        np.testing.assert_array_equal(sample_farima(m, 256), sample_farima(m, 256))
+        np.testing.assert_array_equal(m.sample(256), m.sample(256))
 
     def test_replication_key_changes_stream(self):
         m = NoiseModel(alpha=0.4, kind="fgn", seed=42)
@@ -116,7 +108,7 @@ class TestFgnSampling:
     def test_white_noise_case_lag1(self):
         n = 1024
         m = NoiseModel(alpha=1.0, kind="fgn", seed=0)
-        x = sample_fgn(m, n)
+        x = m.sample(n)
         lag1 = np.corrcoef(x[:-1], x[1:])[0, 1]
         assert abs(lag1) < 3.0 / np.sqrt(n)
 
@@ -139,7 +131,7 @@ class TestFgnSampling:
 class TestFarimaSampling:
     def test_no_memory_is_iid(self):
         m = NoiseModel(alpha=1.0, kind="farima", seed=1)
-        x = sample_farima(m, 2048)
+        x = m.sample(2048)
         assert abs(np.corrcoef(x[:-1], x[1:])[0, 1]) < 3.0 / np.sqrt(2048)
 
     def test_lag1_autocorrelation(self):
@@ -207,11 +199,11 @@ class TestDistributionalInvariants:
 class TestEmbeddingGuard:
     def test_minimum_length(self):
         with pytest.raises(ValueError):
-            sample_fgn(NoiseModel(alpha=0.5, kind="fgn"), 0)
+            NoiseModel(alpha=0.5, kind="fgn").sample(0)
 
     def test_short_series_still_exact(self):
         m = NoiseModel(alpha=0.3, kind="fgn", seed=9)
-        x = sample_fgn(m, 3)
+        x = m.sample(3)
         assert x.shape == (3,)
 
 
@@ -259,7 +251,7 @@ class TestExactness:
         m = NoiseModel(alpha=1.0 - 2.0 * d, kind="farima", seed=23)
         chol = linalg.cholesky(correlation_matrix("farima", m.alpha, n), lower=True)
         expected = chol @ m.rng(4).standard_normal(n)
-        np.testing.assert_allclose(sample_farima(m, n, 4), expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(m.sample(n, 4), expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.95, 0.6, 0.2, 0.05])
     @pytest.mark.parametrize("n", [1, 2, 3, 1024])
@@ -269,7 +261,7 @@ class TestExactness:
         gam = farima_autocovariance(np.arange(max(n, 2)), m.d)
         expected = durbin_levinson_reference(gam, m.rng(0, 2).standard_normal(n))
         atol = 64 * max(n, 16) * np.finfo(float).eps
-        np.testing.assert_allclose(sample_farima(m, n, 0, 2), expected, rtol=0, atol=atol)
+        np.testing.assert_allclose(m.sample(n, 0, 2), expected, rtol=0, atol=atol)
 
     @pytest.mark.parametrize("kind, alpha", [("farima", 0.2), ("farima", 0.6), ("fgn", 0.2)])
     def test_dense_cholesky_whitening(self, kind, alpha):
@@ -319,6 +311,5 @@ class TestStreamPins:
 
     @pytest.mark.parametrize("kind, alpha, n", sorted(PINS))
     def test_stream_is_pinned(self, kind, alpha, n):
-        sampler = sample_fgn if kind == "fgn" else sample_farima
-        x = sampler(NoiseModel(alpha=alpha, kind=kind, seed=2024), n, 0, 1)
+        x = NoiseModel(alpha=alpha, kind=kind, seed=2024).sample(n, 0, 1)
         assert hashlib.sha256(x.tobytes()).hexdigest() == self.PINS[(kind, alpha, n)]

@@ -64,23 +64,20 @@ class TestMakeSignal:
 class TestGammaKernel:
     def test_dc_normalization(self):
         k = gamma_kernel(4096)
-        assert k.coefficient(0) == pytest.approx(1.0 + 0.0j, abs=1e-12)
+        assert k.fourier[0] == pytest.approx(1.0 + 0.0j, abs=1e-12)
 
     def test_conjugate_symmetry(self):
         k = gamma_kernel(1024)
         for ell in (1, 5, 100, 511):
-            assert k.coefficient(-ell) == pytest.approx(np.conj(k.coefficient(ell)), abs=1e-13)
+            assert k.fourier[-ell] == pytest.approx(np.conj(k.fourier[ell]), abs=1e-13)
 
     def test_polynomial_decay_band(self):
         # |K[l]| l^0.7 bounded above and below within a factor-5 band
         n = 4096
         k = gamma_kernel(n)
         ells = np.arange(4, n // 4 + 1)
-        values = np.abs(k.coefficient(ells)) * ells**0.7
+        values = np.abs(k.fourier[ells]) * ells**0.7
         assert values.max() / values.min() < 5.0
-
-    def test_dip_recorded(self):
-        assert gamma_kernel(256, shape=0.7).dip == 0.7
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -10,12 +9,11 @@ from lrdwaved.thresholds import (
     build_policy,
     c_n,
     fine_level_theoretical,
-    xi_lower_bound,
 )
 
 
 def identity_kernel(n=4096):
-    return KernelSpec(fourier=np.ones(n, dtype=complex), dip=0.0)
+    return KernelSpec(fourier=np.ones(n, dtype=complex))
 
 
 class TestSampleFactor:
@@ -52,14 +50,6 @@ class TestFineLevelTheoretical:
             fine_level_theoretical(4096, 1.5, 0.0)
         with pytest.raises(ValueError):
             fine_level_theoretical(4096, 1.0, -0.1)
-
-
-class TestXiBound:
-    def test_reference_value(self):
-        assert xi_lower_bound(1.0, 2.0) == pytest.approx(2.0 * math.sqrt(2.0))
-
-    def test_p_floor_at_two(self):
-        assert xi_lower_bound(0.5, 1.0) == xi_lower_bound(0.5, 2.0)
 
 
 class TestBuildPolicy:
@@ -120,9 +110,3 @@ class TestBuildPolicy:
         with pytest.raises(ValueError):
             build_policy("ridge", identity_kernel(n), n, 1.0, 1.0, 1.0, 3, 5)
 
-    def test_json_serialization(self):
-        policy = build_policy("iid", identity_kernel(256), 256, 1.0, 1.0, 1.0, 3, 5)
-        payload = json.loads(policy.to_json())
-        assert payload["method"] == "iid"
-        assert set(payload["lambdas"]) == {"3", "4", "5"}
-        assert payload["sigma_hat"] == 1.0
