@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import VarianceTable
-from .estimator import run_estimator
+from .covariance import VarianceTable, _WavedTable
+from .estimator import _run_methods
 from .noise import derive_rng
 from .signals import ExperimentConfig, _clean_cell, _noisy_problem, resolve_smoothing
 
@@ -69,12 +69,12 @@ def _mode(values: np.ndarray) -> int:
 def run_benchmark(config: ExperimentConfig, threads: int = 1) -> BenchResult:
     """Replicate the simulation protocol and report empirical MSE per method.
 
-    Each replication shares one dataset across methods (paired comparison);
-    the stopping-rule noise stream derives from (seed, replication, method
-    index) so results are independent of scheduling and thread count.  The
-    signal, kernel, blur and noise scale are built once per call; a
-    replication draws only its noise, giving the same dataset as
-    ``generate_dataset(config, rep)``.
+    Each replication shares one dataset across methods (paired comparison)
+    and runs all of them in one stacked estimator pass; the stopping-rule
+    noise stream derives from (seed, replication, method index) so results
+    are independent of scheduling and thread count.  The signal, kernel,
+    blur and noise scale are built once per call; a replication draws only
+    its noise, giving the same dataset as ``generate_dataset(config, rep)``.
     """
     n_methods = len(config.methods)
     mses = np.empty((n_methods, config.replications))
@@ -83,26 +83,32 @@ def run_benchmark(config: ExperimentConfig, threads: int = 1) -> BenchResult:
 
     cell = _clean_cell(config)
     f_true = cell.f_true
-    # every LRD method thresholds at config.alpha, so they share one tau table
-    # across methods and replications; the IID method reads none
-    lrd_table = VarianceTable(kernel=cell.kernel, alpha=config.alpha)
+    # every LRD method thresholds at config.alpha and the IID method at the
+    # classical tau_j, so one tau table per calibration serves every method
+    # and replication of the cell
+    tables = {
+        "lrd": VarianceTable(kernel=cell.kernel, alpha=config.alpha),
+        "iid": _WavedTable(kernel=cell.kernel),
+    }
+    rows = [
+        (method, resolve_smoothing(spec, config.alpha if method == "lrd" else 1.0), tables[method])
+        for method, spec in zip(config.methods, config.smoothing)
+    ]
 
     def one_rep(rep: int) -> None:
         problem = _noisy_problem(cell, rep)
-        for i, (method, smooth_spec) in enumerate(zip(config.methods, config.smoothing)):
-            alpha = config.alpha if method == "lrd" else 1.0
-            smoothing = resolve_smoothing(smooth_spec, alpha)
-            table = lrd_table if method == "lrd" else None
-            rng = derive_rng(config.seed, rep, i)
-            try:
-                report = run_estimator(problem, method, smoothing, rng=rng, variance_table=table)
-            except Exception as exc:
-                raise RuntimeError(
-                    f"replication {rep} (seed {config.seed}) failed for method "
-                    f"{method}/{smooth_spec}: {exc}"
-                ) from exc
-            diff = report.estimate - f_true
-            mses[i, rep] = float(np.mean(diff * diff))
+        methods = [
+            (method, smoothing, derive_rng(config.seed, rep, i), table)
+            for i, (method, smoothing, table) in enumerate(rows)
+        ]
+        try:
+            estimates, reports = _run_methods(problem, methods)
+        except Exception as exc:
+            raise RuntimeError(f"replication {rep} (seed {config.seed}) failed: {exc}") from exc
+        sq = estimates - f_true
+        sq *= sq
+        mses[:, rep] = np.mean(sq, axis=1)
+        for i, report in enumerate(reports):
             levels[i, rep] = report.fine_level_used
             kept[i, rep] = sum(report.kept_count.values())
 

@@ -104,6 +104,12 @@ def _check_n(n: int) -> int:
     return n
 
 
+def _check_threads(threads: int) -> int:
+    if threads < 1:
+        raise ValidationError(f"--threads must be at least 1, got {threads}")
+    return threads
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help=f"RNG seed (fallback: ${ENV_SEED})")
     parser.add_argument("--out", default=".", help="output directory (created if absent)")
@@ -288,10 +294,14 @@ def _render_table(results) -> str:
 def cmd_benchmark(args) -> int:
     n = _check_n(args.n)
     seed = _resolve_seed(args)
+    threads = _check_threads(args.threads)
     out = _out_dir(args)
     alphas = [float(a) for a in args.alpha_grid.split(",") if a]
     if not alphas:
         raise ValidationError("--alpha-grid must list at least one alpha")
+    repeated = [a for i, a in enumerate(alphas) if a in alphas[:i]]
+    if repeated:
+        raise ValidationError(f"--alpha-grid lists alpha={repeated[0]:g} more than once")
     methods = tuple(args.methods.split(","))
     smoothing = tuple(args.smoothing.split(","))
     if len(methods) != len(smoothing):
@@ -312,7 +322,7 @@ def cmd_benchmark(args) -> int:
             noise_kind=args.noise_kind,
             kernel_scale=args.kernel_scale,
         )
-        results.append(run_benchmark(config, threads=args.threads))
+        results.append(run_benchmark(config, threads=threads))
 
     payload = {
         "signal": args.signal,
@@ -378,6 +388,7 @@ def cmd_table(args) -> int:
 
 def cmd_rates(args) -> int:
     seed = _resolve_seed(args)
+    threads = _check_threads(args.threads)
     out = _out_dir(args)
     n_grid = [int(v) for v in args.n_grid.split(",") if v]
     for n in n_grid:
@@ -393,7 +404,7 @@ def cmd_rates(args) -> int:
         snr_db=args.snr,
         seed=seed,
         noise_kind=args.noise_kind,
-        threads=args.threads,
+        threads=threads,
     )
     payload = {
         "signal": args.signal,

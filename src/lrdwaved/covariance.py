@@ -158,6 +158,18 @@ class VarianceTable:
 
     def tau(self, j: int) -> float:
         if j not in self.taus:
-            self.taus[j] = tau_level(j, self.kernel, self.alpha)
+            self.taus[j] = self._level(j)
         return self.taus[j]
 
+    def _level(self, j: int) -> float:
+        return tau_level(j, self.kernel, self.alpha)
+
+
+@dataclass
+class _WavedTable(VarianceTable):
+    """Cached classical ``waved_tau_level`` values for one kernel: the IID calibration."""
+
+    alpha: float = 1.0
+
+    def _level(self, j: int) -> float:
+        return waved_tau_level(j, self.kernel)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import meyer
 from .covariance import KernelSpec, VarianceTable
-from .finescale import fine_level_details
+from .finescale import _fine_levels
 from .meyer import WaveletCoefficients
 from .thresholds import DEFAULT_COARSE_LEVEL, ThresholdPolicy, build_policy
 
@@ -127,12 +127,15 @@ def hard_threshold(coeffs: WaveletCoefficients, policy: ThresholdPolicy) -> Wave
 
     Scale coefficients pass through.
     """
-    out = coeffs.copy()
-    for j in out.levels():
-        lam = policy.lam(j)
-        d = out.detail[j]
-        d[np.abs(d) < lam] = 0.0
-    return out
+    detail = {j: _threshold_rows(coeffs.detail[j], [policy.lam(j)])[0] for j in coeffs.levels()}
+    return WaveletCoefficients(
+        j0=coeffs.j0, j1=coeffs.j1, n=coeffs.n, scale=coeffs.scale.copy(), detail=detail
+    )
+
+
+def _threshold_rows(values: np.ndarray, lams) -> np.ndarray:
+    """(len(lams), values.size) stack: row i is ``values`` hard-thresholded at lams[i]."""
+    return np.where(np.abs(values) < np.asarray(lams)[:, np.newaxis], 0.0, values)
 
 
 @dataclass
@@ -179,45 +182,75 @@ def run_estimator(
     calibration regardless of the data's true dependence level; the LRD
     method uses problem.alpha in both.
     """
-    if method not in ("lrd", "iid"):
-        raise ValueError(f"unknown method {method!r}")
-    n = problem.n
-    alpha = problem.alpha if method == "lrd" else 1.0
-    sigma_hat = problem.sigma_hat
+    _, (report,) = _run_methods(
+        problem, [(method, smoothing, rng, variance_table)], j1_override, j0=j0
+    )
+    return report
 
-    stopping_m: int | None = None
-    saturated = False
+
+def _run_methods(
+    problem: DeconvolutionProblem,
+    methods: list[tuple[str, float, np.random.Generator | None, VarianceTable | None]],
+    j1_override: int | None = None,
+    *,
+    j0: int = DEFAULT_COARSE_LEVEL,
+) -> tuple[np.ndarray, list[EstimateReport]]:
+    """One stacked pass of ``run_estimator`` over (method, smoothing, rng, table) rows.
+
+    Returns the (m, n) estimates and one report per row; row i equals
+    ``run_estimator`` with that row's arguments bit for bit.  The stopping
+    rule runs on one channel stack, Y_hat / K_hat is analysed once up to the
+    largest fine level, each level is thresholded as one stack over the rows
+    that reach it, and one batched inverse FFT synthesizes every row.
+    """
+    for method, *_ in methods:
+        if method not in ("lrd", "iid"):
+            raise ValueError(f"unknown method {method!r}")
+    n = problem.n
+    sigma_hat = problem.sigma_hat
+    alphas = [problem.alpha if method == "lrd" else 1.0 for method, *_ in methods]
+
     if j1_override is None:
-        j1, stopping = fine_level_details(problem, alpha, rng=rng, j0=j0)
-        stopping_m = stopping.M
-        saturated = stopping.saturated
+        rngs = [rng for _, _, rng, _ in methods]
+        fine = _fine_levels(problem, alphas, sigma_hat, rngs, j0)
+        levels = [level for level, _ in fine]
+        stops = [(stop.M, stop.saturated) for _, stop in fine]
+        del fine  # frees the (m, n/2 - 1) channel magnitudes before synthesis
     else:
         if not j0 <= j1_override <= int(math.log2(n)) - 2:
             raise ValueError(f"j1 override {j1_override} outside [{j0}, log2(n)-2]")
-        j1 = j1_override
+        levels, stops = [j1_override] * len(methods), [(None, False)] * len(methods)
 
-    policy = build_policy(
-        method,
-        problem.kernel,
-        n,
-        alpha,
-        sigma_hat,
-        smoothing,
-        j0,
-        j1,
-        variance_table=variance_table,
-    )
-    raw = deconvolve_coefficients(problem, j0, j1)
-    kept = hard_threshold(raw, policy)
-    estimate = meyer.inverse_transform(kept, n)
-    kept_count = {j: int(np.count_nonzero(kept.detail[j])) for j in kept.levels()}
-    return EstimateReport(
-        estimate=estimate,
-        coefficients=kept,
-        policy=policy,
-        fine_level_used=j1,
-        sigma_hat=sigma_hat,
-        kept_count=kept_count,
-        stopping_m=stopping_m,
-        stopping_saturated=saturated,
-    )
+    policies = [
+        build_policy(method, problem.kernel, n, alpha, sigma_hat, smoothing, j0, j1,
+                     variance_table=table)
+        for (method, smoothing, _, table), alpha, j1 in zip(methods, alphas, levels)
+    ]
+    raw = deconvolve_coefficients(problem, j0, max(levels))
+    details: list[dict[int, np.ndarray]] = [{} for _ in methods]
+    for j in raw.levels():
+        rows = [i for i, j1 in enumerate(levels) if j1 >= j]
+        kept = _threshold_rows(raw.detail[j], [policies[i].lambdas[j] for i in rows])
+        for i, values in zip(rows, kept):
+            details[i][j] = values
+    coefficients = [
+        WaveletCoefficients(j0=j0, j1=j1, n=n, scale=raw.scale.copy(), detail=detail)
+        for j1, detail in zip(levels, details)
+    ]
+    estimates = meyer._synthesize(coefficients, n)
+    reports = [
+        EstimateReport(
+            estimate=estimate,
+            coefficients=coeffs,
+            policy=policy,
+            fine_level_used=coeffs.j1,
+            sigma_hat=sigma_hat,
+            kept_count={j: int(np.count_nonzero(d)) for j, d in coeffs.detail.items()},
+            stopping_m=stopping_m,
+            stopping_saturated=saturated,
+        )
+        for estimate, coeffs, policy, (stopping_m, saturated) in zip(
+            estimates, coefficients, policies, stops
+        )
+    ]
+    return estimates, reports

@@ -103,12 +103,27 @@ def stopping_time(
     mags = np.abs(np.asarray(kernel_observation))
     if mags.ndim != 1 or mags.size == 0:
         raise ValueError("kernel observation must be a nonempty 1-d sequence")
-    cut = _cutoffs(mags.size, alpha, epsilon, log_power)
-    below = np.nonzero(mags <= cut)[0]
-    saturated = below.size == 0
-    m = int(mags.size if saturated else below[0] + 1)
-    j_hat = int(math.floor(math.log2(m))) - 1
-    return StoppingResult(M=m, j_hat=j_hat, saturated=saturated, magnitudes=mags, cutoffs=cut)
+    return _stopping_rows(mags[np.newaxis], [alpha], epsilon, log_power)[0]
+
+
+def _stopping_rows(
+    mags: np.ndarray, alphas, epsilon: float, log_power: float
+) -> list[StoppingResult]:
+    """``stopping_time`` of each row of ``mags`` (m, l_max), row i at cutoff alphas[i]."""
+    cuts = [_cutoffs(mags.shape[1], alpha, epsilon, log_power) for alpha in alphas]
+    below = mags <= np.array(cuts)
+    crossed = below.any(axis=1)
+    first = below.argmax(axis=1) + 1
+    results = []
+    for i, cut in enumerate(cuts):
+        m = int(first[i] if crossed[i] else mags.shape[1])
+        j_hat = int(math.floor(math.log2(m))) - 1
+        results.append(
+            StoppingResult(
+                M=m, j_hat=j_hat, saturated=not crossed[i], magnitudes=mags[i], cutoffs=cut
+            )
+        )
+    return results
 
 
 def kernel_channel(
@@ -123,17 +138,29 @@ def kernel_channel(
     (``noise_alpha``), whatever level the stopping rule later assumes.  With
     rng None the channel is noiseless (the deterministic crossing).
     """
+    return _channels(kernel, noise_alpha, sigma_hat, [rng])[0]
+
+
+def _channels(kernel, noise_alpha: float, sigma_hat: float, rngs) -> np.ndarray:
+    """(m, n/2 - 1) stack of ``kernel_channel`` rows, row i drawn from rngs[i].
+
+    Each stream draws its real block, then its imaginary block; a None stream
+    leaves its row noiseless.
+    """
     if sigma_hat <= 0:
         raise ValueError(f"sigma_hat must be positive, got {sigma_hat}")
     n = kernel.n
     channel = np.asarray(kernel.fourier[1 : n // 2], dtype=complex) / sigma_hat
-    if rng is not None:
-        size = channel.size
-        w = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * _channel_noise_sd(
-            n, noise_alpha
-        )
-        channel = channel + n ** (-noise_alpha / 2.0) * w
-    return channel
+    # one buffer, updated in place: (m, n/2 - 1) temporaries cost more than the arithmetic
+    out = np.zeros((len(rngs), channel.size), dtype=complex)
+    for row, rng in zip(out, rngs):
+        if rng is not None:
+            row.real = rng.standard_normal(channel.size)
+            row.imag = rng.standard_normal(channel.size)
+    out *= _channel_noise_sd(n, noise_alpha)
+    out *= n ** (-noise_alpha / 2.0)
+    out += channel
+    return out
 
 
 def lemma_bracket(
@@ -176,12 +203,17 @@ def fine_level_details(
     rule); the channel noise always carries the data's true level
     problem.alpha.  ``sigma_hat`` defaults to problem.sigma_hat.
     """
-    n = problem.n
     if sigma_hat is None:
         sigma_hat = problem.sigma_hat
-    channel = kernel_channel(problem.kernel, problem.alpha, sigma_hat, rng)
-    result = stopping_time(channel, alpha, epsilon=n**-0.5, log_power=OPERATIONAL_LOG_POWER)
-    ceiling = fine_level_theoretical(n, 1.0, 0.0)
-    level = min(max(result.j_hat, j0), ceiling)
-    return level, result
+    return _fine_levels(problem, [alpha], sigma_hat, [rng], j0)[0]
 
+
+def _fine_levels(
+    problem, alphas, sigma_hat: float, rngs, j0: int
+) -> list[tuple[int, StoppingResult]]:
+    """``fine_level_details`` for several (alpha, rng) pairs on one channel stack."""
+    n = problem.n
+    channels = _channels(problem.kernel, problem.alpha, sigma_hat, rngs)
+    results = _stopping_rows(np.abs(channels), alphas, n**-0.5, OPERATIONAL_LOG_POWER)
+    ceiling = fine_level_theoretical(n, 1.0, 0.0)
+    return [(min(max(result.j_hat, j0), ceiling), result) for result in results]

@@ -142,15 +142,6 @@ class WaveletCoefficients:
         if not self.j0 <= self.j1 < np.log2(self.n):
             raise ValueError(f"need j0 <= j1 < log2(n), got ({self.j0}, {self.j1}, {self.n})")
 
-    def copy(self) -> "WaveletCoefficients":
-        return WaveletCoefficients(
-            j0=self.j0,
-            j1=self.j1,
-            n=self.n,
-            scale=self.scale.copy(),
-            detail={j: d.copy() for j, d in self.detail.items()},
-        )
-
     @classmethod
     def zeros(cls, j0: int, j1: int, n: int) -> "WaveletCoefficients":
         return cls(
@@ -176,10 +167,15 @@ def _check_grid(n: int, j1: int) -> None:
 
 
 def _real_part(values: np.ndarray, what: str) -> np.ndarray:
-    scale = max(np.abs(values).max(), 1.0)
-    imag = np.abs(values.imag).max()
-    if imag > 1e-9 * scale:
-        raise AssertionError(f"{what} should be real; residual imaginary part {imag:.3e}")
+    """Real part of ``values``; each row's imaginary residual is checked against its own scale."""
+    for i, row in enumerate(values.reshape(-1, values.shape[-1])):
+        scale = max(np.abs(row).max(), 1.0)
+        imag = np.abs(row.imag).max()
+        if imag > 1e-9 * scale:
+            where = f" (row {i})" if values.ndim > 1 else ""
+            raise AssertionError(
+                f"{what}{where} should be real; residual imaginary part {imag:.3e}"
+            )
     return values.real
 
 
@@ -271,20 +267,32 @@ def forward_transform(signal: np.ndarray, j0: int, j1: int) -> WaveletCoefficien
     return WaveletCoefficients(j0=j0, j1=j1, n=n, scale=scale, detail=detail)
 
 
-def coefficients_to_spectrum(coeffs: WaveletCoefficients, n: int) -> np.ndarray:
-    """Accumulate the Fourier coefficients of the synthesized expansion."""
-    _check_grid(n, coeffs.j1)
-    spectrum = np.zeros(n, dtype=complex)
-    bands = [(_scale_plan(coeffs.j0, n), coeffs.scale)]
-    bands += [(_detail_plan(j, n), coeffs.detail[j]) for j in coeffs.levels()]
-    for plan, values in bands:
-        fb = np.fft.fft(np.asarray(values, dtype=complex))
-        spectrum[plan.index] += plan.synthesis * fb[plan.residues]
-    return spectrum
+def _synthesize(expansions: list[WaveletCoefficients], n: int) -> np.ndarray:
+    """(m, n) samples of m coefficient sets that share j0, one batched inverse FFT.
+
+    Each band is added to the rows whose fine level reaches it, in the order
+    scale, then detail j0, j0+1, ...; a row is the one-set synthesis exactly.
+    """
+    j0 = expansions[0].j0
+    if any(c.j0 != j0 for c in expansions):
+        raise ValueError("stacked synthesis needs one coarse level j0 for every row")
+    fine = np.array([c.j1 for c in expansions])
+    _check_grid(n, int(fine.max()))
+    spectrum = np.zeros((len(expansions), n), dtype=complex)
+    bands = [(_scale_plan(j0, n), np.arange(len(expansions)), [c.scale for c in expansions])]
+    for j in range(j0, int(fine.max()) + 1):
+        rows = np.flatnonzero(fine >= j)
+        bands.append((_detail_plan(j, n), rows, [expansions[i].detail[j] for i in rows]))
+    for plan, rows, values in bands:
+        fb = np.fft.fft(np.asarray(values, dtype=complex), axis=-1)
+        spectrum[rows[:, np.newaxis], plan.index] += plan.synthesis * fb[:, plan.residues]
+    # in place: a fresh (m, n) buffer per call makes the allocator trim and
+    # re-fault the heap on every replication
+    samples = np.fft.ifft(spectrum, axis=-1, out=spectrum)
+    samples *= n
+    return _real_part(samples, "synthesized samples")
 
 
 def inverse_transform(coeffs: WaveletCoefficients, n: int) -> np.ndarray:
     """Synthesize samples on t_i = i/n from periodized Meyer coefficients."""
-    spectrum = coefficients_to_spectrum(coeffs, n)
-    samples = n * np.fft.ifft(spectrum)
-    return _real_part(samples, "synthesized samples")
+    return _synthesize([coeffs], n)[0]

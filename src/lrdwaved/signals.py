@@ -147,6 +147,9 @@ class ExperimentConfig:
             raise ValueError(f"n must be a power of two >= 32, got {self.n}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        unknown = [m for m in self.methods if m not in ("iid", "lrd")]
+        if unknown:
+            raise ValueError(f"unknown method {unknown[0]!r}; choose from ('iid', 'lrd')")
         if len(self.methods) != len(self.smoothing):
             raise ValueError("methods and smoothing lists must have equal length")
         if self.replications < 1:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import KernelSpec, VarianceTable, waved_tau_level
+from .covariance import KernelSpec, VarianceTable, _WavedTable
 
 __all__ = [
     "ThresholdPolicy",
@@ -86,21 +86,17 @@ def build_policy(
     if method not in ("lrd", "iid"):
         raise ValueError(f"unknown method {method!r}")
 
-    if method == "lrd":
-        table = variance_table
-        if (
-            table is None
-            or table.alpha != alpha
-            or not np.array_equal(table.kernel.fourier, kernel.fourier)
-        ):
-            table = VarianceTable(kernel=kernel, alpha=alpha)
-        factor = sigma_hat * c_n(n, alpha)
-        lambdas = {j: smoothing * table.tau(j) * factor for j in range(j0, j1 + 1)}
-    else:
-        factor = sigma_hat * c_n(n, 1.0)
-        lambdas = {
-            j: smoothing * waved_tau_level(j, kernel) * factor for j in range(j0, j1 + 1)
-        }
+    # the IID method calibrates at alpha = 1 with the classical tau_j
+    table_type, tau_alpha = (VarianceTable, alpha) if method == "lrd" else (_WavedTable, 1.0)
+    table = variance_table
+    if (
+        type(table) is not table_type
+        or table.alpha != tau_alpha
+        or not np.array_equal(table.kernel.fourier, kernel.fourier)
+    ):
+        table = table_type(kernel=kernel, alpha=tau_alpha)
+    factor = sigma_hat * c_n(n, tau_alpha)
+    lambdas = {j: smoothing * table.tau(j) * factor for j in range(j0, j1 + 1)}
     return ThresholdPolicy(
         method=method,
         smoothing=smoothing,

@@ -100,7 +100,7 @@ class TestRunBenchmark:
         def boom(*args, **kwargs):
             raise ValueError("injected failure")
 
-        monkeypatch.setattr(bench_module, "run_estimator", boom)
+        monkeypatch.setattr(bench_module, "_run_methods", boom)
         with pytest.raises(RuntimeError, match=r"replication 0 \(seed 3\)"):
             run_benchmark(small_config())
 
@@ -146,21 +146,75 @@ class TestRunBenchmark:
         assert max(j for j, _ in calls) == max(m.fine_levels.max() for m in result.methods[1:])
 
     def test_replications_match_generate_dataset(self):
-        # the once-per-call clean cell gives each replication the dataset
-        # generate_dataset(config, rep) gives
-        config = small_config(replications=3)
+        # the once-per-call clean cell and the stacked pass give each
+        # replication and method what run_estimator gives on
+        # generate_dataset(config, rep); in the alpha=0.4 cell the default
+        # methods stop at different fine levels (IID at 5, both LRD at 4)
+        strong = ExperimentConfig("cusp", n=1024, alpha=0.4, snr_db=30.0, replications=3, seed=3)
+        for config in (small_config(replications=3), strong):
+            result = run_benchmark(config)
+            for rep in range(config.replications):
+                problem, f_true = generate_dataset(config, rep)
+                for i, (method, spec) in enumerate(zip(config.methods, config.smoothing)):
+                    alpha = config.alpha if method == "lrd" else 1.0
+                    report = run_estimator(
+                        problem, method, resolve_smoothing(spec, alpha),
+                        rng=derive_rng(config.seed, rep, i),
+                        variance_table=VarianceTable(kernel=problem.kernel, alpha=alpha),
+                    )
+                    mse = float(np.mean((report.estimate - f_true) ** 2))
+                    assert result.methods[i].mses[rep] == mse
+                    assert result.methods[i].fine_levels[rep] == report.fine_level_used
+        assert len({int(m.fine_levels.max()) for m in result.methods}) > 1
+
+    def test_one_analysis_per_band_per_replication(self, monkeypatch):
+        # the three default methods of a replication share one analysis of
+        # Y_hat / K_hat, up to the largest fine level among them; the MAD's
+        # analysis of the raw data (inside sigma_hat) is not counted
+        from lrdwaved import meyer
+
+        calls, inside_sigma = [], []
+        real_analyze, real_detail = meyer._analyze, meyer._detail_from_spectrum
+
+        def counting(values, plan, what):
+            if not inside_sigma:
+                calls.append((what, plan.level))
+            return real_analyze(values, plan, what)
+
+        def sigma_detail(spectrum, j, n):
+            inside_sigma.append(j)
+            try:
+                return real_detail(spectrum, j, n)
+            finally:
+                inside_sigma.pop()
+
+        monkeypatch.setattr(meyer, "_analyze", counting)
+        monkeypatch.setattr(meyer, "_detail_from_spectrum", sigma_detail)
+        config = ExperimentConfig("cusp", n=1024, alpha=0.4, snr_db=30.0, replications=1, seed=3)
         result = run_benchmark(config)
-        for rep in range(config.replications):
-            problem, f_true = generate_dataset(config, rep)
-            for i, (method, spec) in enumerate(zip(config.methods, config.smoothing)):
-                alpha = config.alpha if method == "lrd" else 1.0
-                report = run_estimator(
-                    problem, method, resolve_smoothing(spec, alpha),
-                    rng=derive_rng(config.seed, rep, i),
-                    variance_table=VarianceTable(kernel=problem.kernel, alpha=alpha),
-                )
-                mse = float(np.mean((report.estimate - f_true) ** 2))
-                assert result.methods[i].mses[rep] == mse
+        assert config.methods == ("iid", "lrd", "lrd")
+        top = max(int(m.fine_levels[0]) for m in result.methods)
+        assert sorted(calls) == [("detail", j) for j in range(3, top + 1)] + [("scale", 3)]
+
+    def test_waved_tau_once_per_level_per_call(self, monkeypatch):
+        # the IID method's classical tau_j is computed once per cell and level
+        from lrdwaved import covariance, thresholds
+
+        calls = []
+        real = covariance.waved_tau_level
+
+        def counting(j, kernel):
+            calls.append(j)
+            return real(j, kernel)
+
+        for module in (covariance, thresholds):
+            if hasattr(module, "waved_tau_level"):
+                monkeypatch.setattr(module, "waved_tau_level", counting)
+        config = ExperimentConfig("cusp", n=1024, alpha=0.6, snr_db=30.0, replications=6, seed=5)
+        result = run_benchmark(config)
+        assert config.methods[0] == "iid"
+        assert calls and len(calls) == len(set(calls))
+        assert max(calls) == result.methods[0].fine_levels.max()
 
     def test_as_dict_roundtrip(self):
         result = run_benchmark(small_config(replications=2))

@@ -210,6 +210,30 @@ class TestBenchmarkCommand:
         assert capsys.readouterr().out.strip() == first.strip()
         assert (tmp_path / "re" / "table.txt").read_text() == first
 
+    def test_unknown_method_is_validation_error(self, tmp_path, capsys):
+        code = run_cli(["benchmark", "--signal", "cusp", "--n", 512, "--alpha-grid", "1",
+                        "--methods", "iid,bogus", "--smoothing", "sqrt6,sqrt6",
+                        "--replications", 2, "--seed", 1, "--out", tmp_path])
+        assert code == 3
+        assert "bogus" in capsys.readouterr().err
+        assert not (tmp_path / "results.json").exists()
+
+    def test_repeated_alpha_is_validation_error(self, tmp_path, capsys):
+        code = run_cli(["benchmark", "--signal", "cusp", "--n", 512, "--alpha-grid", "1,0.6,1",
+                        "--replications", 2, "--seed", 1, "--out", tmp_path])
+        assert code == 3
+        assert "alpha=1 more than once" in capsys.readouterr().err
+        assert not (tmp_path / "results.json").exists()
+
+    @pytest.mark.parametrize("command", [["benchmark", "--alpha-grid", "1"],
+                                         ["rates", "--n-grid", "256,512"]])
+    def test_threads_below_one_is_validation_error(self, tmp_path, capsys, command):
+        code = run_cli(command + ["--signal", "cusp", "--n", 512, "--replications", 2,
+                                  "--threads", -3, "--seed", 1, "--out", tmp_path])
+        assert code == 3
+        assert "--threads must be at least 1, got -3" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_threads_default_to_one(self):
         parser = build_parser()
         assert parser.parse_args(["benchmark", "--signal", "cusp"]).threads == 1

@@ -183,6 +183,30 @@ class TestTransforms:
         rec = inverse_transform(forward_transform(signal, 3, 5), n)
         np.testing.assert_allclose(rec, signal, atol=1e-10)
 
+    def test_stacked_synthesis_checks_each_row_against_its_own_scale(self):
+        # rows with different fine levels synthesize as their one-row calls,
+        # and a small row with an imaginary residual raises beside a large
+        # clean row whose scale would hide it
+        n = 256
+        rng = np.random.default_rng(3)
+        big = WaveletCoefficients.zeros(3, 5, n)
+        big.scale[:] = 1e6 * rng.standard_normal(8)
+        small = WaveletCoefficients.zeros(3, 4, n)
+        small.detail[4][:] = rng.standard_normal(16)
+        stacked = meyer._synthesize([big, small], n)
+        np.testing.assert_array_equal(stacked[0], inverse_transform(big, n))
+        np.testing.assert_array_equal(stacked[1], inverse_transform(small, n))
+
+        dirty = WaveletCoefficients(
+            j0=3, j1=4, n=n, scale=small.scale.astype(complex),
+            detail={j: d.astype(complex) for j, d in small.detail.items()},
+        )
+        dirty.detail[4][0] += 1e-6j
+        # one level-4 coefficient of size 1e-6 moves no sample by more than 1e-5
+        assert 1e-9 * np.abs(stacked[0]).max() > 1e-4
+        with pytest.raises(AssertionError, match=r"synthesized samples \(row 1\) should be real"):
+            meyer._synthesize([big, dirty], n)
+
     def test_zero_coefficients_give_zero_signal(self):
         out = inverse_transform(WaveletCoefficients.zeros(3, 5, 256), 256)
         assert np.abs(out).max() == 0.0

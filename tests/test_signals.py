@@ -159,3 +159,7 @@ class TestGenerateDataset:
             ExperimentConfig(signal="nope")
         with pytest.raises(ValueError):
             ExperimentConfig(signal="cusp", methods=("iid",), smoothing=("sqrt6", "sqrt6"))
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            ExperimentConfig(signal="cusp", methods=("iid", "bogus"), smoothing=("sqrt6", "sqrt6"))
