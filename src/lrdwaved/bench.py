@@ -66,15 +66,20 @@ def _mode(values: np.ndarray) -> int:
     return int(uniq[np.argmax(counts)])
 
 
+# replications per stacked estimator pass; the last block of a run may be shorter
+BLOCK = 8
+
+
 def run_benchmark(config: ExperimentConfig, threads: int = 1) -> BenchResult:
     """Replicate the simulation protocol and report empirical MSE per method.
 
-    Each replication shares one dataset across methods (paired comparison)
-    and runs all of them in one stacked estimator pass; the stopping-rule
-    noise stream derives from (seed, replication, method index) so results
-    are independent of scheduling and thread count.  The signal, kernel,
-    blur and noise scale are built once per call; a replication draws only
-    its noise, giving the same dataset as ``generate_dataset(config, rep)``.
+    Each replication shares one dataset across methods (paired comparison).
+    Replications run in blocks of ``BLOCK``, each block's methods as one
+    stacked estimator pass; the stopping-rule noise stream derives from
+    (seed, replication, method index), so results are independent of the
+    blocking, scheduling and thread count.  The signal, kernel, blur and
+    noise scale are built once per call; a replication draws only its noise,
+    giving the same dataset as ``generate_dataset(config, rep)``.
     """
     n_methods = len(config.methods)
     mses = np.empty((n_methods, config.replications))
@@ -95,29 +100,44 @@ def run_benchmark(config: ExperimentConfig, threads: int = 1) -> BenchResult:
         for method, spec in zip(config.methods, config.smoothing)
     ]
 
-    def one_rep(rep: int) -> None:
-        problem = _noisy_problem(cell, rep)
-        methods = [
-            (method, smoothing, derive_rng(config.seed, rep, i), table)
-            for i, (method, smoothing, table) in enumerate(rows)
-        ]
-        try:
-            estimates, reports = _run_methods(problem, methods)
-        except Exception as exc:
-            raise RuntimeError(f"replication {rep} (seed {config.seed}) failed: {exc}") from exc
-        sq = estimates - f_true
-        sq *= sq
-        mses[:, rep] = np.mean(sq, axis=1)
-        for i, report in enumerate(reports):
-            levels[i, rep] = report.fine_level_used
-            kept[i, rep] = sum(report.kept_count.values())
+    def run_block(reps: range) -> None:
+        problems = [_noisy_problem(cell, rep) for rep in reps]
+        rngs = [[derive_rng(config.seed, rep, i) for i in range(n_methods)] for rep in reps]
+        for rep, (estimates, reports) in zip(reps, _run_methods(problems, rows, rngs)):
+            sq = estimates - f_true
+            sq *= sq
+            mses[:, rep] = np.mean(sq, axis=1)
+            for i, report in enumerate(reports):
+                levels[i, rep] = report.fine_level_used
+                kept[i, rep] = sum(report.kept_count.values())
 
+    def one_block(reps: range) -> None:
+        try:
+            run_block(reps)
+        except Exception as exc:
+            # the rows of a pass are independent, so the replication that
+            # failed fails again alone: rerun the block one by one to name it
+            for rep in reps:
+                try:
+                    run_block(range(rep, rep + 1))
+                except Exception as alone:
+                    raise RuntimeError(
+                        f"replication {rep} (seed {config.seed}) failed: {alone}"
+                    ) from alone
+            raise RuntimeError(
+                f"replications {reps[0]}-{reps[-1]} (seed {config.seed}) failed: {exc}"
+            ) from exc
+
+    blocks = [
+        range(start, min(start + BLOCK, config.replications))
+        for start in range(0, config.replications, BLOCK)
+    ]
     if threads <= 1:
-        for rep in range(config.replications):
-            one_rep(rep)
+        for block in blocks:
+            one_block(block)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one_rep, range(config.replications)))
+            list(pool.map(one_block, blocks))
 
     results = []
     for i, (method, smooth_spec) in enumerate(zip(config.methods, config.smoothing)):

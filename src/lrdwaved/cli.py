@@ -389,10 +389,13 @@ def cmd_table(args) -> int:
 def cmd_rates(args) -> int:
     seed = _resolve_seed(args)
     threads = _check_threads(args.threads)
-    out = _out_dir(args)
     n_grid = [int(v) for v in args.n_grid.split(",") if v]
     for n in n_grid:
         _check_n(n)
+    repeated = [n for i, n in enumerate(n_grid) if n in n_grid[:i]]
+    if repeated:
+        raise ValidationError(f"--n-grid lists n={repeated[0]} more than once")
+    out = _out_dir(args)
     result = run_rate_experiment(
         args.signal,
         args.method,
@@ -506,7 +509,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default="iid,lrd,lrd")
     p.add_argument("--smoothing", default="sqrt6,sqrtalpha,sqrt2alpha")
     p.add_argument("--replications", type=int, default=64)
-    p.add_argument("--threads", type=int, default=1, help="replication threads (GIL-bound)")
+    p.add_argument(
+        "--threads", type=int, default=1, help="threads over blocks of replications (GIL-bound)"
+    )
     _add_common(p)
     p.set_defaults(func=cmd_benchmark)
 
@@ -522,7 +527,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", default="sqrt6")
     p.add_argument("--n-grid", default="1024,2048,4096,8192,16384")
     p.add_argument("--replications", type=int, default=32)
-    p.add_argument("--threads", type=int, default=1, help="replication threads (GIL-bound)")
+    p.add_argument(
+        "--threads", type=int, default=1, help="threads over blocks of replications (GIL-bound)"
+    )
     _add_common(p)
     p.set_defaults(func=cmd_rates)
 

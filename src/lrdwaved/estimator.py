@@ -9,6 +9,7 @@ Fourier-domain division over the Meyer bands, threshold, synthesize.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -79,13 +80,21 @@ class DeconvolutionProblem:
         Computed once; raises ValueError (on every access) unless the
         estimate is finite and positive, since every threshold scales with it.
         """
-        n = self.n
-        coeffs = meyer._detail_from_spectrum(self.spectrum, int(math.log2(n)) - 2, n)
-        mad = float(np.median(np.abs(coeffs - np.median(coeffs))))
-        sigma_hat = mad / MAD_TO_SIGMA * math.sqrt(n)
-        if not (math.isfinite(sigma_hat) and sigma_hat > 0.0):
-            raise ValueError(f"noise scale estimate must be finite and positive, got {sigma_hat}")
-        return sigma_hat
+        return float(_sigma_hats(self.spectrum[np.newaxis])[0])
+
+
+def _sigma_hats(spectra: np.ndarray) -> np.ndarray:
+    """``sigma_hat`` of every row of a (B, n) stack of spectra: one analysis, row-wise MAD."""
+    n = spectra.shape[-1]
+    coeffs = meyer._detail_from_spectrum(spectra, int(math.log2(n)) - 2, n)
+    mad = np.median(np.abs(coeffs - np.median(coeffs, axis=-1, keepdims=True)), axis=-1)
+    sigma_hats = mad / MAD_TO_SIGMA * math.sqrt(n)
+    bad = np.flatnonzero(~(np.isfinite(sigma_hats) & (sigma_hats > 0.0)))
+    if bad.size:
+        raise ValueError(
+            f"noise scale estimate must be finite and positive, got {float(sigma_hats[bad[0]])}"
+        )
+    return sigma_hats
 
 
 def deconvolve_coefficients(problem: DeconvolutionProblem, j0: int, j1: int) -> WaveletCoefficients:
@@ -94,11 +103,24 @@ def deconvolve_coefficients(problem: DeconvolutionProblem, j0: int, j1: int) -> 
     beta_hat[j,k] = sum over band_set(j) of (Y_hat[l]/K_hat[l]) conj(Psi_hat[j,k][l]);
     the scale coefficients use the scaling window the same way.
     """
-    n = problem.n
+    scale, detail = _deconvolve(problem.spectrum[np.newaxis], problem.kernel, j0, j1)
+    return WaveletCoefficients(
+        j0=j0, j1=j1, n=problem.n, scale=scale[0], detail={j: d[0] for j, d in detail.items()}
+    )
+
+
+def _deconvolve(
+    spectra: np.ndarray, kernel: KernelSpec, j0: int, j1: int
+) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """``deconvolve_coefficients`` of every row of a (B, n) stack of spectra.
+
+    Returns the (B, 2^j0) scale stack and a (B, 2^j) detail stack per level;
+    each band is analysed once for the whole stack.
+    """
+    n = spectra.shape[-1]
     meyer._check_grid(n, j1)
     if j0 > j1:
         raise ValueError(f"need j0 <= j1, got ({j0}, {j1})")
-    kernel = problem.kernel
     plan = meyer._scale_plan(j0, n)
     scale_kernel = kernel.fourier[plan.index]
     dead = np.abs(scale_kernel) == 0.0
@@ -108,13 +130,12 @@ def deconvolve_coefficients(problem: DeconvolutionProblem, j0: int, j1: int) -> 
     detail_kernel = {j: kernel.validate_band(j) for j in range(j0, j1 + 1)}
 
     # Y_hat / K_hat is needed on the bands only
-    spectrum = problem.spectrum
-    scale = meyer._analyze(spectrum[plan.index] / scale_kernel, plan, "scale")
+    scale = meyer._analyze(np.take(spectra, plan.index, axis=-1) / scale_kernel, plan, "scale")
     detail = {}
     for j, coeffs in detail_kernel.items():
         band = meyer._detail_plan(j, n)
-        detail[j] = meyer._analyze(spectrum[band.index] / coeffs, band, "detail")
-    return WaveletCoefficients(j0=j0, j1=j1, n=n, scale=scale, detail=detail)
+        detail[j] = meyer._analyze(np.take(spectra, band.index, axis=-1) / coeffs, band, "detail")
+    return scale, detail
 
 
 def estimate_sigma(problem: DeconvolutionProblem) -> float:
@@ -134,7 +155,7 @@ def hard_threshold(coeffs: WaveletCoefficients, policy: ThresholdPolicy) -> Wave
 
 
 def _threshold_rows(values: np.ndarray, lams) -> np.ndarray:
-    """(len(lams), values.size) stack: row i is ``values`` hard-thresholded at lams[i]."""
+    """Row i of ``values`` hard-thresholded at lams[i]; a 1-d ``values`` serves every row."""
     return np.where(np.abs(values) < np.asarray(lams)[:, np.newaxis], 0.0, values)
 
 
@@ -182,75 +203,121 @@ def run_estimator(
     calibration regardless of the data's true dependence level; the LRD
     method uses problem.alpha in both.
     """
-    _, (report,) = _run_methods(
-        problem, [(method, smoothing, rng, variance_table)], j1_override, j0=j0
+    [(_, (report,))] = _run_methods(
+        [problem], [(method, smoothing, variance_table)], [[rng]], j1_override, j0=j0
     )
     return report
 
 
 def _run_methods(
-    problem: DeconvolutionProblem,
-    methods: list[tuple[str, float, np.random.Generator | None, VarianceTable | None]],
+    problems: list[DeconvolutionProblem],
+    methods: list[tuple[str, float, VarianceTable | None]],
+    rngs: list[list[np.random.Generator | None]],
     j1_override: int | None = None,
     *,
     j0: int = DEFAULT_COARSE_LEVEL,
-) -> tuple[np.ndarray, list[EstimateReport]]:
-    """One stacked pass of ``run_estimator`` over (method, smoothing, rng, table) rows.
+) -> Iterator[tuple[np.ndarray, list[EstimateReport]]]:
+    """One stacked pass of ``run_estimator`` over every (problem, method) row.
 
-    Returns the (m, n) estimates and one report per row; row i equals
-    ``run_estimator`` with that row's arguments bit for bit.  The stopping
-    rule runs on one channel stack, Y_hat / K_hat is analysed once up to the
-    largest fine level, each level is thresholded as one stack over the rows
-    that reach it, and one batched inverse FFT synthesizes every row.
+    The problems share one kernel and one alpha; method i runs on problem b
+    with stopping-rule stream rngs[b][i].  Yields, problem by problem, the
+    (m, n) estimates and one report per method; row (b, i) equals
+    ``run_estimator`` on problem b with method i's arguments bit for bit.
+    The estimates live in one buffer that the next problem overwrites.
+
+    One batched FFT and one analysis give every problem's Y_hat and
+    sigma_hat, the stopping rule runs on one channel stack, Y_hat / K_hat is
+    analysed once per level up to the largest fine level, and each level is
+    thresholded, and its synthesis terms computed, as one stack over the
+    rows that reach it.  The inverse FFT runs per problem, so the pass never
+    holds more than one (m, n) spectrum.
     """
     for method, *_ in methods:
         if method not in ("lrd", "iid"):
             raise ValueError(f"unknown method {method!r}")
-    n = problem.n
-    sigma_hat = problem.sigma_hat
-    alphas = [problem.alpha if method == "lrd" else 1.0 for method, *_ in methods]
+    kernel, alpha, n = problems[0].kernel, problems[0].alpha, problems[0].n
+    if any(p.kernel is not kernel or p.alpha != alpha for p in problems):
+        raise ValueError("a stacked pass needs one kernel and one alpha for every problem")
+    if len(problems) == 1:
+        # the one-problem case reads and fills the problem's own caches
+        spectra = problems[0].spectrum[np.newaxis]
+        sigma_hats = [problems[0].sigma_hat]
+    else:
+        # complex input: fft casts real input in small buffered chunks, at
+        # twice the cost of the transform itself (the same values either way)
+        spectra = np.array([p.observations for p in problems], dtype=complex)
+        np.fft.fft(spectra, axis=-1, out=spectra)
+        spectra /= n
+        sigma_hats = _sigma_hats(spectra).tolist()
+    m = len(methods)
+    alphas = [alpha if method == "lrd" else 1.0 for method, *_ in methods]
+    # (problem, method) rows in problem-major order: row b*m + i
+    rows = [(b, i) for b in range(len(problems)) for i in range(m)]
 
     if j1_override is None:
-        rngs = [rng for _, _, rng, _ in methods]
-        fine = _fine_levels(problem, alphas, sigma_hat, rngs, j0)
+        fine = _fine_levels(
+            kernel, alpha, [alphas[i] for _, i in rows], [sigma_hats[b] for b, _ in rows],
+            [rngs[b][i] for b, i in rows], j0,
+        )
         levels = [level for level, _ in fine]
         stops = [(stop.M, stop.saturated) for _, stop in fine]
-        del fine  # frees the (m, n/2 - 1) channel magnitudes before synthesis
+        del fine  # frees the channel magnitudes before synthesis
     else:
         if not j0 <= j1_override <= int(math.log2(n)) - 2:
             raise ValueError(f"j1 override {j1_override} outside [{j0}, log2(n)-2]")
-        levels, stops = [j1_override] * len(methods), [(None, False)] * len(methods)
+        levels, stops = [j1_override] * len(rows), [(None, False)] * len(rows)
 
-    policies = [
-        build_policy(method, problem.kernel, n, alpha, sigma_hat, smoothing, j0, j1,
-                     variance_table=table)
-        for (method, smoothing, _, table), alpha, j1 in zip(methods, alphas, levels)
-    ]
-    raw = deconvolve_coefficients(problem, j0, max(levels))
-    details: list[dict[int, np.ndarray]] = [{} for _ in methods]
-    for j in raw.levels():
-        rows = [i for i, j1 in enumerate(levels) if j1 >= j]
-        kept = _threshold_rows(raw.detail[j], [policies[i].lambdas[j] for i in rows])
-        for i, values in zip(rows, kept):
-            details[i][j] = values
-    coefficients = [
-        WaveletCoefficients(j0=j0, j1=j1, n=n, scale=raw.scale.copy(), detail=detail)
-        for j1, detail in zip(levels, details)
-    ]
-    estimates = meyer._synthesize(coefficients, n)
-    reports = [
-        EstimateReport(
-            estimate=estimate,
-            coefficients=coeffs,
-            policy=policy,
-            fine_level_used=coeffs.j1,
-            sigma_hat=sigma_hat,
-            kept_count={j: int(np.count_nonzero(d)) for j, d in coeffs.detail.items()},
-            stopping_m=stopping_m,
-            stopping_saturated=saturated,
+    policies = []
+    for (b, i), j1 in zip(rows, levels):
+        method, smoothing, table = methods[i]
+        policies.append(
+            build_policy(method, kernel, n, alphas[i], sigma_hats[b], smoothing, j0, j1,
+                         variance_table=table)
         )
-        for estimate, coeffs, policy, (stopping_m, saturated) in zip(
-            estimates, coefficients, policies, stops
+    scale, raw = _deconvolve(spectra, kernel, j0, max(levels))
+    del spectra
+    # every band's synthesis terms are computed once for the whole stack:
+    # the scale band per problem, each detail level over the rows that reach it
+    scale_plan = meyer._scale_plan(j0, n)
+    scale_terms = meyer._band_terms(scale_plan, scale)
+    details: list[dict[int, np.ndarray]] = [{} for _ in rows]
+    kept_counts: list[dict[int, int]] = [{} for _ in rows]
+    level_bands = []
+    fine_levels = np.array(levels)
+    for j, coeffs in raw.items():
+        reach = np.flatnonzero(fine_levels >= j)
+        kept = _threshold_rows(
+            coeffs[reach // m], [policies[r].lambdas[j] for r in reach.tolist()]
         )
-    ]
-    return estimates, reports
+        for r, values, count in zip(reach.tolist(), kept, np.count_nonzero(kept, axis=1).tolist()):
+            details[r][j] = values
+            kept_counts[r][j] = count
+        plan = meyer._detail_plan(j, n)
+        level_bands.append((plan, reach, meyer._band_terms(plan, kept)))
+    del raw
+
+    buffer = np.empty((m, n), dtype=complex)
+    every_method = np.arange(m)
+    for b in range(len(problems)):
+        bands = [(scale_plan, every_method, scale_terms[b])]
+        for plan, reach, terms in level_bands:
+            lo, hi = np.searchsorted(reach, (b * m, (b + 1) * m))
+            bands.append((plan, reach[lo:hi] - b * m, terms[lo:hi]))
+        estimates = meyer._assemble(bands, buffer)
+        span = range(b * m, (b + 1) * m)
+        reports = [
+            EstimateReport(
+                estimate=estimate,
+                coefficients=WaveletCoefficients(
+                    j0=j0, j1=levels[r], n=n, scale=scale[b].copy(), detail=details[r]
+                ),
+                policy=policies[r],
+                fine_level_used=levels[r],
+                sigma_hat=sigma_hats[b],
+                kept_count=kept_counts[r],
+                stopping_m=stops[r][0],
+                stopping_saturated=stops[r][1],
+            )
+            for r, estimate in zip(span, estimates)
+        ]
+        yield estimates, reports

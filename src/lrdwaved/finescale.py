@@ -111,7 +111,9 @@ def _stopping_rows(
 ) -> list[StoppingResult]:
     """``stopping_time`` of each row of ``mags`` (m, l_max), row i at cutoff alphas[i]."""
     cuts = [_cutoffs(mags.shape[1], alpha, epsilon, log_power) for alpha in alphas]
-    below = mags <= np.array(cuts)
+    below = np.empty(mags.shape, dtype=bool)
+    for row, cut, out in zip(mags, cuts, below):
+        np.less_equal(row, cut, out=out)
     crossed = below.any(axis=1)
     first = below.argmax(axis=1) + 1
     results = []
@@ -138,28 +140,35 @@ def kernel_channel(
     (``noise_alpha``), whatever level the stopping rule later assumes.  With
     rng None the channel is noiseless (the deterministic crossing).
     """
-    return _channels(kernel, noise_alpha, sigma_hat, [rng])[0]
+    return _channels(kernel, noise_alpha, [sigma_hat], [rng])[0]
 
 
-def _channels(kernel, noise_alpha: float, sigma_hat: float, rngs) -> np.ndarray:
-    """(m, n/2 - 1) stack of ``kernel_channel`` rows, row i drawn from rngs[i].
+def _channels(kernel, noise_alpha: float, sigma_hats, rngs) -> np.ndarray:
+    """(m, n/2 - 1) stack of ``kernel_channel`` rows: row i at sigma_hats[i], drawn from rngs[i].
 
     Each stream draws its real block, then its imaginary block; a None stream
     leaves its row noiseless.
     """
-    if sigma_hat <= 0:
-        raise ValueError(f"sigma_hat must be positive, got {sigma_hat}")
+    sigma_hats = np.asarray(sigma_hats, dtype=float)
+    if np.any(sigma_hats <= 0):
+        raise ValueError(f"sigma_hat must be positive, got {sigma_hats.min()}")
     n = kernel.n
-    channel = np.asarray(kernel.fourier[1 : n // 2], dtype=complex) / sigma_hat
+    size = n // 2 - 1
     # one buffer, updated in place: (m, n/2 - 1) temporaries cost more than the arithmetic
-    out = np.zeros((len(rngs), channel.size), dtype=complex)
+    out = np.zeros((len(rngs), size), dtype=complex)
     for row, rng in zip(out, rngs):
         if rng is not None:
-            row.real = rng.standard_normal(channel.size)
-            row.imag = rng.standard_normal(channel.size)
+            draws = rng.standard_normal(2 * size)  # the real block, then the imaginary block
+            row.real = draws[:size]
+            row.imag = draws[size:]
     out *= _channel_noise_sd(n, noise_alpha)
     out *= n ** (-noise_alpha / 2.0)
-    out += channel
+    channel = np.asarray(kernel.fourier[1 : n // 2], dtype=complex)
+    scaled: dict[float, np.ndarray] = {}  # rows of one problem share its sigma_hat
+    for row, sigma_hat in zip(out, sigma_hats.tolist()):
+        if sigma_hat not in scaled:
+            scaled[sigma_hat] = channel / sigma_hat
+        row += scaled[sigma_hat]
     return out
 
 
@@ -205,15 +214,19 @@ def fine_level_details(
     """
     if sigma_hat is None:
         sigma_hat = problem.sigma_hat
-    return _fine_levels(problem, [alpha], sigma_hat, [rng], j0)[0]
+    return _fine_levels(problem.kernel, problem.alpha, [alpha], [sigma_hat], [rng], j0)[0]
 
 
 def _fine_levels(
-    problem, alphas, sigma_hat: float, rngs, j0: int
+    kernel, noise_alpha: float, alphas, sigma_hats, rngs, j0: int
 ) -> list[tuple[int, StoppingResult]]:
-    """``fine_level_details`` for several (alpha, rng) pairs on one channel stack."""
-    n = problem.n
-    channels = _channels(problem.kernel, problem.alpha, sigma_hat, rngs)
+    """``fine_level_details`` of every (alpha, sigma_hat, rng) row on one channel stack.
+
+    The rows may come from several problems that share one kernel and one
+    noise level ``noise_alpha``.
+    """
+    n = kernel.n
+    channels = _channels(kernel, noise_alpha, sigma_hats, rngs)
     results = _stopping_rows(np.abs(channels), alphas, n**-0.5, OPERATIONAL_LOG_POWER)
     ceiling = fine_level_theoretical(n, 1.0, 0.0)
     return [(min(max(result.j_hat, j0), ceiling), result) for result in results]

@@ -92,7 +92,7 @@ def build_policy(
     if (
         type(table) is not table_type
         or table.alpha != tau_alpha
-        or not np.array_equal(table.kernel.fourier, kernel.fourier)
+        or (table.kernel is not kernel and not np.array_equal(table.kernel.fourier, kernel.fourier))
     ):
         table = table_type(kernel=kernel, alpha=tau_alpha)
     factor = sigma_hat * c_n(n, tau_alpha)

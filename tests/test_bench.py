@@ -55,23 +55,37 @@ class TestRunBenchmark:
         for ma, mb in zip(serial.methods, threaded.methods):
             np.testing.assert_array_equal(ma.mses, mb.mses)
 
-    def test_threads_share_cold_caches(self):
-        # threads build the spectral plans and read the shared clean cell at
-        # once, with the interpreter switching threads as often as it can
+    def test_threads_share_cold_caches(self, monkeypatch):
+        # the pool maps over blocks of replications: threads build the
+        # spectral plans and read the shared clean cell at once, with the
+        # interpreter switching threads as often as it can
         import sys
 
+        import lrdwaved.bench as bench_module
         from lrdwaved import finescale, meyer
 
-        serial = run_benchmark(small_config(replications=8, n=2048), threads=1)
+        mapped = []
+
+        class RecordingPool(bench_module.ThreadPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                items = list(iterables[0])
+                mapped.extend(items)
+                return super().map(fn, items, **kwargs)
+
+        monkeypatch.setattr(bench_module, "ThreadPoolExecutor", RecordingPool)
+        config = small_config(replications=28, n=2048)
+        serial = run_benchmark(config, threads=1)
+        assert mapped == []
         for cache in (meyer._detail_plan, meyer._scale_plan, finescale._cutoffs,
                       finescale._channel_noise_sd):
             cache.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = run_benchmark(small_config(replications=8, n=2048), threads=8)
+            threaded = run_benchmark(config, threads=8)
         finally:
             sys.setswitchinterval(interval)
+        assert mapped == [range(0, 8), range(8, 16), range(16, 24), range(24, 28)]
         for ma, mb in zip(serial.methods, threaded.methods):
             np.testing.assert_array_equal(ma.mses, mb.mses)
             np.testing.assert_array_equal(ma.fine_levels, mb.fine_levels)
@@ -95,14 +109,71 @@ class TestRunBenchmark:
         assert not np.array_equal(a.methods[0].mses, b.methods[0].mses)
 
     def test_replication_failure_names_seed(self, monkeypatch):
+        # a failure of the block pass itself, whatever its replications
         import lrdwaved.bench as bench_module
 
         def boom(*args, **kwargs):
             raise ValueError("injected failure")
 
         monkeypatch.setattr(bench_module, "_run_methods", boom)
-        with pytest.raises(RuntimeError, match=r"replication 0 \(seed 3\)"):
+        with pytest.raises(RuntimeError, match=r"replication 0 \(seed 3\) failed: injected"):
             run_benchmark(small_config())
+
+    @staticmethod
+    def _fail_replication(monkeypatch, config, rep, replace):
+        # the block pass sees replication rep's problem swapped by replace(problem)
+        import lrdwaved.bench as bench_module
+
+        target = generate_dataset(config, rep)[0].observations
+        real = bench_module._run_methods
+
+        def swapping(problems, *args, **kwargs):
+            problems = [
+                replace(p) if np.array_equal(p.observations, target) else p for p in problems
+            ]
+            return real(problems, *args, **kwargs)
+
+        monkeypatch.setattr(bench_module, "_run_methods", swapping)
+
+    def test_failure_inside_a_block_names_its_replication(self, monkeypatch):
+        # replication 9 of 12 sits in the second block (8-11), not first in it
+        def explode(problem):
+            raise ValueError("injected failure")
+
+        config = small_config(replications=12)
+        self._fail_replication(monkeypatch, config, 9, explode)
+        with pytest.raises(RuntimeError, match=r"replication 9 \(seed 3\) failed: injected"):
+            run_benchmark(config)
+
+    def test_non_positive_sigma_in_one_row_names_its_replication(self, monkeypatch):
+        from lrdwaved.estimator import DeconvolutionProblem
+
+        config = small_config(replications=12)
+        self._fail_replication(
+            monkeypatch, config, 9,
+            lambda p: DeconvolutionProblem(np.ones(p.n), p.kernel, p.alpha),
+        )
+        with pytest.raises(RuntimeError, match=r"replication 9 \(seed 3\) failed") as info:
+            run_benchmark(config)
+        assert isinstance(info.value.__cause__, ValueError)
+        assert "finite and positive" in str(info.value.__cause__)
+
+    def test_non_finite_data_in_one_row_names_its_replication(self, monkeypatch):
+        from lrdwaved.noise import NoiseModel
+
+        real = NoiseModel.sample
+
+        def sample(self, n, *key):
+            e = real(self, n, *key)
+            if key == (9,):
+                e[17] = np.nan
+            return e
+
+        monkeypatch.setattr(NoiseModel, "sample", sample)
+        with pytest.raises(RuntimeError, match=r"replication 9 \(seed 3\) failed") as info:
+            run_benchmark(small_config(replications=12))
+        assert isinstance(info.value.__cause__, ValueError)
+        assert "finite" in str(info.value.__cause__)
 
     # sha256 of every method's mses (float64) then fine_levels (int64), in
     # method order, recorded before the spectral plans and the once-per-call
@@ -167,13 +238,13 @@ class TestRunBenchmark:
                     assert result.methods[i].fine_levels[rep] == report.fine_level_used
         assert len({int(m.fine_levels.max()) for m in result.methods}) > 1
 
-    def test_one_analysis_per_band_per_replication(self, monkeypatch):
-        # the three default methods of a replication share one analysis of
-        # Y_hat / K_hat, up to the largest fine level among them; the MAD's
-        # analysis of the raw data (inside sigma_hat) is not counted
+    def test_one_analysis_per_band_per_block(self, monkeypatch):
+        # the replications and default methods of a block share one analysis
+        # of Y_hat / K_hat, up to the largest fine level among them, and one
+        # analysis of the raw data for sigma_hat (counted apart)
         from lrdwaved import meyer
 
-        calls, inside_sigma = [], []
+        calls, sigma_calls, inside_sigma = [], [], []
         real_analyze, real_detail = meyer._analyze, meyer._detail_from_spectrum
 
         def counting(values, plan, what):
@@ -183,6 +254,7 @@ class TestRunBenchmark:
 
         def sigma_detail(spectrum, j, n):
             inside_sigma.append(j)
+            sigma_calls.append(np.shape(spectrum))
             try:
                 return real_detail(spectrum, j, n)
             finally:
@@ -190,11 +262,66 @@ class TestRunBenchmark:
 
         monkeypatch.setattr(meyer, "_analyze", counting)
         monkeypatch.setattr(meyer, "_detail_from_spectrum", sigma_detail)
-        config = ExperimentConfig("cusp", n=1024, alpha=0.4, snr_db=30.0, replications=1, seed=3)
+        config = ExperimentConfig("cusp", n=1024, alpha=0.4, snr_db=30.0, replications=12, seed=3)
         result = run_benchmark(config)
         assert config.methods == ("iid", "lrd", "lrd")
-        top = max(int(m.fine_levels[0]) for m in result.methods)
-        assert sorted(calls) == [("detail", j) for j in range(3, top + 1)] + [("scale", 3)]
+        assert sigma_calls == [(8, 1024), (4, 1024)]
+        expected = []
+        for block in (range(0, 8), range(8, 12)):
+            top = max(int(m.fine_levels[rep]) for m in result.methods for rep in block)
+            expected += [("scale", 3)] + [("detail", j) for j in range(3, top + 1)]
+        assert calls == expected
+
+    @pytest.mark.parametrize("replications", [1, 7, 8, 9, 17])
+    def test_block_pass_matches_run_estimator(self, replications):
+        # every replication and method of the block pass equals run_estimator
+        # on generate_dataset(config, rep) bit for bit: mse, fine level and
+        # kept count, with the default methods and (lrd, iid), fGn and FARIMA
+        defaults = ExperimentConfig("cusp")
+        configs = [
+            ExperimentConfig("cusp", n=1024, alpha=0.4, snr_db=30.0, replications=replications,
+                             seed=3, noise_kind=kind, methods=methods, smoothing=smoothing)
+            for kind in ("farima", "fgn")
+            for methods, smoothing in ((defaults.methods, defaults.smoothing),
+                                       (("lrd", "iid"), ("sqrt2alpha", "sqrt6")))
+        ]
+        split = False
+        for config in configs:
+            result = run_benchmark(config)
+            kept = np.empty((len(config.methods), replications))
+            for rep in range(replications):
+                problem, f_true = generate_dataset(config, rep)
+                for i, (method, spec) in enumerate(zip(config.methods, config.smoothing)):
+                    alpha = config.alpha if method == "lrd" else 1.0
+                    report = run_estimator(
+                        problem, method, resolve_smoothing(spec, alpha),
+                        rng=derive_rng(config.seed, rep, i),
+                    )
+                    mse = float(np.mean((report.estimate - f_true) ** 2))
+                    assert result.methods[i].mses[rep] == mse
+                    assert result.methods[i].fine_levels[rep] == report.fine_level_used
+                    kept[i, rep] = sum(report.kept_count.values())
+                split |= len({int(m.fine_levels[rep]) for m in result.methods}) > 1
+            for i, m in enumerate(result.methods):
+                assert m.mean_kept == float(kept[i].mean())
+        # rows of one replication stop at different fine levels
+        assert split
+
+    def test_traced_peak_holds_one_block(self):
+        # one block of 8 replications at n=4096 holds a few (8, n)-sized
+        # arrays (spectra, channel stack, sigma analysis), about 2 MB; a pass
+        # over all 64 replications at once would need several times that
+        import tracemalloc
+
+        config = ExperimentConfig("cusp", n=4096, alpha=1.0, snr_db=20.0, replications=64, seed=1)
+        run_benchmark(config)  # spectral plans and cutoffs are cached before tracing
+        tracemalloc.start()
+        try:
+            run_benchmark(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_waved_tau_once_per_level_per_call(self, monkeypatch):
         # the IID method's classical tau_j is computed once per cell and level

@@ -225,6 +225,13 @@ class TestBenchmarkCommand:
         assert "alpha=1 more than once" in capsys.readouterr().err
         assert not (tmp_path / "results.json").exists()
 
+    def test_repeated_n_is_validation_error(self, tmp_path, capsys):
+        code = run_cli(["rates", "--signal", "cusp", "--n-grid", "256,256,512",
+                        "--replications", 2, "--seed", 1, "--out", tmp_path])
+        assert code == 3
+        assert "--n-grid lists n=256 more than once" in capsys.readouterr().err
+        assert not (tmp_path / "rates.csv").exists()
+
     @pytest.mark.parametrize("command", [["benchmark", "--alpha-grid", "1"],
                                          ["rates", "--n-grid", "256,512"]])
     def test_threads_below_one_is_validation_error(self, tmp_path, capsys, command):

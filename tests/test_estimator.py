@@ -276,6 +276,29 @@ class TestEstimateSigma:
         with pytest.raises(ValueError, match="finite and positive"):
             problem.sigma_hat
 
+    def test_stacked_sigma_hats_equal_each_problem(self):
+        from lrdwaved.estimator import _sigma_hats
+
+        n = 1024
+        kernel = gamma_kernel(n)
+        rng = np.random.default_rng(12)
+        problems = [DeconvolutionProblem(rng.standard_normal(n) * s, kernel) for s in (0.5, 1, 2)]
+        spectra = np.array([p.spectrum for p in problems])
+        assert _sigma_hats(spectra).tolist() == [p.sigma_hat for p in problems]
+        spectra[1] = DeconvolutionProblem(np.ones(n), kernel).spectrum
+        with pytest.raises(ValueError, match="finite and positive, got 0.0"):
+            _sigma_hats(spectra)
+
+    def test_stacked_pass_needs_one_kernel_and_alpha(self):
+        from lrdwaved.estimator import _run_methods
+
+        y = np.random.default_rng(13).standard_normal(256)
+        a = DeconvolutionProblem(y, gamma_kernel(256), alpha=0.6)
+        for b in (DeconvolutionProblem(y, gamma_kernel(256), alpha=0.6),
+                  DeconvolutionProblem(y, a.kernel, alpha=0.8)):
+            with pytest.raises(ValueError, match="one kernel and one alpha"):
+                list(_run_methods([a, b], [("lrd", 1.0, None)], [[None], [None]]))
+
     def test_mad_computed_once_for_every_method(self, monkeypatch):
         # the stopping rule and the thresholds of all three default methods
         # read one cached sigma_hat: one analysis of the finest level J

@@ -8,7 +8,9 @@ from lrdwaved.estimator import estimate_sigma
 from lrdwaved.finescale import (
     OPERATIONAL_LOG_POWER,
     _channel_noise_sd,
+    _channels,
     _cutoffs,
+    _fine_levels,
     StoppingResult,
     fine_level_details,
     kernel_channel,
@@ -121,6 +123,36 @@ class TestKernelChannel:
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
             kernel_channel(gamma_kernel(256), 0.5, 0.0, None)
+        with pytest.raises(ValueError, match="sigma_hat must be positive"):
+            _channels(gamma_kernel(256), 0.5, [0.3, -1.0], [None, None])
+
+    def test_stacked_rows_equal_one_row_channels(self):
+        # rows of several problems, each divided by its own sigma_hat
+        n, alpha = 512, 0.6
+        kernel = gamma_kernel(n)
+        sigmas = [0.3, 0.3, 0.7, 0.7, 1.1]
+        keys = [(4, 0, 0), (4, 0, 1), (4, 1, 0), None, (4, 2, 0)]
+        rngs = [None if key is None else derive_rng(*key) for key in keys]
+        stacked = _channels(kernel, alpha, sigmas, rngs)
+        for row, sigma, key in zip(stacked, sigmas, keys):
+            alone = kernel_channel(kernel, alpha, sigma, None if key is None else derive_rng(*key))
+            assert row.tobytes() == alone.tobytes()
+
+    def test_stacked_fine_levels_equal_one_row_levels(self):
+        config = ExperimentConfig("cusp", n=1024, alpha=0.4, snr_db=30.0, seed=3)
+        problems = [generate_dataset(config, rep)[0] for rep in range(3)]
+        rows = [(rep, i, alpha) for rep in range(3) for i, alpha in enumerate((1.0, 0.4))]
+        stacked = _fine_levels(
+            problems[0].kernel, 0.4, [alpha for *_, alpha in rows],
+            [problems[rep].sigma_hat for rep, *_ in rows],
+            [derive_rng(3, rep, i) for rep, i, _ in rows], 3,
+        )
+        for (level, stop), (rep, i, alpha) in zip(stacked, rows):
+            alone_level, alone = fine_level_details(
+                problems[rep], alpha, rng=derive_rng(3, rep, i)
+            )
+            assert (level, stop.M, stop.saturated) == (alone_level, alone.M, alone.saturated)
+            np.testing.assert_array_equal(stop.magnitudes, alone.magnitudes)
 
 
 class TestLemmaBracket:

@@ -269,3 +269,39 @@ class TestSpectralPlans:
             assert build(4, 512) is not build(4, 1024)
             info = build.cache_info()
             assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+class TestStackedAnalysis:
+    def test_stacked_analysis_equals_each_row(self):
+        # one fold and one batched inverse FFT over a stack give each row's
+        # one-row analysis bit for bit, detail and scale bands alike
+        n = 1024
+        rng = np.random.default_rng(8)
+        spectra = np.fft.fft(rng.standard_normal((5, n)), axis=-1) / n
+        spectra[2, :] = -0.0  # signed zeros fold as they do alone
+        for plan, what in ((meyer._detail_plan(6, n), "detail"), (meyer._scale_plan(3, n), "scale"),
+                           (meyer._detail_plan(8, n), "detail")):
+            stacked = meyer._analyze(np.take(spectra, plan.index, axis=-1), plan, what)
+            for row, spectrum in zip(stacked, spectra):
+                alone = meyer._analyze(spectrum[plan.index], plan, what)
+                assert row.tobytes() == alone.tobytes()
+
+    def test_stacked_fold_equals_each_row(self):
+        # a fold with repeated residue classes, as the tau factors use
+        rng = np.random.default_rng(9)
+        ells = band_set(5)
+        values = rng.standard_normal((3, ells.size)) + 1j * rng.standard_normal((3, ells.size))
+        for width in (16, 32, 64):
+            stacked = meyer._band_fold(values, ells % width, width)
+            for row, v in zip(stacked, values):
+                alone = np.zeros(width, dtype=complex)
+                np.add.at(alone, ells % width, v)
+                assert row.tobytes() == alone.tobytes()
+
+    def test_analysis_residual_names_its_row(self):
+        n = 256
+        plan = meyer._detail_plan(4, n)
+        values = np.zeros((3, plan.index.size), dtype=complex)
+        values[1, 0] = 1.0  # one frequency without its conjugate: a complex coefficient
+        with pytest.raises(AssertionError, match=r"detail coefficients at level 4 \(row 1\)"):
+            meyer._analyze(values, plan, "detail")
