@@ -164,18 +164,21 @@ def _read_dataset(path: Path) -> dict[str, np.ndarray]:
         raise ValidationError(f"input file {path} does not exist")
     names: list[str] | None = None
     data: list[list[float]] = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line or line.startswith("#"):
             continue
+        fields = line.split(",")
         if names is None:
-            names = line.split(",")
+            names = fields
             continue
-        data.append([float(v) for v in line.split(",")])
+        if len(fields) != len(names):
+            raise ValidationError(
+                f"{path} line {number}: {len(fields)} fields, the header has {len(names)}"
+            )
+        data.append([float(v) for v in fields])
     if names is None or not data:
         raise ValidationError(f"{path} has no data rows")
     arr = np.asarray(data)
-    if arr.shape[1] != len(names):
-        raise ValidationError(f"{path}: ragged rows")
     return {name: arr[:, i] for i, name in enumerate(names)}
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -124,13 +125,27 @@ def tau_level(j: int, kernel: KernelSpec, alpha: float) -> float:
     ells = plan.frequencies
     a = plan.synthesis * np.abs(ells) ** (0.5 - hurst) / np.conj(coeffs)
     tau2 = 0.0
-    for level in range(max(j - 1, 0), j + 2):
-        z = _band_fold(a * psi_hat(ells / 2**level), ells % 2**level, 2**level)
+    for window, residues, width in _tau_folds(j, kernel.n):
+        z = _band_fold(a * window, residues, width)
         tau2 += float(np.sum(z.real**2 + z.imag**2))
     tau2 *= fbm_spectral_constant(hurst)
     if not (math.isfinite(tau2) and tau2 > 0.0):
         raise ValueError(f"tau^2 must be finite and positive, got {tau2:.3e} at level {j}")
     return math.sqrt(tau2)
+
+
+# Like the spectral plans, the fold windows depend only on (j, n).
+@lru_cache(maxsize=64)
+def _tau_folds(j: int, n: int) -> tuple[tuple[np.ndarray, np.ndarray, int], ...]:
+    """Read-only (psi_hat(l 2^-j'), l mod 2^j', 2^j') over band j for j' = j-1, j, j+1."""
+    ells = _detail_plan(j, n).frequencies
+    folds = []
+    for level in range(max(j - 1, 0), j + 2):
+        window, residues = psi_hat(ells / 2**level), ells % 2**level
+        window.setflags(write=False)
+        residues.setflags(write=False)
+        folds.append((window, residues, 2**level))
+    return tuple(folds)
 
 
 def waved_tau_level(j: int, kernel: KernelSpec) -> float:

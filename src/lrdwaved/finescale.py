@@ -65,6 +65,9 @@ class StoppingResult:
 
 OPERATIONAL_LOG_POWER = 0.5
 
+# frequencies of each channel row that the stacked rule builds and scans first
+_FIRST_WIDTH = 128
+
 
 @lru_cache(maxsize=32)
 def _cutoffs(n_freq: int, alpha: float, epsilon: float, log_power: float) -> np.ndarray:
@@ -103,29 +106,24 @@ def stopping_time(
     mags = np.abs(np.asarray(kernel_observation))
     if mags.ndim != 1 or mags.size == 0:
         raise ValueError("kernel observation must be a nonempty 1-d sequence")
-    return _stopping_rows(mags[np.newaxis], [alpha], epsilon, log_power)[0]
+    cut = _cutoffs(mags.size, alpha, epsilon, log_power)
+    return _result(mags, cut, _crossings(mags[np.newaxis], [cut])[0])
 
 
-def _stopping_rows(
-    mags: np.ndarray, alphas, epsilon: float, log_power: float
-) -> list[StoppingResult]:
-    """``stopping_time`` of each row of ``mags`` (m, l_max), row i at cutoff alphas[i]."""
-    cuts = [_cutoffs(mags.shape[1], alpha, epsilon, log_power) for alpha in alphas]
+def _crossings(mags: np.ndarray, cuts) -> np.ndarray:
+    """First column of each row of ``mags`` at or below its row of ``cuts``; -1 where none."""
     below = np.empty(mags.shape, dtype=bool)
     for row, cut, out in zip(mags, cuts, below):
         np.less_equal(row, cut, out=out)
-    crossed = below.any(axis=1)
-    first = below.argmax(axis=1) + 1
-    results = []
-    for i, cut in enumerate(cuts):
-        m = int(first[i] if crossed[i] else mags.shape[1])
-        j_hat = int(math.floor(math.log2(m))) - 1
-        results.append(
-            StoppingResult(
-                M=m, j_hat=j_hat, saturated=not crossed[i], magnitudes=mags[i], cutoffs=cut
-            )
-        )
-    return results
+    return np.where(below.any(axis=1), below.argmax(axis=1), -1)
+
+
+def _result(mags: np.ndarray, cuts: np.ndarray, first: int) -> StoppingResult:
+    """The rule's outcome on a scanned trace that first crosses at column ``first`` (-1: none)."""
+    first = int(first)
+    m = first + 1 if first >= 0 else mags.size
+    j_hat = int(math.floor(math.log2(m))) - 1
+    return StoppingResult(M=m, j_hat=j_hat, saturated=first < 0, magnitudes=mags, cutoffs=cuts)
 
 
 def kernel_channel(
@@ -140,36 +138,48 @@ def kernel_channel(
     (``noise_alpha``), whatever level the stopping rule later assumes.  With
     rng None the channel is noiseless (the deterministic crossing).
     """
-    return _channels(kernel, noise_alpha, [sigma_hat], [rng])[0]
+    stack = _ChannelStack(kernel, noise_alpha, [sigma_hat], [rng])
+    return stack.columns([0], 0, stack.size)[0]
 
 
-def _channels(kernel, noise_alpha: float, sigma_hats, rngs) -> np.ndarray:
-    """(m, n/2 - 1) stack of ``kernel_channel`` rows: row i at sigma_hats[i], drawn from rngs[i].
+class _ChannelStack:
+    """Rows of ``kernel_channel``, built range of frequencies by range of frequencies.
 
-    Each stream draws its real block, then its imaginary block; a None stream
-    leaves its row noiseless.
+    Row i is divided by sigma_hats[i] and drawn from rngs[i]: each stream
+    draws its real block in full here, then its imaginary block as its
+    columns are built.  One standard_normal(a + b) equals standard_normal(a)
+    followed by standard_normal(b), so a row built up to any width holds the
+    values of its one-piece form.  A None stream leaves its row noiseless.
     """
-    sigma_hats = np.asarray(sigma_hats, dtype=float)
-    if np.any(sigma_hats <= 0):
-        raise ValueError(f"sigma_hat must be positive, got {sigma_hats.min()}")
-    n = kernel.n
-    size = n // 2 - 1
-    # one buffer, updated in place: (m, n/2 - 1) temporaries cost more than the arithmetic
-    out = np.zeros((len(rngs), size), dtype=complex)
-    for row, rng in zip(out, rngs):
-        if rng is not None:
-            draws = rng.standard_normal(2 * size)  # the real block, then the imaginary block
-            row.real = draws[:size]
-            row.imag = draws[size:]
-    out *= _channel_noise_sd(n, noise_alpha)
-    out *= n ** (-noise_alpha / 2.0)
-    channel = np.asarray(kernel.fourier[1 : n // 2], dtype=complex)
-    scaled: dict[float, np.ndarray] = {}  # rows of one problem share its sigma_hat
-    for row, sigma_hat in zip(out, sigma_hats.tolist()):
-        if sigma_hat not in scaled:
-            scaled[sigma_hat] = channel / sigma_hat
-        row += scaled[sigma_hat]
-    return out
+
+    def __init__(self, kernel, noise_alpha: float, sigma_hats, rngs) -> None:
+        sigma_hats = np.asarray(sigma_hats, dtype=float)
+        if np.any(sigma_hats <= 0):
+            raise ValueError(f"sigma_hat must be positive, got {sigma_hats.min()}")
+        self.kernel, self.noise_alpha = kernel, noise_alpha
+        self.sigma_hats, self.rngs = sigma_hats.tolist(), rngs
+        self.size = kernel.n // 2 - 1
+        self.real = [None if rng is None else rng.standard_normal(self.size) for rng in rngs]
+
+    def columns(self, rows, lo: int, hi: int) -> np.ndarray:
+        """Frequencies lo+1..hi of ``rows``, whose frequencies up to lo are built already."""
+        n = self.kernel.n
+        # one buffer, updated in place: temporaries of its size cost more than the arithmetic
+        out = np.zeros((len(rows), hi - lo), dtype=complex)
+        for row, i in zip(out, rows):
+            if self.rngs[i] is not None:
+                row.real = self.real[i][lo:hi]
+                row.imag = self.rngs[i].standard_normal(hi - lo)
+        out *= _channel_noise_sd(n, self.noise_alpha)[lo:hi]
+        out *= n ** (-self.noise_alpha / 2.0)
+        channel = np.asarray(self.kernel.fourier[1 + lo : 1 + hi], dtype=complex)
+        scaled: dict[float, np.ndarray] = {}  # rows of one problem share its sigma_hat
+        for row, i in zip(out, rows):
+            sigma_hat = self.sigma_hats[i]
+            if sigma_hat not in scaled:
+                scaled[sigma_hat] = channel / sigma_hat
+            row += scaled[sigma_hat]
+        return out
 
 
 def lemma_bracket(
@@ -210,11 +220,14 @@ def fine_level_details(
     The level lies in [j0, theoretical direct-case level].  ``alpha`` is the
     dependence level the stopping rule assumes (1 for the default white-noise
     rule); the channel noise always carries the data's true level
-    problem.alpha.  ``sigma_hat`` defaults to problem.sigma_hat.
+    problem.alpha.  ``sigma_hat`` defaults to problem.sigma_hat.  The result
+    carries the full trace, l = 1..n/2 - 1.
     """
     if sigma_hat is None:
         sigma_hat = problem.sigma_hat
-    return _fine_levels(problem.kernel, problem.alpha, [alpha], [sigma_hat], [rng], j0)[0]
+    n = problem.n
+    [result] = _scan(problem.kernel, problem.alpha, [alpha], [sigma_hat], [rng], n // 2 - 1)
+    return _clamp(result.j_hat, n, j0), result
 
 
 def _fine_levels(
@@ -223,10 +236,47 @@ def _fine_levels(
     """``fine_level_details`` of every (alpha, sigma_hat, rng) row on one channel stack.
 
     The rows may come from several problems that share one kernel and one
-    noise level ``noise_alpha``.
+    noise level ``noise_alpha``.  Each row is built only up to its first
+    crossing (see ``_scan``), so its result's trace covers a prefix of at
+    least M frequencies; M, the level and the saturation flag equal the
+    full-trace ones.
     """
-    n = kernel.n
-    channels = _channels(kernel, noise_alpha, sigma_hats, rngs)
-    results = _stopping_rows(np.abs(channels), alphas, n**-0.5, OPERATIONAL_LOG_POWER)
-    ceiling = fine_level_theoretical(n, 1.0, 0.0)
-    return [(min(max(result.j_hat, j0), ceiling), result) for result in results]
+    results = _scan(kernel, noise_alpha, alphas, sigma_hats, rngs, _FIRST_WIDTH)
+    return [(_clamp(result.j_hat, kernel.n, j0), result) for result in results]
+
+
+def _scan(
+    kernel, noise_alpha: float, alphas, sigma_hats, rngs, width: int
+) -> list[StoppingResult]:
+    """The operational rule (epsilon = n^-1/2) on each channel row, row i at cutoff alphas[i].
+
+    A row is built and scanned over its first ``width`` frequencies; a row
+    with no crossing doubles its prefix, until it reaches n/2 - 1 and
+    saturates.  Each result carries magnitudes and cutoffs over the prefix
+    its row scanned.
+    """
+    stack = _ChannelStack(kernel, noise_alpha, sigma_hats, rngs)
+    cuts = [
+        _cutoffs(stack.size, alpha, kernel.n**-0.5, OPERATIONAL_LOG_POWER) for alpha in alphas
+    ]
+    pieces: list[list[np.ndarray]] = [[] for _ in rngs]
+    results: list[StoppingResult | None] = [None] * len(rngs)
+    rows, lo = list(range(len(rngs))), 0
+    while rows:
+        hi = min(width, stack.size)
+        mags = np.abs(stack.columns(rows, lo, hi))
+        firsts = _crossings(mags, [cuts[i][lo:hi] for i in rows]).tolist()
+        open_rows = []
+        for i, row, first in zip(rows, mags, firsts):
+            pieces[i].append(row)
+            if first >= 0 or hi == stack.size:
+                trace = pieces[i][0] if lo == 0 else np.concatenate(pieces[i])
+                results[i] = _result(trace, cuts[i][:hi], lo + first if first >= 0 else -1)
+            else:
+                open_rows.append(i)
+        rows, lo, width = open_rows, hi, 2 * width
+    return results
+
+
+def _clamp(j_hat: int, n: int, j0: int) -> int:
+    return min(max(j_hat, j0), fine_level_theoretical(n, 1.0, 0.0))

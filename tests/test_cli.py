@@ -122,6 +122,13 @@ class TestEstimate:
         assert "finite" in capsys.readouterr().err
         assert not (out / "estimate.csv").exists()
 
+    def test_ragged_row_is_validation_error(self, tmp_path, capsys):
+        dataset = tmp_path / "ragged.csv"
+        dataset.write_text("# comment\nt,y\n0,1\n0.5\n")
+        code = run_cli(["estimate", dataset, "--seed", 5, "--out", tmp_path / "est"])
+        assert code == 3
+        assert f"{dataset} line 4: 1 fields, the header has 2" in capsys.readouterr().err
+
     @staticmethod
     def _kernel_file(tmp_path, ells, n=1024, zero_beyond=None):
         """Write the built-in Gamma kernel's rows for ``ells`` as an ell,re,im table."""

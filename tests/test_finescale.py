@@ -7,8 +7,9 @@ from lrdwaved.covariance import z_var
 from lrdwaved.estimator import estimate_sigma
 from lrdwaved.finescale import (
     OPERATIONAL_LOG_POWER,
+    _FIRST_WIDTH,
+    _ChannelStack,
     _channel_noise_sd,
-    _channels,
     _cutoffs,
     _fine_levels,
     StoppingResult,
@@ -124,7 +125,7 @@ class TestKernelChannel:
         with pytest.raises(ValueError):
             kernel_channel(gamma_kernel(256), 0.5, 0.0, None)
         with pytest.raises(ValueError, match="sigma_hat must be positive"):
-            _channels(gamma_kernel(256), 0.5, [0.3, -1.0], [None, None])
+            _ChannelStack(gamma_kernel(256), 0.5, [0.3, -1.0], [None, None])
 
     def test_stacked_rows_equal_one_row_channels(self):
         # rows of several problems, each divided by its own sigma_hat
@@ -133,7 +134,13 @@ class TestKernelChannel:
         sigmas = [0.3, 0.3, 0.7, 0.7, 1.1]
         keys = [(4, 0, 0), (4, 0, 1), (4, 1, 0), None, (4, 2, 0)]
         rngs = [None if key is None else derive_rng(*key) for key in keys]
-        stacked = _channels(kernel, alpha, sigmas, rngs)
+        stack = _ChannelStack(kernel, alpha, sigmas, rngs)
+        # built in pieces, the later ones over a subset of the rows
+        stacked = np.empty((len(keys), stack.size), dtype=complex)
+        for rows, lo, hi in (([0, 1, 2, 3, 4], 0, 100), ([0, 2, 3], 100, 101),
+                             ([1, 4], 100, 200), ([0, 2, 3], 101, 200),
+                             ([0, 1, 2, 3, 4], 200, stack.size)):
+            stacked[rows, lo:hi] = stack.columns(rows, lo, hi)
         for row, sigma, key in zip(stacked, sigmas, keys):
             alone = kernel_channel(kernel, alpha, sigma, None if key is None else derive_rng(*key))
             assert row.tobytes() == alone.tobytes()
@@ -152,7 +159,50 @@ class TestKernelChannel:
                 problems[rep], alpha, rng=derive_rng(3, rep, i)
             )
             assert (level, stop.M, stop.saturated) == (alone_level, alone.M, alone.saturated)
-            np.testing.assert_array_equal(stop.magnitudes, alone.magnitudes)
+            # the stacked rule scans a prefix of the one-row trace, up to M at least
+            scanned = stop.magnitudes.size
+            assert stop.M <= scanned <= alone.magnitudes.size
+            np.testing.assert_array_equal(stop.magnitudes, alone.magnitudes[:scanned])
+
+    def test_prefix_scan_equals_full_trace_beyond_the_first_width(self):
+        # Doppler 30 dB at alpha=0.2 crosses in the second and third widths or
+        # saturates; a large sigma_hat crosses early and a tiny one saturates
+        config = ExperimentConfig("doppler", n=1024, alpha=0.2, snr_db=30.0, seed=3)
+        problems = [generate_dataset(config, rep)[0] for rep in range(3)]
+        sigmas = [p.sigma_hat for p in problems]
+        rows = [  # (problem, stream key, rule alpha, sigma_hat)
+            (0, (3, 0, 0), 1.0, sigmas[0]),
+            (0, (3, 0, 1), 0.2, sigmas[0]),
+            (1, (3, 1, 0), 1.0, sigmas[1]),
+            (1, None, 0.2, sigmas[1]),
+            (2, (3, 2, 0), 1.0, 20.0 * sigmas[2]),
+            (2, (3, 2, 1), 0.2, sigmas[2]),
+            (2, (3, 2, 2), 0.2, 1e-6),
+        ]
+
+        def rng(key):
+            return None if key is None else derive_rng(*key)
+
+        stacked = _fine_levels(
+            problems[0].kernel, 0.2, [alpha for *_, alpha, _ in rows],
+            [sigma for *_, sigma in rows], [rng(key) for _, key, *_ in rows], 3,
+        )
+        for (level, stop), (rep, key, alpha, sigma) in zip(stacked, rows):
+            alone_level, alone = fine_level_details(
+                problems[rep], alpha, sigma_hat=sigma, rng=rng(key)
+            )
+            assert (level, stop.M, stop.saturated) == (alone_level, alone.M, alone.saturated)
+            scanned = stop.magnitudes.size
+            assert stop.M <= scanned and stop.cutoffs.size == scanned
+            # a row widens its prefix only while it has not crossed
+            assert scanned == _FIRST_WIDTH or scanned // 2 < stop.M
+            np.testing.assert_array_equal(stop.magnitudes, alone.magnitudes[:scanned])
+            np.testing.assert_array_equal(stop.cutoffs, alone.cutoffs[:scanned])
+        ms = [stop.M for _, stop in stacked if not stop.saturated]
+        assert min(ms) <= _FIRST_WIDTH < max(ms)
+        assert any(128 < m <= 256 for m in ms) and max(ms) > 256
+        assert [stop.saturated for _, stop in stacked].count(True) == 2
+        assert all(stop.magnitudes.size == 511 for _, stop in stacked if stop.saturated)
 
 
 class TestLemmaBracket:

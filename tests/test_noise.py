@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import linalg, stats
 
 from lrdwaved.noise import (
@@ -102,6 +104,20 @@ class TestDeterminism:
         _ = derive_rng(5, 9).standard_normal(4)
         b = derive_rng(5, 3).standard_normal(4)
         np.testing.assert_array_equal(a, b)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.integers(0, 2**16), min_size=1, max_size=3),
+        st.lists(st.integers(0, 2100), min_size=1, max_size=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_split_draws_continue_one_draw(self, seed, key, sizes):
+        # the stopping rule draws a channel row's normals in pieces and relies on
+        # standard_normal(a + b) equalling standard_normal(a) then standard_normal(b)
+        whole = derive_rng(seed, *key).standard_normal(sum(sizes))
+        rng = derive_rng(seed, *key)
+        pieces = np.concatenate([rng.standard_normal(size) for size in sizes])
+        assert pieces.tobytes() == whole.tobytes()
 
 
 class TestFgnSampling:
