@@ -3,7 +3,10 @@
 Exit codes: 0 success, 2 usage, 3 validation, 4 runtime failure.  Outputs are
 deterministic for a fixed seed: CSV uses '.' decimals, comma separators, LF
 endings and shortest round-trip float formatting; JSON uses sorted keys.
-Every file carries a provenance header (version, config hash, seed).
+Every CSV carries a provenance header (version, config hash, seed), and each
+JSON report the same provenance as a block; the hash covers every flag the
+command parsed, the seed resolved, except --out and --threads, which change
+no output byte.  Each command declares only the flags it reads.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .bench import run_benchmark, run_rate_experiment
 from .covariance import KernelSpec
 from .estimator import DeconvolutionProblem, run_estimator
 from .finescale import fine_level_details
-from .noise import NoiseModel
+from .noise import NoiseModel, derive_rng
 from .signals import (
     SIGNAL_NAMES,
     ExperimentConfig,
@@ -45,30 +48,26 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _config_hash(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
+def _provenance(args, seed: int) -> dict:
+    """Version, seed, config hash and the flags it covers, for one run.
 
-
-def _provenance(payload: dict, seed: int) -> list[str]:
-    return [
-        f"# lrdwaved={__version__}",
-        f"# config_hash={_config_hash(payload)}",
-        f"# seed={seed}",
-    ]
-
-
-def _provenance_dict(payload: dict, seed: int) -> dict:
+    The hash covers every parsed flag, with the seed resolved, except --out
+    and --threads, which change no output byte.
+    """
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "out", "threads")}
+    config["seed"] = seed
+    blob = json.dumps(config, sort_keys=True).encode()
     return {
         "lrdwaved": __version__,
-        "config_hash": _config_hash(payload),
+        "config_hash": hashlib.sha256(blob).hexdigest()[:12],
         "seed": seed,
-        "config": payload,
+        "config": config,
     }
 
 
-def _write_csv(path: Path, header: list[str], columns: list[str], rows) -> None:
-    lines = header + [",".join(columns)]
+def _write_csv(path: Path, provenance: dict, columns: list[str], rows) -> None:
+    lines = [f"# {key}={provenance[key]}" for key in ("lrdwaved", "config_hash", "seed")]
+    lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
@@ -110,51 +109,57 @@ def _check_threads(threads: int) -> int:
     return threads
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_seed_and_out(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help=f"RNG seed (fallback: ${ENV_SEED})")
     parser.add_argument("--out", default=".", help="output directory (created if absent)")
 
 
-def _add_model_flags(parser: argparse.ArgumentParser, with_signal: bool = True) -> None:
-    if with_signal:
-        parser.add_argument("--signal", required=True, choices=SIGNAL_NAMES)
-    parser.add_argument("--n", type=int, default=4096)
-    parser.add_argument("--alpha", type=float, default=1.0)
-    parser.add_argument("--nu", type=float, default=0.7, help="Gamma kernel shape (= DIP)")
-    parser.add_argument("--kernel-scale", type=float, default=0.25)
-    parser.add_argument("--snr", type=float, default=20.0, help="blurred SNR in dB")
-    parser.add_argument("--noise-kind", choices=("farima", "fgn"), default="farima")
+def _add_model_flags(parser: argparse.ArgumentParser, omit: tuple[str, ...] = ()) -> None:
+    flags = {
+        "--signal": dict(required=True, choices=SIGNAL_NAMES),
+        "--n": dict(type=int, default=4096),
+        "--alpha": dict(type=float, default=1.0),
+        "--nu": dict(type=float, default=0.7, help="Gamma kernel shape (= DIP)"),
+        "--kernel-scale": dict(type=float, default=0.25),
+        "--snr": dict(type=float, default=20.0, help="blurred SNR in dB"),
+        "--noise-kind": dict(choices=("farima", "fgn"), default="farima"),
+    }
+    for flag, spec in flags.items():
+        if flag not in omit:
+            parser.add_argument(flag, **spec)
 
 
-def cmd_simulate(args) -> int:
-    n = _check_n(args.n)
-    seed = _resolve_seed(args)
-    out = _out_dir(args)
-    config = ExperimentConfig(
+def _experiment_config(
+    args, seed: int, alpha: float, methods: tuple, smoothing: tuple, replications: int = 1
+) -> ExperimentConfig:
+    """The model flags, the seed and the command's own alpha, methods and replications."""
+    return ExperimentConfig(
         signal=args.signal,
-        n=n,
-        alpha=args.alpha,
+        n=_check_n(args.n),
+        alpha=alpha,
         nu=args.nu,
         snr_db=args.snr,
-        methods=("iid",),
-        smoothing=("sqrt6",),
-        replications=1,
+        methods=methods,
+        smoothing=smoothing,
+        replications=replications,
         seed=seed,
         noise_kind=args.noise_kind,
         kernel_scale=args.kernel_scale,
     )
+
+
+def cmd_simulate(args) -> int:
+    seed = _resolve_seed(args)
+    config = _experiment_config(args, seed, args.alpha, ("iid",), ("sqrt6",))
+    out = _out_dir(args)
     problem, f_true = generate_dataset(config, 0)
     blurred = blur(f_true, problem.kernel)
-    payload = config.as_dict()
-    t = np.arange(n) / n
+    t = np.arange(config.n) / config.n
     rows = zip(t, problem.observations, f_true, blurred)
     _write_csv(
-        out / "dataset.csv",
-        _provenance(payload, seed),
-        ["t", "y", "f_true", "blurred"],
-        rows,
+        out / "dataset.csv", _provenance(args, seed), ["t", "y", "f_true", "blurred"], rows
     )
-    _write_json(out / "config.json", payload)
+    _write_json(out / "config.json", config.as_dict())
     print(f"wrote {out / 'dataset.csv'} and {out / 'config.json'}")
     return 0
 
@@ -235,24 +240,14 @@ def cmd_estimate(args) -> int:
         kernel = gamma_kernel(n, shape=args.nu, scale=args.kernel_scale)
     problem = DeconvolutionProblem(observations=y, kernel=kernel, alpha=args.alpha)
 
-    method = args.method
-    smoothing_spec = args.xi if method == "lrd" else args.eta
-    alpha_eff = args.alpha if method == "lrd" else 1.0
+    smoothing_spec = args.xi if args.method == "lrd" else args.eta
+    alpha_eff = args.alpha if args.method == "lrd" else 1.0
     smoothing = resolve_smoothing(smoothing_spec, alpha_eff)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     report = run_estimator(
-        problem, method, smoothing, j1_override=args.j1, j0=args.j0, rng=rng
+        problem, args.method, smoothing, j1_override=args.j1, j0=args.j0, rng=derive_rng(seed)
     )
 
-    payload = {
-        "input": str(args.input),
-        "method": method,
-        "smoothing": str(smoothing_spec),
-        "alpha": args.alpha,
-        "j0": args.j0,
-        "j1": args.j1,
-        "seed": seed,
-    }
+    provenance = _provenance(args, seed)
     columns = ["t", "f_hat"]
     series = [table["t"], report.estimate]
     if "f_true" in table:
@@ -260,18 +255,18 @@ def cmd_estimate(args) -> int:
         series.append(table["f_true"])
     columns.append("y")
     series.append(y)
-    _write_csv(out / "estimate.csv", _provenance(payload, seed), columns, zip(*series))
+    _write_csv(out / "estimate.csv", provenance, columns, zip(*series))
     report_payload = report.as_dict()
-    report_payload["provenance"] = _provenance_dict(payload, seed)
+    report_payload["provenance"] = provenance
     _write_json(out / "report.json", report_payload)
     print(
-        f"method={method} sigma_hat={report.sigma_hat:.6g} "
+        f"method={args.method} sigma_hat={report.sigma_hat:.6g} "
         f"j1={report.fine_level_used} kept={sum(report.kept_count.values())}"
     )
     return 0
 
 
-def _render_table_dicts(results: list[dict]) -> str:
+def _render_table(results: list[dict]) -> str:
     """Aligned text table: rows are methods, columns are alpha values."""
     alphas = sorted({r["config"]["alpha"] for r in results}, reverse=True)
     methods = [(m["method"], m["smoothing"]) for m in results[0]["methods"]]
@@ -290,15 +285,9 @@ def _render_table_dicts(results: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def _render_table(results) -> str:
-    return _render_table_dicts([r.as_dict() for r in results])
-
-
 def cmd_benchmark(args) -> int:
-    n = _check_n(args.n)
     seed = _resolve_seed(args)
     threads = _check_threads(args.threads)
-    out = _out_dir(args)
     alphas = [float(a) for a in args.alpha_grid.split(",") if a]
     if not alphas:
         raise ValidationError("--alpha-grid must list at least one alpha")
@@ -307,38 +296,14 @@ def cmd_benchmark(args) -> int:
         raise ValidationError(f"--alpha-grid lists alpha={repeated[0]:g} more than once")
     methods = tuple(args.methods.split(","))
     smoothing = tuple(args.smoothing.split(","))
-    if len(methods) != len(smoothing):
-        raise ValidationError("--methods and --smoothing must have the same length")
+    configs = [
+        _experiment_config(args, seed, alpha, methods, smoothing, args.replications)
+        for alpha in alphas
+    ]
+    out = _out_dir(args)
+    results = [run_benchmark(config, threads=threads) for config in configs]
 
-    results = []
-    for alpha in alphas:
-        config = ExperimentConfig(
-            signal=args.signal,
-            n=n,
-            alpha=alpha,
-            nu=args.nu,
-            snr_db=args.snr,
-            methods=methods,
-            smoothing=smoothing,
-            replications=args.replications,
-            seed=seed,
-            noise_kind=args.noise_kind,
-            kernel_scale=args.kernel_scale,
-        )
-        results.append(run_benchmark(config, threads=threads))
-
-    payload = {
-        "signal": args.signal,
-        "n": n,
-        "alpha_grid": alphas,
-        "nu": args.nu,
-        "snr_db": args.snr,
-        "methods": list(methods),
-        "smoothing": list(smoothing),
-        "replications": args.replications,
-        "seed": seed,
-        "noise_kind": args.noise_kind,
-    }
+    provenance = _provenance(args, seed)
     rows = []
     for res in results:
         for m in res.methods:
@@ -356,18 +321,13 @@ def cmd_benchmark(args) -> int:
             )
     _write_csv(
         out / "results.csv",
-        _provenance(payload, seed),
+        provenance,
         ["signal", "method", "smoothing", "alpha", "snr_db", "mean_mse", "se", "typical_j1"],
         rows,
     )
-    _write_json(
-        out / "results.json",
-        {
-            "provenance": _provenance_dict(payload, seed),
-            "results": [r.as_dict() for r in results],
-        },
-    )
-    text = _render_table(results)
+    dicts = [r.as_dict() for r in results]
+    _write_json(out / "results.json", {"provenance": provenance, "results": dicts})
+    text = _render_table(dicts)
     (out / "table.txt").write_text(text + "\n", encoding="utf-8", newline="\n")
     print(text)
     return 0
@@ -381,8 +341,8 @@ def cmd_table(args) -> int:
     results = payload.get("results")
     if not results:
         raise ValidationError(f"{path} holds no benchmark results")
-    text = _render_table_dicts(results)
-    if args.out != ".":
+    text = _render_table(results)
+    if args.out is not None:
         out = _out_dir(args)
         (out / "table.txt").write_text(text + "\n", encoding="utf-8", newline="\n")
     print(text)
@@ -412,20 +372,11 @@ def cmd_rates(args) -> int:
         noise_kind=args.noise_kind,
         threads=threads,
     )
-    payload = {
-        "signal": args.signal,
-        "method": args.method,
-        "alpha": args.alpha,
-        "nu": args.nu,
-        "n_grid": n_grid,
-        "replications": args.replications,
-        "snr_db": args.snr,
-        "seed": seed,
-    }
+    provenance = _provenance(args, seed)
     rows = zip(result.n_grid, result.mean_mse)
-    _write_csv(out / "rates.csv", _provenance(payload, seed), ["n", "mean_mse"], rows)
+    _write_csv(out / "rates.csv", provenance, ["n", "mean_mse"], rows)
     summary = result.as_dict()
-    summary["provenance"] = _provenance_dict(payload, seed)
+    summary["provenance"] = provenance
     _write_json(out / "rates.json", summary)
     print(
         f"slope={result.slope:.4f} theoretical_exponent={result.theoretical_exponent:.4f}"
@@ -438,39 +389,22 @@ def cmd_noise(args) -> int:
     out = _out_dir(args)
     model = NoiseModel(alpha=args.alpha, kind=args.kind, seed=seed)
     sample = model.sample(args.n)
-    payload = {"kind": args.kind, "alpha": args.alpha, "n": args.n, "seed": seed}
-    _write_csv(out / "noise.csv", _provenance(payload, seed), ["value"], ([v] for v in sample))
+    _write_csv(out / "noise.csv", _provenance(args, seed), ["value"], ([v] for v in sample))
     print(f"wrote {out / 'noise.csv'}")
     return 0
 
 
 def cmd_stopping_trace(args) -> int:
-    n = _check_n(args.n)
     seed = _resolve_seed(args)
+    config = _experiment_config(args, seed, args.alpha, ("lrd",), ("sqrtalpha",))
     out = _out_dir(args)
-    config = ExperimentConfig(
-        signal=args.signal,
-        n=n,
-        alpha=args.alpha,
-        nu=args.nu,
-        snr_db=args.snr,
-        methods=("lrd",),
-        smoothing=("sqrtalpha",),
-        replications=1,
-        seed=seed,
-        noise_kind=args.noise_kind,
-        kernel_scale=args.kernel_scale,
-    )
     problem, _ = generate_dataset(config, 0)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    level, stopping = fine_level_details(problem, args.alpha, rng=rng)
-    payload = config.as_dict()
-    trace = stopping.threshold_trace
+    level, stopping = fine_level_details(problem, args.alpha, rng=derive_rng(seed))
     _write_csv(
         out / "stopping_trace.csv",
-        _provenance(payload, seed),
+        _provenance(args, seed),
         ["ell", "magnitude", "cutoff"],
-        ([int(row[0]), row[1], row[2]] for row in trace),
+        ([int(row[0]), row[1], row[2]] for row in stopping.threshold_trace),
     )
     print(f"M={stopping.M} j_hat={stopping.j_hat} level={level} saturated={stopping.saturated}")
     return 0
@@ -485,15 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a synthetic dataset CSV")
     _add_model_flags(p)
-    _add_common(p)
+    _add_seed_and_out(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="run the estimator on a dataset CSV")
     p.add_argument("input", help="dataset CSV with columns t,y[,f_true,...]")
     p.add_argument("--method", choices=("iid", "lrd"), default="iid")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--nu", type=float, default=0.7)
-    p.add_argument("--kernel-scale", type=float, default=0.25)
+    _add_model_flags(p, omit=("--signal", "--n", "--snr", "--noise-kind"))
     p.add_argument(
         "--kernel-file",
         default=None,
@@ -503,11 +435,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", default="sqrt6", help="IID smoothing constant")
     p.add_argument("--j0", type=int, default=3)
     p.add_argument("--j1", type=int, default=None, help="override the data-driven fine level")
-    _add_common(p)
+    _add_seed_and_out(p)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("benchmark", help="Monte Carlo MSE benchmark")
-    _add_model_flags(p)
+    _add_model_flags(p, omit=("--alpha",))
     p.add_argument("--alpha-grid", default="1,0.8,0.6,0.4,0.2")
     p.add_argument("--methods", default="iid,lrd,lrd")
     p.add_argument("--smoothing", default="sqrt6,sqrtalpha,sqrt2alpha")
@@ -515,16 +447,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--threads", type=int, default=1, help="threads over blocks of replications (GIL-bound)"
     )
-    _add_common(p)
+    _add_seed_and_out(p)
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("table", help="re-render a benchmark results JSON as text")
     p.add_argument("results", help="results.json produced by the benchmark command")
-    _add_common(p)
+    p.add_argument("--out", default=None, help="directory for table.txt (default: print only)")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("rates", help="rate-of-convergence experiment")
-    _add_model_flags(p)
+    _add_model_flags(p, omit=("--n", "--kernel-scale"))
     p.add_argument("--method", choices=("iid", "lrd"), default="lrd")
     p.add_argument("--xi", default="sqrt2alpha")
     p.add_argument("--eta", default="sqrt6")
@@ -533,19 +465,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--threads", type=int, default=1, help="threads over blocks of replications (GIL-bound)"
     )
-    _add_common(p)
+    _add_seed_and_out(p)
     p.set_defaults(func=cmd_rates)
 
     p = sub.add_parser("noise", help="dump a noise sample as CSV")
     p.add_argument("--kind", choices=("fgn", "farima"), default="farima")
     p.add_argument("--alpha", type=float, default=0.6)
     p.add_argument("--n", type=int, default=4096)
-    _add_common(p)
+    _add_seed_and_out(p)
     p.set_defaults(func=cmd_noise)
 
     p = sub.add_parser("stopping-trace", help="stopping-rule diagnostic trace")
     _add_model_flags(p)
-    _add_common(p)
+    _add_seed_and_out(p)
     p.set_defaults(func=cmd_stopping_trace)
 
     return parser

@@ -197,13 +197,10 @@ def lemma_bracket(
     normalization as the estimator's channel.
     """
     channel = kernel_channel(kernel, alpha, sigma_hat, None)
-    mags = np.abs(channel)
-    brackets = []
-    for power in (log_power + 1.0 / 3.0, log_power - 1.0 / 3.0):
-        cut = _cutoffs(mags.size, alpha, epsilon, power)
-        below = np.nonzero(mags <= cut)[0]
-        brackets.append(int(mags.size if below.size == 0 else below[0] + 1))
-    m_c, m_d = brackets
+    m_c, m_d = (
+        stopping_time(channel, alpha, epsilon, power).M
+        for power in (log_power + 1.0 / 3.0, log_power - 1.0 / 3.0)
+    )
     return m_c, m_d
 
 

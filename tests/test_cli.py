@@ -239,10 +239,10 @@ class TestBenchmarkCommand:
         assert "--n-grid lists n=256 more than once" in capsys.readouterr().err
         assert not (tmp_path / "rates.csv").exists()
 
-    @pytest.mark.parametrize("command", [["benchmark", "--alpha-grid", "1"],
+    @pytest.mark.parametrize("command", [["benchmark", "--n", 512, "--alpha-grid", "1"],
                                          ["rates", "--n-grid", "256,512"]])
     def test_threads_below_one_is_validation_error(self, tmp_path, capsys, command):
-        code = run_cli(command + ["--signal", "cusp", "--n", 512, "--replications", 2,
+        code = run_cli(command + ["--signal", "cusp", "--replications", 2,
                                   "--threads", -3, "--seed", 1, "--out", tmp_path])
         assert code == 3
         assert "--threads must be at least 1, got -3" in capsys.readouterr().err
@@ -309,3 +309,114 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 0
+
+
+def config_hash(out: Path) -> str:
+    """The config hash of the one CSV in ``out``, checked against its JSON provenance."""
+    [csv] = out.glob("*.csv")
+    line = csv.read_text().splitlines()[1]
+    assert line.startswith("# config_hash=")
+    digest = line.split("=", 1)[1]
+    for path in out.glob("*.json"):
+        prov = json.loads(path.read_text()).get("provenance")
+        assert prov is None or prov["config_hash"] == digest
+    return digest
+
+
+DATASET, KERNEL = "<dataset>", "<kernel>"
+BENCHMARK = ["benchmark", "--signal", "cusp", "--n", 512, "--alpha-grid", "0.6",
+             "--replications", 2]
+RATES = ["rates", "--signal", "cusp", "--alpha", 0.6, "--n-grid", "256,512",
+         "--replications", 2]
+ESTIMATE = ["estimate", DATASET, "--method", "lrd", "--alpha", 0.5]
+SIMULATE = ["simulate", "--signal", "cusp", "--n", 512]
+
+
+class TestProvenance:
+    @pytest.fixture
+    def files(self, tmp_path):
+        """A 512-point dataset and a kernel table that differs from the default kernel."""
+        from lrdwaved.signals import gamma_kernel
+
+        run_cli(SIMULATE + ["--alpha", 0.5, "--seed", 3, "--out", tmp_path / "data"])
+        fourier = gamma_kernel(512, shape=0.8).fourier
+        rows = [f"{ell},{float(fourier[ell].real)!r},{float(fourier[ell].imag)!r}"
+                for ell in range(-255, 256)]
+        kernel = tmp_path / "data" / "kernel.csv"
+        kernel.write_text("\n".join(["ell,re,im"] + rows) + "\n")
+        return {DATASET: tmp_path / "data" / "dataset.csv", KERNEL: kernel}
+
+    @pytest.mark.parametrize(
+        "base, change",
+        [
+            (BENCHMARK, ["--kernel-scale", 0.3]),
+            (RATES, ["--xi", "sqrtalpha"]),
+            (RATES, ["--noise-kind", "fgn"]),
+            (ESTIMATE, ["--nu", 0.8]),
+            (ESTIMATE, ["--kernel-scale", 0.3]),
+            (ESTIMATE, ["--kernel-file", KERNEL]),
+            (SIMULATE, ["--snr", 30]),
+        ],
+        ids=["benchmark-kernel-scale", "rates-xi", "rates-noise-kind", "estimate-nu",
+             "estimate-kernel-scale", "estimate-kernel-file", "simulate-snr"],
+    )
+    def test_output_affecting_flag_changes_the_hash(self, tmp_path, files, base, change):
+        base = [files.get(a, a) for a in base]
+        assert run_cli(base + ["--seed", 1, "--out", tmp_path / "a"]) == 0
+        change = [files.get(a, a) for a in change]
+        assert run_cli(base + change + ["--seed", 1, "--out", tmp_path / "b"]) == 0
+        [csv] = (tmp_path / "a").glob("*.csv")
+        assert read_csv(csv) != read_csv(tmp_path / "b" / csv.name)
+        assert config_hash(tmp_path / "a") != config_hash(tmp_path / "b")
+
+    @pytest.mark.parametrize(
+        "command",
+        [BENCHMARK + ["--threads"], RATES + ["--threads"], ESTIMATE, SIMULATE,
+         ["noise", "--n", 64], ["stopping-trace", "--signal", "cusp", "--n", 512],
+         ["table", "<results>"]],
+        ids=["benchmark", "rates", "estimate", "simulate", "noise", "stopping-trace", "table"],
+    )
+    def test_out_and_threads_change_no_byte(self, tmp_path, files, command):
+        run_cli(BENCHMARK + ["--seed", 1, "--out", tmp_path / "bench"])
+        files["<results>"] = tmp_path / "bench" / "results.json"
+        command = [files.get(a, a) for a in command]
+        for name, threads in (("a", 1), ("b", 2)):
+            if command[-1] == "--threads":
+                argv = command + [threads, "--seed", 1]
+            else:
+                argv = command if command[0] == "table" else command + ["--seed", 1]
+            assert run_cli(argv + ["--out", tmp_path / name]) == 0
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names and names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+class TestDeclaredFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [["rates", "--signal", "cusp", "--n", 512],
+         ["rates", "--signal", "cusp", "--kernel-scale", 0.3],
+         ["table", "results.json", "--seed", 1]],
+        ids=["rates-n", "rates-kernel-scale", "table-seed"],
+    )
+    def test_flag_the_command_does_not_read_is_usage_error(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + ["--out", tmp_path])
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
+
+    def test_benchmark_alpha_is_read_as_alpha_grid(self):
+        args = build_parser().parse_args(["benchmark", "--signal", "cusp", "--alpha", "0.6"])
+        assert args.alpha_grid == "0.6" and not hasattr(args, "alpha")
+
+    def test_table_out_dot_writes_the_working_directory(self, tmp_path, monkeypatch):
+        run_cli(BENCHMARK + ["--seed", 1, "--out", tmp_path / "bench"])
+        results = tmp_path / "bench" / "results.json"
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert run_cli(["table", results]) == 0
+        assert not any(cwd.iterdir())
+        assert run_cli(["table", results, "--out", "."]) == 0
+        assert (cwd / "table.txt").read_text() == (tmp_path / "bench" / "table.txt").read_text()
