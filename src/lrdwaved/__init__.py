@@ -1,6 +1,6 @@
 """Hard-thresholding Meyer wavelet deconvolution under long-range dependence."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .bench import (
     BenchResult,

@@ -5,8 +5,9 @@ deterministic for a fixed seed: CSV uses '.' decimals, comma separators, LF
 endings and shortest round-trip float formatting; JSON uses sorted keys.
 Every CSV carries a provenance header (version, config hash, seed), and each
 JSON report the same provenance as a block; the hash covers every flag the
-command parsed, the seed resolved, except --out and --threads, which change
-no output byte.  Each command declares only the flags it reads.
+command parsed, the seed resolved and input files by their bytes, except
+--out and --threads, which change no output byte.  Each command declares
+only the flags it reads.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .bench import run_benchmark, run_rate_experiment
 from .covariance import KernelSpec
 from .estimator import DeconvolutionProblem, run_estimator
 from .finescale import fine_level_details
-from .noise import NoiseModel, derive_rng
+from .noise import NoiseModel, _stream_words, derive_rng
 from .signals import (
     SIGNAL_NAMES,
     ExperimentConfig,
@@ -36,6 +37,8 @@ from .signals import (
 )
 
 ENV_SEED = "LRDWAVED_SEED"
+# flags that name an input file; provenance records the file's bytes, not its path
+_FILE_FLAGS = ("input", "kernel_file")
 
 
 class ValidationError(ValueError):
@@ -51,11 +54,15 @@ def _fmt(value) -> str:
 def _provenance(args, seed: int) -> dict:
     """Version, seed, config hash and the flags it covers, for one run.
 
-    The hash covers every parsed flag, with the seed resolved, except --out
-    and --threads, which change no output byte.
+    The hash covers every parsed flag, with the seed resolved and each input
+    file as the sha256 of its bytes, except --out and --threads, which change
+    no output byte.
     """
     config = {k: v for k, v in vars(args).items() if k not in ("func", "out", "threads")}
     config["seed"] = seed
+    for name in _FILE_FLAGS:
+        if config.get(name) is not None:
+            config[name] = "sha256:" + hashlib.sha256(Path(config[name]).read_bytes()).hexdigest()
     blob = json.dumps(config, sort_keys=True).encode()
     return {
         "lrdwaved": __version__,
@@ -80,15 +87,22 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _resolve_seed(args) -> int:
+    """--seed, else $LRDWAVED_SEED, else 0; a seed outside derive_rng's domain names its source."""
     if args.seed is not None:
-        return args.seed
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
+        seed, source = args.seed, "--seed"
+    else:
+        env = os.environ.get(ENV_SEED)
+        if env is None:
+            return 0
         try:
-            return int(env)
+            seed, source = int(env), f"${ENV_SEED}"
         except ValueError:
             raise ValidationError(f"{ENV_SEED} must be an integer, got {env!r}") from None
-    return 0
+    try:
+        _stream_words(seed, ())
+    except ValueError as exc:
+        raise ValidationError(f"{source}: {exc}") from None
+    return seed
 
 
 def _out_dir(args) -> Path:
@@ -97,9 +111,9 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _check_n(n: int) -> int:
+def _check_n(n: int, flag: str = "--n") -> int:
     if n < 32 or (n & (n - 1)) != 0:
-        raise ValidationError(f"--n must be a power of two >= 32, got {n}")
+        raise ValidationError(f"{flag} must be a power of two >= 32, got {n}")
     return n
 
 
@@ -354,7 +368,7 @@ def cmd_rates(args) -> int:
     threads = _check_threads(args.threads)
     n_grid = [int(v) for v in args.n_grid.split(",") if v]
     for n in n_grid:
-        _check_n(n)
+        _check_n(n, "--n-grid entry")
     repeated = [n for i, n in enumerate(n_grid) if n in n_grid[:i]]
     if repeated:
         raise ValidationError(f"--n-grid lists n={repeated[0]} more than once")
@@ -399,7 +413,9 @@ def cmd_stopping_trace(args) -> int:
     config = _experiment_config(args, seed, args.alpha, ("lrd",), ("sqrtalpha",))
     out = _out_dir(args)
     problem, _ = generate_dataset(config, 0)
-    level, stopping = fine_level_details(problem, args.alpha, rng=derive_rng(seed))
+    # the stream of run_benchmark's replication 0, method 0: the trace shows
+    # the level a one-method LRD benchmark of this config picks
+    level, stopping = fine_level_details(problem, args.alpha, rng=derive_rng(seed, 0, 0))
     _write_csv(
         out / "stopping_trace.csv",
         _provenance(args, seed),

@@ -145,11 +145,12 @@ def kernel_channel(
 class _ChannelStack:
     """Rows of ``kernel_channel``, built range of frequencies by range of frequencies.
 
-    Row i is divided by sigma_hats[i] and drawn from rngs[i]: each stream
-    draws its real block in full here, then its imaginary block as its
-    columns are built.  One standard_normal(a + b) equals standard_normal(a)
-    followed by standard_normal(b), so a row built up to any width holds the
-    values of its one-piece form.  A None stream leaves its row noiseless.
+    Row i is divided by sigma_hats[i] and drawn from rngs[i]: each range of
+    columns draws its normals in one call, interleaved as (re, im) per
+    frequency, so a stream draws only the frequencies its row builds.  One
+    standard_normal(a + b) equals standard_normal(a) followed by
+    standard_normal(b), so a row built up to any width holds the values of
+    its one-piece form.  A None stream leaves its row noiseless.
     """
 
     def __init__(self, kernel, noise_alpha: float, sigma_hats, rngs) -> None:
@@ -159,7 +160,6 @@ class _ChannelStack:
         self.kernel, self.noise_alpha = kernel, noise_alpha
         self.sigma_hats, self.rngs = sigma_hats.tolist(), rngs
         self.size = kernel.n // 2 - 1
-        self.real = [None if rng is None else rng.standard_normal(self.size) for rng in rngs]
 
     def columns(self, rows, lo: int, hi: int) -> np.ndarray:
         """Frequencies lo+1..hi of ``rows``, whose frequencies up to lo are built already."""
@@ -168,8 +168,7 @@ class _ChannelStack:
         out = np.zeros((len(rows), hi - lo), dtype=complex)
         for row, i in zip(out, rows):
             if self.rngs[i] is not None:
-                row.real = self.real[i][lo:hi]
-                row.imag = self.rngs[i].standard_normal(hi - lo)
+                self.rngs[i].standard_normal(out=row.view(float))
         out *= _channel_noise_sd(n, self.noise_alpha)[lo:hi]
         out *= n ** (-self.noise_alpha / 2.0)
         channel = np.asarray(self.kernel.fourier[1 + lo : 1 + hi], dtype=complex)

@@ -11,6 +11,7 @@ alpha = 1 reduces both to i.i.d. standard Gaussians.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,11 +26,61 @@ __all__ = [
 
 _MAX_EMBED_DOUBLINGS = 4
 
+# a stream is addressed by a master seed and up to this many key integers,
+# each in [0, 2^64): one 64-bit word of the Philox key or counter apiece
+_MAX_KEY_INTS = 3
+_WORD_LIMIT = 2**64
+
 
 def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
-    """Independent counter-based stream for (master seed, replication key)."""
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(int(k) for k in key))
-    return np.random.Generator(np.random.Philox(seq))
+    """Independent counter-based stream for (master seed, replication key).
+
+    The Philox-4x64 key is (master_seed, len(key)) and the counter starts at
+    (0, *key) padded with zeros to four words, so distinct tuples address
+    distinct streams, tuples of different lengths included.  A stream
+    advances the lowest counter word only, and would need 2^64 blocks of
+    four draws to reach another stream's start.
+    """
+    words = _stream_words(master_seed, key)
+    # key words 0-1, then counter words 0-3
+    state = np.array([words[0], len(key), 0, *words[1:]] + [0] * (_MAX_KEY_INTS - len(key)),
+                     dtype=np.uint64)
+    generator, philox, fixed_key = _philox_types()
+    return generator(philox(fixed_key(state[:2]), counter=state[2:]))
+
+
+def _stream_words(master_seed: int, key: tuple) -> list[int]:
+    """(master_seed, *key) as Python ints, or ValueError outside derive_rng's domain."""
+    if len(key) > _MAX_KEY_INTS:
+        raise ValueError(f"a stream key has at most {_MAX_KEY_INTS} integers, got {len(key)}")
+    words = [operator.index(word) for word in (master_seed, *key)]
+    if not 0 <= words[0] < _WORD_LIMIT:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {words[0]}")
+    if key and (min(words[1:]) < 0 or max(words[1:]) >= _WORD_LIMIT):
+        raise ValueError(f"key integers must lie in [0, 2**64), got {tuple(words[1:])}")
+    return words
+
+
+@lru_cache(maxsize=1)
+def _philox_types():
+    """(Generator, Philox, FixedKey), FixedKey a seed sequence that hands Philox its key.
+
+    Built on the first stream, not at import, so that importing the package
+    leaves numpy.random, and its start-up time, out.  Given a seed
+    sequence, Philox takes its key from generate_state(2, uint64), and
+    BitGenerator skips the OS entropy it gathers when only key= is given.
+    """
+    from numpy.random import Generator, Philox
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedKey(ISeedSequence):
+        def __init__(self, key: np.ndarray) -> None:
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key
+
+    return Generator, Philox, FixedKey
 
 
 @dataclass(frozen=True)

@@ -239,6 +239,15 @@ class TestBenchmarkCommand:
         assert "--n-grid lists n=256 more than once" in capsys.readouterr().err
         assert not (tmp_path / "rates.csv").exists()
 
+    def test_bad_n_grid_entry_names_n_grid(self, tmp_path, capsys):
+        code = run_cli(["rates", "--signal", "cusp", "--n-grid", "100,256",
+                        "--replications", 2, "--seed", 1, "--out", tmp_path])
+        assert code == 3
+        assert "error: --n-grid entry must be a power of two >= 32, got 100" in (
+            capsys.readouterr().err
+        )
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("command", [["benchmark", "--n", 512, "--alpha-grid", "1"],
                                          ["rates", "--n-grid", "256,512"]])
     def test_threads_below_one_is_validation_error(self, tmp_path, capsys, command):
@@ -271,6 +280,23 @@ class TestNoiseCommand:
         assert names == ["value"]
         assert len(rows) == 64
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_stream_domain_names_the_flag(self, tmp_path, capsys, seed):
+        code = run_cli(["noise", "--n", 32, "--seed", seed, "--out", tmp_path])
+        assert code == 3
+        assert f"error: --seed: seed must be an integer in [0, 2**64), got {seed}" in (
+            capsys.readouterr().err
+        )
+        assert not any(tmp_path.iterdir())
+
+    def test_env_seed_outside_the_stream_domain_names_the_variable(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("LRDWAVED_SEED", "-5")
+        assert run_cli(["noise", "--n", 32, "--out", tmp_path]) == 3
+        assert "error: $LRDWAVED_SEED: seed must be" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LRDWAVED_SEED", "33")
         run_cli(["noise", "--n", 32, "--out", tmp_path / "a"])
@@ -288,6 +314,22 @@ class TestStoppingTrace:
         names, rows = read_csv(tmp_path / "stopping_trace.csv")
         assert names == ["ell", "magnitude", "cutoff"]
         assert len(rows) == 255  # frequencies 1..n/2-1
+
+    def test_level_is_the_one_method_benchmark_level(self, tmp_path, capsys):
+        # the trace draws from replication 0, method 0 of run_benchmark's
+        # streams; at Lidar 20 dB, alpha=0.4, the level moves with the stream
+        from lrdwaved.bench import run_benchmark
+        from lrdwaved.signals import ExperimentConfig
+
+        for seed in range(10):
+            code = run_cli(["stopping-trace", "--signal", "lidar", "--n", 1024, "--alpha", 0.4,
+                            "--seed", seed, "--out", tmp_path])
+            assert code == 0
+            printed = dict(item.split("=") for item in capsys.readouterr().out.split())
+            config = ExperimentConfig("lidar", n=1024, alpha=0.4, methods=("lrd",),
+                                      smoothing=("sqrtalpha",), replications=1, seed=seed)
+            [method] = run_benchmark(config).methods
+            assert int(printed["level"]) == method.fine_levels[0], seed
 
 
 class TestRatesCommand:
@@ -365,6 +407,24 @@ class TestProvenance:
         assert run_cli(base + ["--seed", 1, "--out", tmp_path / "a"]) == 0
         change = [files.get(a, a) for a in change]
         assert run_cli(base + change + ["--seed", 1, "--out", tmp_path / "b"]) == 0
+        [csv] = (tmp_path / "a").glob("*.csv")
+        assert read_csv(csv) != read_csv(tmp_path / "b" / csv.name)
+        assert config_hash(tmp_path / "a") != config_hash(tmp_path / "b")
+
+    @pytest.mark.parametrize("flag", [DATASET, KERNEL])
+    def test_input_file_is_hashed_by_its_bytes(self, tmp_path, files, flag):
+        # two files written in turn to one path; the outputs and hashes differ
+        argv = ESTIMATE + ["--kernel-file", KERNEL, "--seed", 1, "--out"]
+        argv = [files.get(a, a) for a in argv]
+        assert run_cli(argv + [tmp_path / "a"]) == 0
+        if flag == DATASET:
+            run_cli(SIMULATE + ["--alpha", 0.5, "--seed", 4, "--out", files[DATASET].parent])
+        else:
+            header, *rows = files[KERNEL].read_text().splitlines()
+            rows = [[float(v) for v in row.split(",")] for row in rows]
+            rows = [f"{int(ell)},{2.0 * re!r},{2.0 * im!r}" for ell, re, im in rows]
+            files[KERNEL].write_text("\n".join([header] + rows) + "\n")
+        assert run_cli(argv + [tmp_path / "b"]) == 0
         [csv] = (tmp_path / "a").glob("*.csv")
         assert read_csv(csv) != read_csv(tmp_path / "b" / csv.name)
         assert config_hash(tmp_path / "a") != config_hash(tmp_path / "b")

@@ -96,14 +96,13 @@ class TestKernelChannel:
 
     def test_matches_gathered_formula(self):
         # the sliced kernel and the cached noise s.d. give the channel the
-        # per-call gather and z_var evaluation gave, bit for bit
+        # per-call gather and z_var evaluation gave, bit for bit; the stream's
+        # normals are interleaved as (re, im) per frequency
         n, alpha, sigma = 512, 0.4, 0.3
         kernel = gamma_kernel(n)
         ells = np.arange(1, n // 2)
-        rng = derive_rng(5, 1)
-        w = (rng.standard_normal(ells.size) + 1j * rng.standard_normal(ells.size)) * np.sqrt(
-            z_var(ells, 1.0 - alpha / 2.0) / 2.0
-        )
+        normals = derive_rng(5, 1).standard_normal(2 * ells.size)
+        w = (normals[0::2] + 1j * normals[1::2]) * np.sqrt(z_var(ells, 1.0 - alpha / 2.0) / 2.0)
         want = kernel.fourier[ells] / sigma + n ** (-alpha / 2.0) * w
         np.testing.assert_array_equal(kernel_channel(kernel, alpha, sigma, derive_rng(5, 1)), want)
 
@@ -165,13 +164,13 @@ class TestKernelChannel:
             np.testing.assert_array_equal(stop.magnitudes, alone.magnitudes[:scanned])
 
     def test_prefix_scan_equals_full_trace_beyond_the_first_width(self):
-        # Doppler 30 dB at alpha=0.2 crosses in the second and third widths or
-        # saturates; a large sigma_hat crosses early and a tiny one saturates
+        # Doppler 30 dB at alpha=0.2 crosses in the second and third widths; a
+        # large sigma_hat crosses early, and a halved or tiny one saturates
         config = ExperimentConfig("doppler", n=1024, alpha=0.2, snr_db=30.0, seed=3)
         problems = [generate_dataset(config, rep)[0] for rep in range(3)]
         sigmas = [p.sigma_hat for p in problems]
         rows = [  # (problem, stream key, rule alpha, sigma_hat)
-            (0, (3, 0, 0), 1.0, sigmas[0]),
+            (0, (3, 0, 0), 1.0, 0.5 * sigmas[0]),
             (0, (3, 0, 1), 0.2, sigmas[0]),
             (1, (3, 1, 0), 1.0, sigmas[1]),
             (1, None, 0.2, sigmas[1]),

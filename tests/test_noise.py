@@ -120,6 +120,39 @@ class TestDeterminism:
         assert pieces.tobytes() == whole.tobytes()
 
 
+class TestStreamKeys:
+    def test_layout_is_philox_key_and_counter(self):
+        # key (seed, number of key ints), counter (0, *key) padded with zeros
+        from numpy.random import Generator, Philox
+
+        for seed, key in ((7, ()), (7, (3,)), (7, (3, 1)), (2**64 - 1, (5, 0, 2**64 - 1))):
+            counter = sum(k << (64 * (i + 1)) for i, k in enumerate(key))
+            want = Generator(Philox(key=seed + (len(key) << 64), counter=counter))
+            got = derive_rng(seed, *key)
+            assert got.standard_normal(9).tobytes() == want.standard_normal(9).tobytes()
+
+    @pytest.mark.parametrize(
+        "seed, key, match",
+        [(-1, (), "seed must be"), (2**64, (0,), "seed must be"), (3, (0, -2), "key integers must"),
+         (3, (2**64,), "key integers must"), (3, (0, 1, 2, 3), "at most 3 integers")],
+    )
+    def test_outside_the_domain_raises(self, seed, key, match):
+        with pytest.raises(ValueError, match=match):
+            derive_rng(seed, *key)
+
+    words = st.integers(0, 3) | st.integers(0, 2**64 - 1)
+
+    @given(st.lists(words, min_size=1, max_size=4), st.lists(words, min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_distinct_tuples_give_distinct_first_draws(self, a, b):
+        # (seed, *key) with 0-3 key ints; small words make neighbours like
+        # (s,) and (s, 0) common
+        if a == b:
+            b = b + [0] if len(b) < 4 else b[:-1]
+        first = [derive_rng(*words).standard_normal(2).tobytes() for words in (a, b)]
+        assert first[0] != first[1]
+
+
 class TestFgnSampling:
     def test_white_noise_case_lag1(self):
         n = 1024
@@ -313,16 +346,17 @@ class TestExactness:
 
 class TestStreamPins:
     # sha256 of the float64 bytes for NoiseModel(seed=2024) and key (0, 1); the
-    # fGn and i.i.d. FARIMA streams feed the white-noise and fGn benchmark cells
+    # fGn and i.i.d. FARIMA streams feed the white-noise and fGn benchmark cells.
+    # Recorded when derive_rng became a keyed Philox stream (version 0.2.0)
     PINS = {
-        ("fgn", 1.0, 3): "97c739a00bb01ad24ce6ed8ba0dc80c3fd5d1c07d8382d03381a7e3ed2a65de5",
-        ("fgn", 1.0, 4096): "5119697beb4831f238bf0ca576256dcd4fa3a21eead3f2775ba94a3f468afb42",
-        ("fgn", 0.6, 3): "476ecfa3a70b312185e737654058455e9d6c58ca57d1c6d9a1bfc8596c8b70f0",
-        ("fgn", 0.6, 4096): "be27da679ff0fd91256b7d25f96523434c31500552570c263130c3398ed955e5",
-        ("fgn", 0.2, 3): "6a61419175659ee2d47bac617340d685835d485c889f18bdbfadaa70f27f9de3",
-        ("fgn", 0.2, 4096): "ad24e856b3018db6b6e78926b8966b6f5b90cccceb0992ee93f0782da7375b43",
-        ("farima", 1.0, 3): "ba19fa50707584d99da9da10870103c63dc875e9e697695308aa5b39e452608c",
-        ("farima", 1.0, 4096): "e70aed2046e1c91eee06ad76bb67f60e2549e474d8d28917803d49c334307ebf",
+        ("fgn", 1.0, 3): "13e8561ff252c428953f6653564a4fc5f529e370dc8443bf6cefb0b8499f2e02",
+        ("fgn", 1.0, 4096): "56bc2474f764e7c1489d7d77e8ce90c4b21261627a905cb0c687e2074ea9352d",
+        ("fgn", 0.6, 3): "1d8e54c07be32bc9262ec316050ce55cb1092608b03a988e2abdd6d1ee71f40b",
+        ("fgn", 0.6, 4096): "c663be24151790a5a11f8883123e0cfd9d0a7bae6a5a0763cc0afe79ed1d0f5b",
+        ("fgn", 0.2, 3): "4cacf248e7b62b9e7064db0171950030d423fdcbdde3a2395f515e0624f305f9",
+        ("fgn", 0.2, 4096): "514f984e7a9543571cdcf8602cfe9a57620a706975020572cea59dab25cb1b86",
+        ("farima", 1.0, 3): "d5f9b1df93407fc39e4dccc304157e29a07edd1c23bd4504b3082e8a6ab03cf5",
+        ("farima", 1.0, 4096): "753e603a5acb5d8689b82a82d3947382fe1870cceb2d54eaeb922cd9ac166254",
     }
 
     @pytest.mark.parametrize("kind, alpha, n", sorted(PINS))
