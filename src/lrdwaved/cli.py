@@ -86,8 +86,12 @@ def _write_json(path: Path, payload: dict) -> None:
     )
 
 
-def _resolve_seed(args) -> int:
-    """--seed, else $LRDWAVED_SEED, else 0; a seed outside derive_rng's domain names its source."""
+def _resolve_seed(args, runs: int = 1) -> int:
+    """--seed, else $LRDWAVED_SEED, else 0.
+
+    A command that runs at seeds seed, seed+1, ..., seed+runs-1 needs all of
+    them in derive_rng's domain; a seed that leaves it names its source.
+    """
     if args.seed is not None:
         seed, source = args.seed, "--seed"
     else:
@@ -100,8 +104,13 @@ def _resolve_seed(args) -> int:
             raise ValidationError(f"{ENV_SEED} must be an integer, got {env!r}") from None
     try:
         _stream_words(seed, ())
-    except ValueError as exc:
-        raise ValidationError(f"{source}: {exc}") from None
+        _stream_words(seed + runs - 1, ())
+    except ValueError:
+        if runs == 1:
+            domain = "[0, 2**64)"
+        else:
+            domain = f"[0, 2**64 - {runs - 1}) to give {runs} consecutive seeds"
+        raise ValidationError(f"{source}: seed must be an integer in {domain}, got {seed}") from None
     return seed
 
 
@@ -115,6 +124,21 @@ def _check_n(n: int, flag: str = "--n") -> int:
     if n < 32 or (n & (n - 1)) != 0:
         raise ValidationError(f"{flag} must be a power of two >= 32, got {n}")
     return n
+
+
+def _parse_grid(text: str, flag: str, name: str, kind) -> list:
+    """The comma-separated entries of ``flag`` as ``kind``: at least one, none repeated."""
+    tokens = [token for token in text.split(",") if token]
+    try:
+        values = [kind(token) for token in tokens]
+    except ValueError as exc:
+        raise ValidationError(f"{flag}: {exc}") from None
+    if not values:
+        raise ValidationError(f"{flag} must list at least one {name}")
+    repeated = [token for i, (token, v) in enumerate(zip(tokens, values)) if v in values[:i]]
+    if repeated:
+        raise ValidationError(f"{flag} lists {name}={repeated[0]} more than once")
+    return values
 
 
 def _check_threads(threads: int) -> int:
@@ -194,7 +218,10 @@ def _read_dataset(path: Path) -> dict[str, np.ndarray]:
             raise ValidationError(
                 f"{path} line {number}: {len(fields)} fields, the header has {len(names)}"
             )
-        data.append([float(v) for v in fields])
+        try:
+            data.append([float(v) for v in fields])
+        except ValueError as exc:
+            raise ValidationError(f"{path} line {number}: {exc}") from None
     if names is None or not data:
         raise ValidationError(f"{path} has no data rows")
     arr = np.asarray(data)
@@ -302,12 +329,7 @@ def _render_table(results: list[dict]) -> str:
 def cmd_benchmark(args) -> int:
     seed = _resolve_seed(args)
     threads = _check_threads(args.threads)
-    alphas = [float(a) for a in args.alpha_grid.split(",") if a]
-    if not alphas:
-        raise ValidationError("--alpha-grid must list at least one alpha")
-    repeated = [a for i, a in enumerate(alphas) if a in alphas[:i]]
-    if repeated:
-        raise ValidationError(f"--alpha-grid lists alpha={repeated[0]:g} more than once")
+    alphas = _parse_grid(args.alpha_grid, "--alpha-grid", "alpha", float)
     methods = tuple(args.methods.split(","))
     smoothing = tuple(args.smoothing.split(","))
     configs = [
@@ -364,14 +386,14 @@ def cmd_table(args) -> int:
 
 
 def cmd_rates(args) -> int:
-    seed = _resolve_seed(args)
-    threads = _check_threads(args.threads)
-    n_grid = [int(v) for v in args.n_grid.split(",") if v]
+    n_grid = _parse_grid(args.n_grid, "--n-grid", "n", int)
     for n in n_grid:
         _check_n(n, "--n-grid entry")
-    repeated = [n for i, n in enumerate(n_grid) if n in n_grid[:i]]
-    if repeated:
-        raise ValidationError(f"--n-grid lists n={repeated[0]} more than once")
+    # grid entry i runs at seed + i
+    seed = _resolve_seed(args, runs=len(n_grid))
+    threads = _check_threads(args.threads)
+    smoothing = args.xi if args.method == "lrd" else args.eta
+    resolve_smoothing(smoothing, args.alpha if args.method == "lrd" else 1.0)  # rejects a bad spec
     out = _out_dir(args)
     result = run_rate_experiment(
         args.signal,
@@ -380,7 +402,7 @@ def cmd_rates(args) -> int:
         args.nu,
         n_grid,
         args.replications,
-        smoothing=args.xi if args.method == "lrd" else args.eta,
+        smoothing=smoothing,
         snr_db=args.snr,
         seed=seed,
         noise_kind=args.noise_kind,

@@ -223,14 +223,14 @@ def _run_methods(
     with stopping-rule stream rngs[b][i].  Yields, problem by problem, the
     (m, n) estimates and one report per method; row (b, i) equals
     ``run_estimator`` on problem b with method i's arguments bit for bit.
-    The estimates live in one buffer that the next problem overwrites.
 
     One batched FFT and one analysis give every problem's Y_hat and
     sigma_hat, the stopping rule runs on one channel stack, Y_hat / K_hat is
     analysed once per level up to the largest fine level, and each level is
-    thresholded, and its synthesis terms computed, as one stack over the
-    rows that reach it.  The inverse FFT runs per problem, so the pass never
-    holds more than one (m, n) spectrum.
+    thresholded as one stack over the rows that reach it.  One
+    ``meyer._synthesize`` call then turns every row's coefficients into
+    samples: the pass holds one (B*m, n) spectrum, and each problem's
+    estimates are a view of its m rows, left intact by the later problems.
     """
     for method, *_ in methods:
         if method not in ("lrd", "iid"):
@@ -259,9 +259,8 @@ def _run_methods(
             kernel, alpha, [alphas[i] for _, i in rows], [sigma_hats[b] for b, _ in rows],
             [rngs[b][i] for b, i in rows], j0,
         )
-        levels = [level for level, _ in fine]
-        stops = [(stop.M, stop.saturated) for _, stop in fine]
-        del fine  # frees the channel magnitudes before synthesis
+        levels = [level for level, _, _ in fine]
+        stops = [(stop_m, saturated) for _, stop_m, saturated in fine]
     else:
         if not j0 <= j1_override <= int(math.log2(n)) - 2:
             raise ValueError(f"j1 override {j1_override} outside [{j0}, log2(n)-2]")
@@ -276,13 +275,8 @@ def _run_methods(
         )
     scale, raw = _deconvolve(spectra, kernel, j0, max(levels))
     del spectra
-    # every band's synthesis terms are computed once for the whole stack:
-    # the scale band per problem, each detail level over the rows that reach it
-    scale_plan = meyer._scale_plan(j0, n)
-    scale_terms = meyer._band_terms(scale_plan, scale)
     details: list[dict[int, np.ndarray]] = [{} for _ in rows]
     kept_counts: list[dict[int, int]] = [{} for _ in rows]
-    level_bands = []
     fine_levels = np.array(levels)
     for j, coeffs in raw.items():
         reach = np.flatnonzero(fine_levels >= j)
@@ -292,32 +286,26 @@ def _run_methods(
         for r, values, count in zip(reach.tolist(), kept, np.count_nonzero(kept, axis=1).tolist()):
             details[r][j] = values
             kept_counts[r][j] = count
-        plan = meyer._detail_plan(j, n)
-        level_bands.append((plan, reach, meyer._band_terms(plan, kept)))
     del raw
+    coefficients = [
+        WaveletCoefficients(j0=j0, j1=j1, n=n, scale=scale[b].copy(), detail=detail)
+        for (b, _), j1, detail in zip(rows, levels, details)
+    ]
+    estimates = meyer._synthesize(coefficients, n)
 
-    buffer = np.empty((m, n), dtype=complex)
-    every_method = np.arange(m)
-    for b in range(len(problems)):
-        bands = [(scale_plan, every_method, scale_terms[b])]
-        for plan, reach, terms in level_bands:
-            lo, hi = np.searchsorted(reach, (b * m, (b + 1) * m))
-            bands.append((plan, reach[lo:hi] - b * m, terms[lo:hi]))
-        estimates = meyer._assemble(bands, buffer)
+    for b, sigma_hat in enumerate(sigma_hats):
         span = range(b * m, (b + 1) * m)
         reports = [
             EstimateReport(
-                estimate=estimate,
-                coefficients=WaveletCoefficients(
-                    j0=j0, j1=levels[r], n=n, scale=scale[b].copy(), detail=details[r]
-                ),
+                estimate=estimates[r],
+                coefficients=coefficients[r],
                 policy=policies[r],
                 fine_level_used=levels[r],
-                sigma_hat=sigma_hats[b],
+                sigma_hat=sigma_hat,
                 kept_count=kept_counts[r],
                 stopping_m=stops[r][0],
                 stopping_saturated=stops[r][1],
             )
-            for r, estimate in zip(span, estimates)
+            for r in span
         ]
-        yield estimates, reports
+        yield estimates[b * m : (b + 1) * m], reports

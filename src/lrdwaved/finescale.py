@@ -107,7 +107,10 @@ def stopping_time(
     if mags.ndim != 1 or mags.size == 0:
         raise ValueError("kernel observation must be a nonempty 1-d sequence")
     cut = _cutoffs(mags.size, alpha, epsilon, log_power)
-    return _result(mags, cut, _crossings(mags[np.newaxis], [cut])[0])
+    first = int(_crossings(mags[np.newaxis], [cut])[0])
+    m = first + 1 if first >= 0 else mags.size
+    j_hat = int(math.floor(math.log2(m))) - 1
+    return StoppingResult(M=m, j_hat=j_hat, saturated=first < 0, magnitudes=mags, cutoffs=cut)
 
 
 def _crossings(mags: np.ndarray, cuts) -> np.ndarray:
@@ -116,14 +119,6 @@ def _crossings(mags: np.ndarray, cuts) -> np.ndarray:
     for row, cut, out in zip(mags, cuts, below):
         np.less_equal(row, cut, out=out)
     return np.where(below.any(axis=1), below.argmax(axis=1), -1)
-
-
-def _result(mags: np.ndarray, cuts: np.ndarray, first: int) -> StoppingResult:
-    """The rule's outcome on a scanned trace that first crosses at column ``first`` (-1: none)."""
-    first = int(first)
-    m = first + 1 if first >= 0 else mags.size
-    j_hat = int(math.floor(math.log2(m))) - 1
-    return StoppingResult(M=m, j_hat=j_hat, saturated=first < 0, magnitudes=mags, cutoffs=cuts)
 
 
 def kernel_channel(
@@ -217,60 +212,47 @@ def fine_level_details(
     dependence level the stopping rule assumes (1 for the default white-noise
     rule); the channel noise always carries the data's true level
     problem.alpha.  ``sigma_hat`` defaults to problem.sigma_hat.  The result
+    is ``stopping_time`` at epsilon = n^(-1/2) on the full channel, so it
     carries the full trace, l = 1..n/2 - 1.
     """
     if sigma_hat is None:
         sigma_hat = problem.sigma_hat
-    n = problem.n
-    [result] = _scan(problem.kernel, problem.alpha, [alpha], [sigma_hat], [rng], n // 2 - 1)
-    return _clamp(result.j_hat, n, j0), result
+    channel = kernel_channel(problem.kernel, problem.alpha, sigma_hat, rng)
+    result = stopping_time(channel, alpha, problem.n**-0.5, OPERATIONAL_LOG_POWER)
+    return _clamp(result.j_hat, problem.n, j0), result
 
 
 def _fine_levels(
     kernel, noise_alpha: float, alphas, sigma_hats, rngs, j0: int
-) -> list[tuple[int, StoppingResult]]:
-    """``fine_level_details`` of every (alpha, sigma_hat, rng) row on one channel stack.
+) -> list[tuple[int, int, bool]]:
+    """(level, M, saturated) of ``fine_level_details`` for every (alpha, sigma_hat, rng) row.
 
     The rows may come from several problems that share one kernel and one
-    noise level ``noise_alpha``.  Each row is built only up to its first
-    crossing (see ``_scan``), so its result's trace covers a prefix of at
-    least M frequencies; M, the level and the saturation flag equal the
-    full-trace ones.
-    """
-    results = _scan(kernel, noise_alpha, alphas, sigma_hats, rngs, _FIRST_WIDTH)
-    return [(_clamp(result.j_hat, kernel.n, j0), result) for result in results]
-
-
-def _scan(
-    kernel, noise_alpha: float, alphas, sigma_hats, rngs, width: int
-) -> list[StoppingResult]:
-    """The operational rule (epsilon = n^-1/2) on each channel row, row i at cutoff alphas[i].
-
-    A row is built and scanned over its first ``width`` frequencies; a row
+    noise level ``noise_alpha``, and run on one channel stack.  A row is
+    built and scanned over its first ``_FIRST_WIDTH`` frequencies; a row
     with no crossing doubles its prefix, until it reaches n/2 - 1 and
-    saturates.  Each result carries magnitudes and cutoffs over the prefix
-    its row scanned.
+    saturates.  No trace is kept: each row's prefix covers its first
+    crossing, so M, the level and the saturation flag equal the full-trace
+    ones.
     """
     stack = _ChannelStack(kernel, noise_alpha, sigma_hats, rngs)
     cuts = [
         _cutoffs(stack.size, alpha, kernel.n**-0.5, OPERATIONAL_LOG_POWER) for alpha in alphas
     ]
-    pieces: list[list[np.ndarray]] = [[] for _ in rngs]
-    results: list[StoppingResult | None] = [None] * len(rngs)
-    rows, lo = list(range(len(rngs))), 0
+    results: list[tuple[int, int, bool] | None] = [None] * len(rngs)
+    rows, lo, hi = list(range(len(rngs))), 0, min(_FIRST_WIDTH, stack.size)
     while rows:
-        hi = min(width, stack.size)
         mags = np.abs(stack.columns(rows, lo, hi))
         firsts = _crossings(mags, [cuts[i][lo:hi] for i in rows]).tolist()
         open_rows = []
-        for i, row, first in zip(rows, mags, firsts):
-            pieces[i].append(row)
+        for i, first in zip(rows, firsts):
             if first >= 0 or hi == stack.size:
-                trace = pieces[i][0] if lo == 0 else np.concatenate(pieces[i])
-                results[i] = _result(trace, cuts[i][:hi], lo + first if first >= 0 else -1)
+                m = lo + first + 1 if first >= 0 else hi
+                j_hat = int(math.floor(math.log2(m))) - 1
+                results[i] = (_clamp(j_hat, kernel.n, j0), m, first < 0)
             else:
                 open_rows.append(i)
-        rows, lo, width = open_rows, hi, 2 * width
+        rows, lo, hi = open_rows, hi, min(2 * hi, stack.size)
     return results
 
 

@@ -285,39 +285,30 @@ def _synthesize(expansions: list[WaveletCoefficients], n: int) -> np.ndarray:
 
     Each band is added to the rows whose fine level reaches it, in the order
     scale, then detail j0, j0+1, ...; a row is the one-set synthesis exactly.
+    The rows share one complex (m, n) spectrum, inverse transformed in place;
+    the samples are its real view.
     """
     j0 = expansions[0].j0
     if any(c.j0 != j0 for c in expansions):
         raise ValueError("stacked synthesis needs one coarse level j0 for every row")
     fine = np.array([c.j1 for c in expansions])
     _check_grid(n, int(fine.max()))
+    spectrum = np.zeros((len(expansions), n), dtype=complex)
     plan = _scale_plan(j0, n)
-    bands = [(plan, np.arange(len(expansions)), _band_terms(plan, [c.scale for c in expansions]))]
+    spectrum[:, plan.index] += _band_terms(plan, [c.scale for c in expansions])
     for j in range(j0, int(fine.max()) + 1):
         plan, rows = _detail_plan(j, n), np.flatnonzero(fine >= j)
-        bands.append((plan, rows, _band_terms(plan, [expansions[i].detail[j] for i in rows])))
-    return _assemble(bands, np.empty((len(expansions), n), dtype=complex))
+        terms = _band_terms(plan, [expansions[i].detail[j] for i in rows])
+        spectrum[rows[:, np.newaxis], plan.index] += terms
+    samples = np.fft.ifft(spectrum, axis=-1, out=spectrum)
+    samples *= n
+    return _real_part(samples, "synthesized samples")
 
 
 def _band_terms(plan: _BandPlan, values) -> np.ndarray:
     """Spectrum terms of a (rows, 2^level) stack of one band's coefficients, row by row."""
     fb = np.fft.fft(np.asarray(values, dtype=complex), axis=-1)
     return plan.synthesis * np.take(fb, plan.residues, axis=-1)
-
-
-def _assemble(bands, spectrum: np.ndarray) -> np.ndarray:
-    """Samples from (plan, rows, terms) bands, added in order into ``spectrum``.
-
-    ``spectrum``, a complex (m, n) buffer, is zeroed, filled, inverse
-    transformed in place and returned as its real view: a fresh (m, n) buffer
-    per replication makes the allocator trim and re-fault the heap every time.
-    """
-    spectrum.fill(0.0)
-    for plan, rows, terms in bands:
-        spectrum[rows[:, np.newaxis], plan.index] += terms
-    samples = np.fft.ifft(spectrum, axis=-1, out=spectrum)
-    samples *= spectrum.shape[-1]
-    return _real_part(samples, "synthesized samples")
 
 
 def inverse_transform(coeffs: WaveletCoefficients, n: int) -> np.ndarray:

@@ -152,6 +152,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown method {unknown[0]!r}; choose from ('iid', 'lrd')")
         if len(self.methods) != len(self.smoothing):
             raise ValueError("methods and smoothing lists must have equal length")
+        for method, spec in zip(self.methods, self.smoothing):
+            resolve_smoothing(spec, self.alpha if method == "lrd" else 1.0)
         if self.replications < 1:
             raise ValueError("need at least one replication")
 

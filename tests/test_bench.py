@@ -273,6 +273,49 @@ class TestRunBenchmark:
             expected += [("scale", 3)] + [("detail", j) for j in range(3, top + 1)]
         assert calls == expected
 
+    def test_one_synthesis_per_block(self, monkeypatch):
+        # every (replication, method) row of a block is synthesized by one
+        # meyer._synthesize call, each row at its own fine level
+        from lrdwaved import meyer
+
+        calls = []
+        real = meyer._synthesize
+
+        def counting(expansions, n):
+            calls.append([c.j1 for c in expansions])
+            return real(expansions, n)
+
+        monkeypatch.setattr(meyer, "_synthesize", counting)
+        config = ExperimentConfig("cusp", n=1024, alpha=0.4, snr_db=30.0, replications=12, seed=3)
+        result = run_benchmark(config)
+        assert [len(levels) for levels in calls] == [8 * 3, 4 * 3]
+        expected = [
+            [int(m.fine_levels[rep]) for rep in block for m in result.methods]
+            for block in (range(0, 8), range(8, 12))
+        ]
+        assert calls == expected
+
+    def test_block_estimates_outlive_the_next_problem(self):
+        # problem 0's yielded estimates keep their values after the pass
+        # yields problem 1, and equal run_estimator's
+        from lrdwaved.estimator import _run_methods
+        from lrdwaved.signals import _clean_cell, _noisy_problem
+
+        config = ExperimentConfig("cusp", n=1024, alpha=0.4, snr_db=30.0, seed=3)
+        cell = _clean_cell(config)
+        problems = [_noisy_problem(cell, rep) for rep in range(2)]
+        methods = [("iid", math.sqrt(6.0), None), ("lrd", math.sqrt(0.4), None)]
+        rngs = [[derive_rng(3, rep, i) for i in range(2)] for rep in range(2)]
+        passes = _run_methods(problems, methods, rngs)
+        first, _ = next(passes)
+        kept = first.copy()
+        second, _ = next(passes)
+        np.testing.assert_array_equal(first, kept)
+        assert not np.array_equal(first, second)
+        for i, (method, smoothing, _) in enumerate(methods):
+            alone = run_estimator(problems[0], method, smoothing, rng=derive_rng(3, 0, i))
+            assert first[i].tobytes() == alone.estimate.tobytes()
+
     @pytest.mark.parametrize("replications", [1, 7, 8, 9, 17])
     def test_block_pass_matches_run_estimator(self, replications):
         # every replication and method of the block pass equals run_estimator
@@ -310,8 +353,9 @@ class TestRunBenchmark:
 
     def test_traced_peak_holds_one_block(self):
         # one block of 8 replications at n=4096 holds a few (8, n)-sized
-        # arrays (spectra, channel stack, sigma analysis), about 2 MB; a pass
-        # over all 64 replications at once would need several times that
+        # arrays (spectra, sigma analysis) and the block's one (24, n) complex
+        # synthesis spectrum, a traced peak of about 2.8 MB; a pass over all
+        # 64 replications at once would need several times that
         import tracemalloc
 
         config = ExperimentConfig("cusp", n=4096, alpha=1.0, snr_db=20.0, replications=64, seed=1)

@@ -123,11 +123,18 @@ class TestEstimate:
         assert not (out / "estimate.csv").exists()
 
     def test_ragged_row_is_validation_error(self, tmp_path, capsys):
-        dataset = tmp_path / "ragged.csv"
-        dataset.write_text("# comment\nt,y\n0,1\n0.5\n")
-        code = run_cli(["estimate", dataset, "--seed", 5, "--out", tmp_path / "est"])
-        assert code == 3
-        assert f"{dataset} line 4: 1 fields, the header has 2" in capsys.readouterr().err
+        # a short row and a non-numeric field both name their line
+        for name, text, message in (
+            ("ragged.csv", "# comment\nt,y\n0,1\n0.5\n", "line 4: 1 fields, the header has 2"),
+            ("text.csv", "t,y\n0.0,1.0\n0.0,abc1.49\n",
+             "line 3: could not convert string to float: 'abc1.49'"),
+        ):
+            dataset = tmp_path / name
+            dataset.write_text(text)
+            code = run_cli(["estimate", dataset, "--seed", 5, "--out", tmp_path / "est"])
+            assert code == 3
+            assert f"{dataset} {message}" in capsys.readouterr().err
+            assert not (tmp_path / "est" / "estimate.csv").exists()
 
     @staticmethod
     def _kernel_file(tmp_path, ells, n=1024, zero_beyond=None):
@@ -226,11 +233,21 @@ class TestBenchmarkCommand:
         assert not (tmp_path / "results.json").exists()
 
     def test_repeated_alpha_is_validation_error(self, tmp_path, capsys):
-        code = run_cli(["benchmark", "--signal", "cusp", "--n", 512, "--alpha-grid", "1,0.6,1",
-                        "--replications", 2, "--seed", 1, "--out", tmp_path])
-        assert code == 3
-        assert "alpha=1 more than once" in capsys.readouterr().err
-        assert not (tmp_path / "results.json").exists()
+        # also a non-numeric alpha and an unknown smoothing: each exits 3
+        # before --out is created
+        for i, (flags, message) in enumerate((
+            (["--alpha-grid", "1,0.6,1"], "--alpha-grid lists alpha=1 more than once"),
+            (["--alpha-grid", "1,x"], "--alpha-grid: could not convert string to float: 'x'"),
+            (["--alpha-grid", ","], "--alpha-grid must list at least one alpha"),
+            (["--alpha-grid", "1", "--methods", "lrd", "--smoothing", "bogus"],
+             "unknown smoothing spec 'bogus'"),
+        )):
+            out = tmp_path / str(i)
+            code = run_cli(["benchmark", "--signal", "cusp", "--n", 512, *flags,
+                            "--replications", 2, "--seed", 1, "--out", out])
+            assert code == 3
+            assert f"error: {message}" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_repeated_n_is_validation_error(self, tmp_path, capsys):
         code = run_cli(["rates", "--signal", "cusp", "--n-grid", "256,256,512",
@@ -240,13 +257,40 @@ class TestBenchmarkCommand:
         assert not (tmp_path / "rates.csv").exists()
 
     def test_bad_n_grid_entry_names_n_grid(self, tmp_path, capsys):
-        code = run_cli(["rates", "--signal", "cusp", "--n-grid", "100,256",
-                        "--replications", 2, "--seed", 1, "--out", tmp_path])
+        for grid, message in (
+            ("100,256", "--n-grid entry must be a power of two >= 32, got 100"),
+            ("64,abc", "--n-grid: invalid literal for int() with base 10: 'abc'"),
+            (",", "--n-grid must list at least one n"),
+        ):
+            code = run_cli(["rates", "--signal", "cusp", "--n-grid", grid,
+                            "--replications", 2, "--seed", 1, "--out", tmp_path])
+            assert code == 3
+            assert f"error: {message}" in capsys.readouterr().err
+            assert not any(tmp_path.iterdir())
+
+    def test_unknown_rates_smoothing_creates_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run_cli(["rates", "--signal", "cusp", "--n-grid", "64,128", "--xi", "bogus",
+                        "--replications", 2, "--seed", 1, "--out", out])
         assert code == 3
-        assert "error: --n-grid entry must be a power of two >= 32, got 100" in (
-            capsys.readouterr().err
-        )
-        assert not any(tmp_path.iterdir())
+        assert "unknown smoothing spec 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rates_seed_past_the_last_grid_seed_names_its_source(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # grid entry i runs at seed + i, so 2**64 - 1 leaves no seed for the second
+        top = 2**64 - 1
+        command = ["rates", "--signal", "cusp", "--n-grid", "64,128", "--replications", 2]
+        for source, seed_flags in (("--seed", ["--seed", top]), ("$LRDWAVED_SEED", [])):
+            monkeypatch.setenv("LRDWAVED_SEED", str(top))
+            out = tmp_path / source
+            assert run_cli(command + seed_flags + ["--out", out]) == 3
+            assert (
+                f"error: {source}: seed must be an integer in [0, 2**64 - 1) "
+                f"to give 2 consecutive seeds, got {top}"
+            ) in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("command", [["benchmark", "--n", 512, "--alpha-grid", "1"],
                                          ["rates", "--n-grid", "256,512"]])

@@ -163,3 +163,9 @@ class TestGenerateDataset:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method 'bogus'"):
             ExperimentConfig(signal="cusp", methods=("iid", "bogus"), smoothing=("sqrt6", "sqrt6"))
+
+    def test_bad_smoothing_rejected(self):
+        with pytest.raises(ValueError, match="unknown smoothing spec 'bogus'"):
+            ExperimentConfig(signal="cusp", methods=("lrd",), smoothing=("bogus",))
+        with pytest.raises(ValueError, match="smoothing must be positive"):
+            ExperimentConfig(signal="cusp", methods=("iid",), smoothing=("-1",))
