@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covariance import VarianceTable, _WavedTable
-from .estimator import _run_methods
+from .estimator import _block_pass
 from .noise import derive_rng
 from .signals import ExperimentConfig, _clean_cell, _noisy_problem, resolve_smoothing
 
@@ -103,13 +103,14 @@ def run_benchmark(config: ExperimentConfig, threads: int = 1) -> BenchResult:
     def run_block(reps: range) -> None:
         problems = [_noisy_problem(cell, rep) for rep in reps]
         rngs = [[derive_rng(config.seed, rep, i) for i in range(n_methods)] for rep in reps]
-        for rep, (estimates, reports) in zip(reps, _run_methods(problems, rows, rngs)):
-            sq = estimates - f_true
-            sq *= sq
-            mses[:, rep] = np.mean(sq, axis=1)
-            for i, report in enumerate(reports):
-                levels[i, rep] = report.fine_level_used
-                kept[i, rep] = sum(report.kept_count.values())
+        block = _block_pass(problems, rows, rngs)
+        # row b*m + i of the pass is replication reps[b] under method i
+        sq = block.estimates - f_true
+        sq *= sq
+        cols, shape = slice(reps[0], reps[-1] + 1), (len(reps), n_methods)
+        mses[:, cols] = np.mean(sq, axis=1).reshape(shape).T
+        levels[:, cols] = block.levels.reshape(shape).T
+        kept[:, cols] = block.kept.reshape(shape).T
 
     def one_block(reps: range) -> None:
         try:

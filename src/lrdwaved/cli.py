@@ -141,6 +141,14 @@ def _parse_grid(text: str, flag: str, name: str, kind) -> list:
     return values
 
 
+def _smoothing(spec: str, flag: str, alpha: float = 1.0) -> float:
+    """``resolve_smoothing``, naming ``flag``; a spec is valid at every alpha or at none."""
+    try:
+        return resolve_smoothing(spec, alpha)
+    except ValueError as exc:
+        raise ValidationError(f"{flag}: {exc}") from None
+
+
 def _check_threads(threads: int) -> int:
     if threads < 1:
         raise ValidationError(f"--threads must be at least 1, got {threads}")
@@ -265,15 +273,12 @@ def _signed(index: int, n: int) -> int:
 
 def cmd_estimate(args) -> int:
     seed = _resolve_seed(args)
-    out = _out_dir(args)
     table = _read_dataset(Path(args.input))
     for col in ("t", "y"):
         if col not in table:
             raise ValidationError(f"dataset {args.input} needs at least columns t,y")
     y = table["y"]
-    n = y.shape[0]
-    if n < 32 or (n & (n - 1)) != 0:
-        raise ValidationError(f"dataset length must be a power of two >= 32, got {n}")
+    n = _check_n(y.shape[0], "dataset length")
 
     if args.kernel_file is not None:
         kernel = _read_kernel_file(Path(args.kernel_file), n)
@@ -281,9 +286,9 @@ def cmd_estimate(args) -> int:
         kernel = gamma_kernel(n, shape=args.nu, scale=args.kernel_scale)
     problem = DeconvolutionProblem(observations=y, kernel=kernel, alpha=args.alpha)
 
-    smoothing_spec = args.xi if args.method == "lrd" else args.eta
-    alpha_eff = args.alpha if args.method == "lrd" else 1.0
-    smoothing = resolve_smoothing(smoothing_spec, alpha_eff)
+    flag, spec = ("--xi", args.xi) if args.method == "lrd" else ("--eta", args.eta)
+    smoothing = _smoothing(spec, flag, problem.alpha if args.method == "lrd" else 1.0)
+    out = _out_dir(args)
     report = run_estimator(
         problem, args.method, smoothing, j1_override=args.j1, j0=args.j0, rng=derive_rng(seed)
     )
@@ -332,6 +337,8 @@ def cmd_benchmark(args) -> int:
     alphas = _parse_grid(args.alpha_grid, "--alpha-grid", "alpha", float)
     methods = tuple(args.methods.split(","))
     smoothing = tuple(args.smoothing.split(","))
+    for spec in smoothing:
+        _smoothing(spec, "--smoothing")
     configs = [
         _experiment_config(args, seed, alpha, methods, smoothing, args.replications)
         for alpha in alphas
@@ -392,8 +399,8 @@ def cmd_rates(args) -> int:
     # grid entry i runs at seed + i
     seed = _resolve_seed(args, runs=len(n_grid))
     threads = _check_threads(args.threads)
-    smoothing = args.xi if args.method == "lrd" else args.eta
-    resolve_smoothing(smoothing, args.alpha if args.method == "lrd" else 1.0)  # rejects a bad spec
+    flag, smoothing = ("--xi", args.xi) if args.method == "lrd" else ("--eta", args.eta)
+    _smoothing(smoothing, flag)
     out = _out_dir(args)
     result = run_rate_experiment(
         args.signal,

@@ -9,9 +9,9 @@ Fourier-domain division over the Meyer bands, threshold, synthesize.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from . import meyer
 from .covariance import KernelSpec, VarianceTable
 from .finescale import _fine_levels
 from .meyer import WaveletCoefficients
-from .thresholds import DEFAULT_COARSE_LEVEL, ThresholdPolicy, build_policy
+from .thresholds import DEFAULT_COARSE_LEVEL, ThresholdPolicy, _tau_table, c_n
 
 __all__ = [
     "DeconvolutionProblem",
@@ -87,7 +87,7 @@ def _sigma_hats(spectra: np.ndarray) -> np.ndarray:
     """``sigma_hat`` of every row of a (B, n) stack of spectra: one analysis, row-wise MAD."""
     n = spectra.shape[-1]
     coeffs = meyer._detail_from_spectrum(spectra, int(math.log2(n)) - 2, n)
-    mad = np.median(np.abs(coeffs - np.median(coeffs, axis=-1, keepdims=True)), axis=-1)
+    mad = np.where(np.isfinite(coeffs).all(axis=-1), _mad(coeffs), np.nan)  # NaN if non-finite
     sigma_hats = mad / MAD_TO_SIGMA * math.sqrt(n)
     bad = np.flatnonzero(~(np.isfinite(sigma_hats) & (sigma_hats > 0.0)))
     if bad.size:
@@ -95,6 +95,21 @@ def _sigma_hats(spectra: np.ndarray) -> np.ndarray:
             f"noise scale estimate must be finite and positive, got {float(sigma_hats[bad[0]])}"
         )
     return sigma_hats
+
+
+def _mad(x: np.ndarray) -> np.ndarray:
+    """Row-wise median absolute deviation of a finite stack of even width (always 2^J here).
+
+    An even-width median is the mean of order statistics h-1 and h, h = width/2: one partition
+    at h places h, and h-1 is the largest entry below it.  ``np.median``'s values bit for bit.
+    """
+    h = x.shape[-1] // 2
+
+    def median(values: np.ndarray) -> np.ndarray:
+        part = np.partition(values, h, axis=-1)
+        return (part[..., :h].max(axis=-1) + part[..., h]) / 2.0
+
+    return median(np.abs(x - median(x)[..., np.newaxis]))
 
 
 def deconvolve_coefficients(problem: DeconvolutionProblem, j0: int, j1: int) -> WaveletCoefficients:
@@ -203,39 +218,61 @@ def run_estimator(
     calibration regardless of the data's true dependence level; the LRD
     method uses problem.alpha in both.
     """
-    [(_, (report,))] = _run_methods(
-        [problem], [(method, smoothing, variance_table)], [[rng]], j1_override, j0=j0
+    methods = [(method, smoothing, variance_table)]
+    block = _block_pass([problem], methods, [[rng]], j1_override, j0=j0)
+    (j1, stopping_m, saturated), sigma_hat = block.fine[0], block.sigma_hats[0]
+    lambdas = {j: float(lams[0]) for j, lams in block.lambdas.items()}
+    policy = ThresholdPolicy(
+        method, smoothing, sigma_hat, problem.alpha if method == "lrd" else 1.0, problem.n, lambdas
     )
-    return report
+    detail = {j: values[0] for j, (_, values) in block.detail.items()}
+    coefficients = WaveletCoefficients(j0, j1, problem.n, block.scale[0], detail)
+    kept_count = {j: int(counts[0]) for j, counts in block.counts.items()}
+    return EstimateReport(
+        block.estimates[0], coefficients, policy, j1, sigma_hat, kept_count, stopping_m, saturated
+    )
 
 
-def _run_methods(
+class _BlockPass(NamedTuple):
+    """The arrays of one stacked pass; row b*m + i is problem b under method i."""
+
+    estimates: np.ndarray  # (B*m, n)
+    levels: np.ndarray  # (B*m,) fine levels
+    fine: list[tuple[int, int | None, bool]]  # (level, M, saturated); M None if overridden
+    sigma_hats: list[float]  # per problem
+    scale: np.ndarray  # (B, 2^j0), per problem
+    detail: dict[int, tuple[np.ndarray, np.ndarray]]  # j -> (rows reaching j, thresholded stack)
+    lambdas: dict[int, np.ndarray]  # j -> lambda_j of those rows
+    counts: dict[int, np.ndarray]  # j -> kept count of those rows
+    kept: np.ndarray  # (B*m,) kept totals over the levels
+
+
+def _block_pass(
     problems: list[DeconvolutionProblem],
     methods: list[tuple[str, float, VarianceTable | None]],
     rngs: list[list[np.random.Generator | None]],
     j1_override: int | None = None,
     *,
     j0: int = DEFAULT_COARSE_LEVEL,
-) -> Iterator[tuple[np.ndarray, list[EstimateReport]]]:
-    """One stacked pass of ``run_estimator`` over every (problem, method) row.
+) -> _BlockPass:
+    """``run_estimator`` on every (problem, method) row, as arrays.
 
     The problems share one kernel and one alpha; method i runs on problem b
-    with stopping-rule stream rngs[b][i].  Yields, problem by problem, the
-    (m, n) estimates and one report per method; row (b, i) equals
+    with stopping-rule stream rngs[b][i], and row b*m + i equals
     ``run_estimator`` on problem b with method i's arguments bit for bit.
-
-    One batched FFT and one analysis give every problem's Y_hat and
-    sigma_hat, the stopping rule runs on one channel stack, Y_hat / K_hat is
-    analysed once per level up to the largest fine level, and each level is
-    thresholded as one stack over the rows that reach it.  One
-    ``meyer._synthesize`` call then turns every row's coefficients into
-    samples: the pass holds one (B*m, n) spectrum, and each problem's
-    estimates are a view of its m rows, left intact by the later problems.
+    One batched FFT and analysis give every sigma_hat, the stopping rule runs
+    on one channel stack, and Y_hat / K_hat is analysed once per level.
+    Each level is thresholded as one stack over the rows that reach it, at
+    ``build_policy``'s lambda = smoothing * tau(j) * (sigma_hat * c_n) as one
+    vector product, tau read only for methods with a row there.  One
+    ``meyer._synthesize`` call gives every row's samples, a view of a
+    (B*m, n) spectrum that no later pass reuses.
     """
-    for method, *_ in methods:
-        if method not in ("lrd", "iid"):
-            raise ValueError(f"unknown method {method!r}")
     kernel, alpha, n = problems[0].kernel, problems[0].alpha, problems[0].n
+    tables = [_tau_table(method, kernel, alpha, table) for method, _, table in methods]
+    smoothings = np.array([smoothing for _, smoothing, _ in methods])
+    if np.any(smoothings <= 0):
+        raise ValueError(f"smoothing constant must be positive, got {smoothings.min()}")
     if any(p.kernel is not kernel or p.alpha != alpha for p in problems):
         raise ValueError("a stacked pass needs one kernel and one alpha for every problem")
     if len(problems) == 1:
@@ -250,62 +287,32 @@ def _run_methods(
         spectra /= n
         sigma_hats = _sigma_hats(spectra).tolist()
     m = len(methods)
-    alphas = [alpha if method == "lrd" else 1.0 for method, *_ in methods]
-    # (problem, method) rows in problem-major order: row b*m + i
-    rows = [(b, i) for b in range(len(problems)) for i in range(m)]
+    problem_of, method_of = np.divmod(np.arange(len(problems) * m), m)
 
     if j1_override is None:
-        fine = _fine_levels(
-            kernel, alpha, [alphas[i] for _, i in rows], [sigma_hats[b] for b, _ in rows],
-            [rngs[b][i] for b, i in rows], j0,
-        )
-        levels = [level for level, _, _ in fine]
-        stops = [(stop_m, saturated) for _, stop_m, saturated in fine]
+        alphas, sigmas = [tables[i].alpha for i in method_of], [sigma_hats[b] for b in problem_of]
+        streams = [rngs[b][i] for b, i in zip(problem_of, method_of)]
+        fine = _fine_levels(kernel, alpha, alphas, sigmas, streams, j0)
     else:
         if not j0 <= j1_override <= int(math.log2(n)) - 2:
             raise ValueError(f"j1 override {j1_override} outside [{j0}, log2(n)-2]")
-        levels, stops = [j1_override] * len(rows), [(None, False)] * len(rows)
+        fine = [(j1_override, None, False)] * problem_of.size
+    levels = np.array([level for level, _, _ in fine])
 
-    policies = []
-    for (b, i), j1 in zip(rows, levels):
-        method, smoothing, table = methods[i]
-        policies.append(
-            build_policy(method, kernel, n, alphas[i], sigma_hats[b], smoothing, j0, j1,
-                         variance_table=table)
-        )
-    scale, raw = _deconvolve(spectra, kernel, j0, max(levels))
+    scale, raw = _deconvolve(spectra, kernel, j0, int(levels.max()))
     del spectra
-    details: list[dict[int, np.ndarray]] = [{} for _ in rows]
-    kept_counts: list[dict[int, int]] = [{} for _ in rows]
-    fine_levels = np.array(levels)
+    c_ns = np.array([c_n(n, table.alpha) for table in tables])
+    factors = np.array(sigma_hats)[problem_of] * c_ns[method_of]
+    detail, lambdas, counts, kept = {}, {}, {}, np.zeros(problem_of.size, dtype=int)
     for j, coeffs in raw.items():
-        reach = np.flatnonzero(fine_levels >= j)
-        kept = _threshold_rows(
-            coeffs[reach // m], [policies[r].lambdas[j] for r in reach.tolist()]
-        )
-        for r, values, count in zip(reach.tolist(), kept, np.count_nonzero(kept, axis=1).tolist()):
-            details[r][j] = values
-            kept_counts[r][j] = count
+        rows = np.flatnonzero(levels >= j)
+        taus = np.zeros(m)
+        for i in np.unique(method_of[rows]).tolist():
+            taus[i] = tables[i].tau(j)
+        lambdas[j] = smoothings[method_of[rows]] * taus[method_of[rows]] * factors[rows]
+        detail[j] = rows, _threshold_rows(coeffs[problem_of[rows]], lambdas[j])
+        counts[j] = np.count_nonzero(detail[j][1], axis=1)
+        kept[rows] += counts[j]
     del raw
-    coefficients = [
-        WaveletCoefficients(j0=j0, j1=j1, n=n, scale=scale[b].copy(), detail=detail)
-        for (b, _), j1, detail in zip(rows, levels, details)
-    ]
-    estimates = meyer._synthesize(coefficients, n)
-
-    for b, sigma_hat in enumerate(sigma_hats):
-        span = range(b * m, (b + 1) * m)
-        reports = [
-            EstimateReport(
-                estimate=estimates[r],
-                coefficients=coefficients[r],
-                policy=policies[r],
-                fine_level_used=levels[r],
-                sigma_hat=sigma_hat,
-                kept_count=kept_counts[r],
-                stopping_m=stops[r][0],
-                stopping_saturated=stops[r][1],
-            )
-            for r in span
-        ]
-        yield estimates[b * m : (b + 1) * m], reports
+    estimates = meyer._synthesize(np.repeat(scale, m, axis=0), detail, n)
+    return _BlockPass(estimates, levels, fine, sigma_hats, scale, detail, lambdas, counts, kept)

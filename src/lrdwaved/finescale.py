@@ -153,7 +153,7 @@ class _ChannelStack:
         if np.any(sigma_hats <= 0):
             raise ValueError(f"sigma_hat must be positive, got {sigma_hats.min()}")
         self.kernel, self.noise_alpha = kernel, noise_alpha
-        self.sigma_hats, self.rngs = sigma_hats.tolist(), rngs
+        self.sigma_hats, self.rngs = sigma_hats, rngs
         self.size = kernel.n // 2 - 1
 
     def columns(self, rows, lo: int, hi: int) -> np.ndarray:
@@ -167,12 +167,7 @@ class _ChannelStack:
         out *= _channel_noise_sd(n, self.noise_alpha)[lo:hi]
         out *= n ** (-self.noise_alpha / 2.0)
         channel = np.asarray(self.kernel.fourier[1 + lo : 1 + hi], dtype=complex)
-        scaled: dict[float, np.ndarray] = {}  # rows of one problem share its sigma_hat
-        for row, i in zip(out, rows):
-            sigma_hat = self.sigma_hats[i]
-            if sigma_hat not in scaled:
-                scaled[sigma_hat] = channel / sigma_hat
-            row += scaled[sigma_hat]
+        out += channel / self.sigma_hats[rows, np.newaxis]
         return out
 
 
@@ -219,7 +214,7 @@ def fine_level_details(
         sigma_hat = problem.sigma_hat
     channel = kernel_channel(problem.kernel, problem.alpha, sigma_hat, rng)
     result = stopping_time(channel, alpha, problem.n**-0.5, OPERATIONAL_LOG_POWER)
-    return _clamp(result.j_hat, problem.n, j0), result
+    return min(max(result.j_hat, j0), fine_level_theoretical(problem.n, 1.0, 0.0)), result
 
 
 def _fine_levels(
@@ -236,6 +231,7 @@ def _fine_levels(
     ones.
     """
     stack = _ChannelStack(kernel, noise_alpha, sigma_hats, rngs)
+    top = fine_level_theoretical(kernel.n, 1.0, 0.0)
     cuts = [
         _cutoffs(stack.size, alpha, kernel.n**-0.5, OPERATIONAL_LOG_POWER) for alpha in alphas
     ]
@@ -249,12 +245,9 @@ def _fine_levels(
             if first >= 0 or hi == stack.size:
                 m = lo + first + 1 if first >= 0 else hi
                 j_hat = int(math.floor(math.log2(m))) - 1
-                results[i] = (_clamp(j_hat, kernel.n, j0), m, first < 0)
+                results[i] = (min(max(j_hat, j0), top), m, first < 0)
             else:
                 open_rows.append(i)
         rows, lo, hi = open_rows, hi, min(2 * hi, stack.size)
     return results
 
-
-def _clamp(j_hat: int, n: int, j0: int) -> int:
-    return min(max(j_hat, j0), fine_level_theoretical(n, 1.0, 0.0))

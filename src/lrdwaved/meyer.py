@@ -258,11 +258,6 @@ def _detail_from_spectrum(spectrum: np.ndarray, j: int, n: int) -> np.ndarray:
     return _analyze(np.take(spectrum, plan.index, axis=-1), plan, "detail")
 
 
-def _scale_from_spectrum(spectrum: np.ndarray, j0: int, n: int) -> np.ndarray:
-    plan = _scale_plan(j0, n)
-    return _analyze(np.take(spectrum, plan.index, axis=-1), plan, "scale")
-
-
 def forward_transform(signal: np.ndarray, j0: int, j1: int) -> WaveletCoefficients:
     """Analyze a sampled periodic signal into periodized Meyer coefficients.
 
@@ -274,32 +269,28 @@ def forward_transform(signal: np.ndarray, j0: int, j1: int) -> WaveletCoefficien
     if j0 > j1:
         raise ValueError(f"need j0 <= j1, got ({j0}, {j1})")
     _check_grid(n, j1)
-    spectrum = np.fft.fft(signal) / n
-    scale = _scale_from_spectrum(spectrum, j0, n)
+    spectrum, plan = np.fft.fft(signal) / n, _scale_plan(j0, n)
+    scale = _analyze(np.take(spectrum, plan.index, axis=-1), plan, "scale")
     detail = {j: _detail_from_spectrum(spectrum, j, n) for j in range(j0, j1 + 1)}
     return WaveletCoefficients(j0=j0, j1=j1, n=n, scale=scale, detail=detail)
 
 
-def _synthesize(expansions: list[WaveletCoefficients], n: int) -> np.ndarray:
-    """(m, n) samples of m coefficient sets that share j0, one batched inverse FFT.
+def _synthesize(scale: np.ndarray, detail: dict, n: int) -> np.ndarray:
+    """(rows, n) samples from a (rows, 2^j0) scale stack and detail stacks, one inverse FFT.
 
-    Each band is added to the rows whose fine level reaches it, in the order
-    scale, then detail j0, j0+1, ...; a row is the one-set synthesis exactly.
-    The rows share one complex (m, n) spectrum, inverse transformed in place;
-    the samples are its real view.
+    ``detail`` maps each level j to (row numbers, their (rows, 2^j) stack):
+    the rows whose fine level reaches j.  Each band is added to its rows in
+    the order scale, then detail j0, j0+1, ...; a row is its one-row
+    synthesis exactly.  The rows share one complex (rows, n) spectrum,
+    inverse transformed in place; the samples are its real view.
     """
-    j0 = expansions[0].j0
-    if any(c.j0 != j0 for c in expansions):
-        raise ValueError("stacked synthesis needs one coarse level j0 for every row")
-    fine = np.array([c.j1 for c in expansions])
-    _check_grid(n, int(fine.max()))
-    spectrum = np.zeros((len(expansions), n), dtype=complex)
-    plan = _scale_plan(j0, n)
-    spectrum[:, plan.index] += _band_terms(plan, [c.scale for c in expansions])
-    for j in range(j0, int(fine.max()) + 1):
-        plan, rows = _detail_plan(j, n), np.flatnonzero(fine >= j)
-        terms = _band_terms(plan, [expansions[i].detail[j] for i in rows])
-        spectrum[rows[:, np.newaxis], plan.index] += terms
+    _check_grid(n, max(detail, default=0))
+    spectrum = np.zeros((scale.shape[0], n), dtype=complex)
+    plan = _scale_plan(scale.shape[-1].bit_length() - 1, n)
+    spectrum[:, plan.index] += _band_terms(plan, scale)
+    for j in sorted(detail):
+        plan, (rows, values) = _detail_plan(j, n), detail[j]
+        spectrum[rows[:, np.newaxis], plan.index] += _band_terms(plan, values)
     samples = np.fft.ifft(spectrum, axis=-1, out=spectrum)
     samples *= n
     return _real_part(samples, "synthesized samples")
@@ -313,4 +304,6 @@ def _band_terms(plan: _BandPlan, values) -> np.ndarray:
 
 def inverse_transform(coeffs: WaveletCoefficients, n: int) -> np.ndarray:
     """Synthesize samples on t_i = i/n from periodized Meyer coefficients."""
-    return _synthesize([coeffs], n)[0]
+    row = np.zeros(1, dtype=int)
+    detail = {j: (row, coeffs.detail[j][np.newaxis]) for j in coeffs.levels()}
+    return _synthesize(coeffs.scale[np.newaxis], detail, n)[0]

@@ -83,25 +83,22 @@ def build_policy(
         raise ValueError(f"smoothing constant must be positive, got {smoothing}")
     if j0 > j1:
         raise ValueError(f"need j0 <= j1, got ({j0}, {j1})")
+    table = _tau_table(method, kernel, alpha, variance_table)
+    factor = sigma_hat * c_n(n, table.alpha)
+    lambdas = {j: smoothing * table.tau(j) * factor for j in range(j0, j1 + 1)}
+    return ThresholdPolicy(method, smoothing, sigma_hat, alpha, n, lambdas)
+
+
+def _tau_table(method: str, kernel: KernelSpec, alpha: float, table: VarianceTable | None):
+    """``table`` if it holds ``method``'s tau factors (matched by type, alpha, and kernel by
+    identity or value), else a new table: LRD reads tau_{alpha,j}, IID the classical tau_j."""
     if method not in ("lrd", "iid"):
         raise ValueError(f"unknown method {method!r}")
-
-    # the IID method calibrates at alpha = 1 with the classical tau_j
     table_type, tau_alpha = (VarianceTable, alpha) if method == "lrd" else (_WavedTable, 1.0)
-    table = variance_table
     if (
         type(table) is not table_type
         or table.alpha != tau_alpha
         or (table.kernel is not kernel and not np.array_equal(table.kernel.fourier, kernel.fourier))
     ):
         table = table_type(kernel=kernel, alpha=tau_alpha)
-    factor = sigma_hat * c_n(n, tau_alpha)
-    lambdas = {j: smoothing * table.tau(j) * factor for j in range(j0, j1 + 1)}
-    return ThresholdPolicy(
-        method=method,
-        smoothing=smoothing,
-        sigma_hat=sigma_hat,
-        alpha=alpha,
-        n=n,
-        lambdas=lambdas,
-    )
+    return table

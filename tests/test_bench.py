@@ -115,7 +115,7 @@ class TestRunBenchmark:
         def boom(*args, **kwargs):
             raise ValueError("injected failure")
 
-        monkeypatch.setattr(bench_module, "_run_methods", boom)
+        monkeypatch.setattr(bench_module, "_block_pass", boom)
         with pytest.raises(RuntimeError, match=r"replication 0 \(seed 3\) failed: injected"):
             run_benchmark(small_config())
 
@@ -125,7 +125,7 @@ class TestRunBenchmark:
         import lrdwaved.bench as bench_module
 
         target = generate_dataset(config, rep)[0].observations
-        real = bench_module._run_methods
+        real = bench_module._block_pass
 
         def swapping(problems, *args, **kwargs):
             problems = [
@@ -133,7 +133,7 @@ class TestRunBenchmark:
             ]
             return real(problems, *args, **kwargs)
 
-        monkeypatch.setattr(bench_module, "_run_methods", swapping)
+        monkeypatch.setattr(bench_module, "_block_pass", swapping)
 
     def test_failure_inside_a_block_names_its_replication(self, monkeypatch):
         # replication 9 of 12 sits in the second block (8-11), not first in it
@@ -281,9 +281,11 @@ class TestRunBenchmark:
         calls = []
         real = meyer._synthesize
 
-        def counting(expansions, n):
-            calls.append([c.j1 for c in expansions])
-            return real(expansions, n)
+        def counting(scale, detail, n):
+            # a row's fine level is the last level whose rows include it
+            calls.append([max(j for j, (rows, _) in detail.items() if r in rows)
+                          for r in range(scale.shape[0])])
+            return real(scale, detail, n)
 
         monkeypatch.setattr(meyer, "_synthesize", counting)
         config = ExperimentConfig("cusp", n=1024, alpha=0.4, snr_db=30.0, replications=12, seed=3)
@@ -296,25 +298,26 @@ class TestRunBenchmark:
         assert calls == expected
 
     def test_block_estimates_outlive_the_next_problem(self):
-        # problem 0's yielded estimates keep their values after the pass
-        # yields problem 1, and equal run_estimator's
-        from lrdwaved.estimator import _run_methods
+        # a pass's estimates keep their values after the next pass runs on
+        # other problems, and equal run_estimator's; so does a report's
+        from lrdwaved.estimator import _block_pass
         from lrdwaved.signals import _clean_cell, _noisy_problem
 
         config = ExperimentConfig("cusp", n=1024, alpha=0.4, snr_db=30.0, seed=3)
         cell = _clean_cell(config)
-        problems = [_noisy_problem(cell, rep) for rep in range(2)]
+        problems = [_noisy_problem(cell, rep) for rep in range(4)]
         methods = [("iid", math.sqrt(6.0), None), ("lrd", math.sqrt(0.4), None)]
-        rngs = [[derive_rng(3, rep, i) for i in range(2)] for rep in range(2)]
-        passes = _run_methods(problems, methods, rngs)
-        first, _ = next(passes)
+        rngs = [[derive_rng(3, rep, i) for i in range(2)] for rep in range(4)]
+        first = _block_pass(problems[:2], methods, rngs[:2]).estimates
         kept = first.copy()
-        second, _ = next(passes)
+        second = _block_pass(problems[2:], methods, rngs[2:]).estimates
         np.testing.assert_array_equal(first, kept)
-        assert not np.array_equal(first, second)
+        assert not np.array_equal(first[:2], second[:2])
         for i, (method, smoothing, _) in enumerate(methods):
             alone = run_estimator(problems[0], method, smoothing, rng=derive_rng(3, 0, i))
-            assert first[i].tobytes() == alone.estimate.tobytes()
+            estimate = alone.estimate.copy()
+            run_estimator(problems[1], method, smoothing, rng=derive_rng(3, 1, i))
+            assert first[i].tobytes() == alone.estimate.tobytes() == estimate.tobytes()
 
     @pytest.mark.parametrize("replications", [1, 7, 8, 9, 17])
     def test_block_pass_matches_run_estimator(self, replications):

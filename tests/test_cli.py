@@ -103,6 +103,16 @@ class TestEstimate:
         assert report["fine_level_used"] == 4
         assert report["provenance"]["config"]["j1"] == 4
 
+    def test_unknown_smoothing_names_its_flag(self, tmp_path, capsys):
+        dataset = self._simulate(tmp_path)
+        for method, flag in (("lrd", "--xi"), ("iid", "--eta")):
+            out = tmp_path / method
+            code = run_cli(["estimate", dataset, "--method", method, "--alpha", "0.5",
+                            flag, "bogus", "--seed", 5, "--out", out])
+            assert code == 3
+            assert f"error: {flag}: unknown smoothing spec 'bogus'" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_missing_input_is_validation_error(self, tmp_path, capsys):
         code = run_cli(["estimate", tmp_path / "nope.csv", "--out", tmp_path])
         assert code == 3
@@ -240,7 +250,9 @@ class TestBenchmarkCommand:
             (["--alpha-grid", "1,x"], "--alpha-grid: could not convert string to float: 'x'"),
             (["--alpha-grid", ","], "--alpha-grid must list at least one alpha"),
             (["--alpha-grid", "1", "--methods", "lrd", "--smoothing", "bogus"],
-             "unknown smoothing spec 'bogus'"),
+             "--smoothing: unknown smoothing spec 'bogus'"),
+            (["--alpha-grid", "1", "--methods", "iid", "--smoothing", "-1"],
+             "--smoothing: smoothing must be positive, got -1.0"),
         )):
             out = tmp_path / str(i)
             code = run_cli(["benchmark", "--signal", "cusp", "--n", 512, *flags,
@@ -269,12 +281,14 @@ class TestBenchmarkCommand:
             assert not any(tmp_path.iterdir())
 
     def test_unknown_rates_smoothing_creates_nothing(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        code = run_cli(["rates", "--signal", "cusp", "--n-grid", "64,128", "--xi", "bogus",
-                        "--replications", 2, "--seed", 1, "--out", out])
-        assert code == 3
-        assert "unknown smoothing spec 'bogus'" in capsys.readouterr().err
-        assert not out.exists()
+        # the message names the flag the method reads
+        for method, flag in (("lrd", "--xi"), ("iid", "--eta")):
+            out = tmp_path / method
+            code = run_cli(["rates", "--signal", "cusp", "--n-grid", "64,128", "--method", method,
+                            flag, "bogus", "--replications", 2, "--seed", 1, "--out", out])
+            assert code == 3
+            assert f"error: {flag}: unknown smoothing spec 'bogus'" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_rates_seed_past_the_last_grid_seed_names_its_source(
         self, tmp_path, capsys, monkeypatch

@@ -289,15 +289,34 @@ class TestEstimateSigma:
         with pytest.raises(ValueError, match="finite and positive, got 0.0"):
             _sigma_hats(spectra)
 
+    @given(
+        st.integers(1, 1024),
+        st.integers(1, 3),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=5),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_mad_equals_the_median_mad(self, half, rows, pool, seed):
+        # tie-heavy rows of even width 2..2048, drawn from a few values and
+        # both signed zeros, give np.median's MAD bit for bit
+        from lrdwaved.estimator import _mad
+
+        values = np.array(pool + [0.0, -0.0])
+        x = np.random.default_rng(seed).choice(values, size=(rows, 2 * half))
+        # values near the float limit overflow to inf alike in both
+        with np.errstate(over="ignore"):
+            expected = np.median(np.abs(x - np.median(x, axis=-1, keepdims=True)), axis=-1)
+            assert _mad(x).tobytes() == expected.tobytes()
+
     def test_stacked_pass_needs_one_kernel_and_alpha(self):
-        from lrdwaved.estimator import _run_methods
+        from lrdwaved.estimator import _block_pass
 
         y = np.random.default_rng(13).standard_normal(256)
         a = DeconvolutionProblem(y, gamma_kernel(256), alpha=0.6)
         for b in (DeconvolutionProblem(y, gamma_kernel(256), alpha=0.6),
                   DeconvolutionProblem(y, a.kernel, alpha=0.8)):
             with pytest.raises(ValueError, match="one kernel and one alpha"):
-                list(_run_methods([a, b], [("lrd", 1.0, None)], [[None], [None]]))
+                _block_pass([a, b], [("lrd", 1.0, None)], [[None], [None]])
 
     def test_mad_computed_once_for_every_method(self, monkeypatch):
         # the stopping rule and the thresholds of all three default methods
@@ -479,3 +498,48 @@ class TestRunEstimator:
         problem, _ = self._problem()
         with pytest.raises(ValueError):
             run_estimator(problem, "soft", 1.0)
+
+    def test_block_lambdas_are_build_policy_lambdas(self):
+        # every row's lambda_j equals build_policy's bit for bit, for both
+        # methods, with a table that matches, matches by kernel value, or has
+        # the wrong type, alpha or kernel (which build_policy replaces)
+        from lrdwaved.covariance import KernelSpec, VarianceTable, _WavedTable
+        from lrdwaved.estimator import _block_pass
+        from lrdwaved.signals import ExperimentConfig, _clean_cell, _noisy_problem
+        from lrdwaved.thresholds import build_policy
+
+        config = ExperimentConfig("cusp", n=1024, alpha=0.4, snr_db=30.0, seed=3)
+        cell = _clean_cell(config)
+        kernel = cell.kernel
+        problems = [_noisy_problem(cell, rep) for rep in range(3)]
+        same_values = KernelSpec(fourier=kernel.fourier.copy())
+        other = gamma_kernel(1024, shape=0.3)
+        tables = [
+            None,
+            VarianceTable(kernel=kernel, alpha=0.4),
+            VarianceTable(kernel=same_values, alpha=0.4),
+            VarianceTable(kernel=kernel, alpha=0.9),
+            VarianceTable(kernel=other, alpha=0.4),
+            _WavedTable(kernel=kernel),
+            _WavedTable(kernel=other),
+        ]
+        for table in tables:
+            methods = [("lrd", 0.7, table), ("iid", 2.1, table)]
+            rngs = [[derive_rng(6, rep, i) for i in range(2)] for rep in range(3)]
+            block = _block_pass(problems, methods, rngs)
+            for r, j1 in enumerate(block.levels.tolist()):
+                (method, smoothing, _), b = methods[r % 2], r // 2
+                policy = build_policy(
+                    method, kernel, 1024, 0.4 if method == "lrd" else 1.0,
+                    block.sigma_hats[b], smoothing, 3, j1, variance_table=table,
+                )
+                lambdas = {
+                    j: float(block.lambdas[j][np.searchsorted(rows, r)])
+                    for j, (rows, _) in block.detail.items() if r in rows
+                }
+                assert lambdas == policy.lambdas
+                assert all(
+                    lambdas[j].hex() == policy.lambdas[j].hex() for j in policy.lambdas
+                )
+        # a table whose kernel equals the problem's by value is read, not replaced
+        assert tables[2].taus

@@ -193,7 +193,16 @@ class TestTransforms:
         big.scale[:] = 1e6 * rng.standard_normal(8)
         small = WaveletCoefficients.zeros(3, 4, n)
         small.detail[4][:] = rng.standard_normal(16)
-        stacked = meyer._synthesize([big, small], n)
+        def synthesize(expansions):
+            # row r of the stack is expansions[r], up to its own fine level
+            top = max(c.j1 for c in expansions)
+            detail = {}
+            for j in range(3, top + 1):
+                rows = np.array([r for r, c in enumerate(expansions) if c.j1 >= j])
+                detail[j] = (rows, np.array([expansions[r].detail[j] for r in rows]))
+            return meyer._synthesize(np.array([c.scale for c in expansions]), detail, n)
+
+        stacked = synthesize([big, small])
         np.testing.assert_array_equal(stacked[0], inverse_transform(big, n))
         np.testing.assert_array_equal(stacked[1], inverse_transform(small, n))
 
@@ -205,7 +214,7 @@ class TestTransforms:
         # one level-4 coefficient of size 1e-6 moves no sample by more than 1e-5
         assert 1e-9 * np.abs(stacked[0]).max() > 1e-4
         with pytest.raises(AssertionError, match=r"synthesized samples \(row 1\) should be real"):
-            meyer._synthesize([big, dirty], n)
+            synthesize([big, dirty])
 
     def test_zero_coefficients_give_zero_signal(self):
         out = inverse_transform(WaveletCoefficients.zeros(3, 5, 256), 256)
