@@ -8,10 +8,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import VarianceTable, _WavedTable
 from .estimator import _block_pass
 from .noise import derive_rng
 from .signals import ExperimentConfig, _clean_cell, _noisy_problem, resolve_smoothing
+from .thresholds import _method_alpha
 
 __all__ = [
     "MethodResult",
@@ -88,15 +88,8 @@ def run_benchmark(config: ExperimentConfig, threads: int = 1) -> BenchResult:
 
     cell = _clean_cell(config)
     f_true = cell.f_true
-    # every LRD method thresholds at config.alpha and the IID method at the
-    # classical tau_j, so one tau table per calibration serves every method
-    # and replication of the cell
-    tables = {
-        "lrd": VarianceTable(kernel=cell.kernel, alpha=config.alpha),
-        "iid": _WavedTable(kernel=cell.kernel),
-    }
     rows = [
-        (method, resolve_smoothing(spec, config.alpha if method == "lrd" else 1.0), tables[method])
+        (method, resolve_smoothing(spec, _method_alpha(method, config.alpha)))
         for method, spec in zip(config.methods, config.smoothing)
     ]
 
@@ -104,8 +97,10 @@ def run_benchmark(config: ExperimentConfig, threads: int = 1) -> BenchResult:
         problems = [_noisy_problem(cell, rep) for rep in reps]
         rngs = [[derive_rng(config.seed, rep, i) for i in range(n_methods)] for rep in reps]
         block = _block_pass(problems, rows, rngs)
-        # row b*m + i of the pass is replication reps[b] under method i
-        sq = block.estimates - f_true
+        # row b*m + i of the pass is replication reps[b] under method i; the
+        # errors are squared in the estimates' own buffer, which no one else reads
+        sq = block.estimates
+        sq -= f_true
         sq *= sq
         cols, shape = slice(reps[0], reps[-1] + 1), (len(reps), n_methods)
         mses[:, cols] = np.mean(sq, axis=1).reshape(shape).T
@@ -230,23 +225,13 @@ def run_rate_experiment(
     n_grid = tuple(int(n) for n in n_grid)
     if len(n_grid) < 2:
         raise ValueError("need at least two grid sizes")
-    means = []
-    for idx, n in enumerate(n_grid):
-        config = ExperimentConfig(
-            signal=signal,
-            n=n,
-            alpha=alpha,
-            nu=nu,
-            snr_db=snr_db,
-            methods=(method,),
-            smoothing=(smoothing,),
-            replications=replications,
-            seed=seed + idx,
-            noise_kind=noise_kind,
-        )
-        result = run_benchmark(config, threads=threads)
-        means.append(result.methods[0].mean_mse)
-    means = np.asarray(means)
+    # every config is built, and so checked, before any replication runs
+    configs = [
+        ExperimentConfig(signal, n, alpha, nu, snr_db, (method,), (smoothing,), replications,
+                         seed + idx, noise_kind)
+        for idx, n in enumerate(n_grid)
+    ]
+    means = np.array([run_benchmark(c, threads=threads).methods[0].mean_mse for c in configs])
     x = np.log(np.asarray(n_grid, dtype=float) / np.log(n_grid))
     slope, _ = np.polyfit(x, np.log(means), 1)
     rho = rate_exponent(smoothness, 2.0, nu, alpha, 2.0)

@@ -35,6 +35,7 @@ from .signals import (
     generate_dataset,
     resolve_smoothing,
 )
+from .thresholds import _method_alpha
 
 ENV_SEED = "LRDWAVED_SEED"
 # flags that name an input file; provenance records the file's bytes, not its path
@@ -287,7 +288,7 @@ def cmd_estimate(args) -> int:
     problem = DeconvolutionProblem(observations=y, kernel=kernel, alpha=args.alpha)
 
     flag, spec = ("--xi", args.xi) if args.method == "lrd" else ("--eta", args.eta)
-    smoothing = _smoothing(spec, flag, problem.alpha if args.method == "lrd" else 1.0)
+    smoothing = _smoothing(spec, flag, _method_alpha(args.method, problem.alpha))
     out = _out_dir(args)
     report = run_estimator(
         problem, args.method, smoothing, j1_override=args.j1, j0=args.j0, rng=derive_rng(seed)
@@ -401,7 +402,7 @@ def cmd_rates(args) -> int:
     threads = _check_threads(args.threads)
     flag, smoothing = ("--xi", args.xi) if args.method == "lrd" else ("--eta", args.eta)
     _smoothing(smoothing, flag)
-    out = _out_dir(args)
+    # the run checks every grid config first; --out is created after it
     result = run_rate_experiment(
         args.signal,
         args.method,
@@ -415,6 +416,7 @@ def cmd_rates(args) -> int:
         noise_kind=args.noise_kind,
         threads=threads,
     )
+    out = _out_dir(args)
     provenance = _provenance(args, seed)
     rows = zip(result.n_grid, result.mean_mse)
     _write_csv(out / "rates.csv", provenance, ["n", "mean_mse"], rows)
@@ -429,8 +431,8 @@ def cmd_rates(args) -> int:
 
 def cmd_noise(args) -> int:
     seed = _resolve_seed(args)
-    out = _out_dir(args)
     model = NoiseModel(alpha=args.alpha, kind=args.kind, seed=seed)
+    out = _out_dir(args)
     sample = model.sample(args.n)
     _write_csv(out / "noise.csv", _provenance(args, seed), ["value"], ([v] for v in sample))
     print(f"wrote {out / 'noise.csv'}")

@@ -16,10 +16,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import meyer
-from .covariance import KernelSpec, VarianceTable
+from .covariance import KernelSpec
 from .finescale import _fine_levels
 from .meyer import WaveletCoefficients
-from .thresholds import DEFAULT_COARSE_LEVEL, ThresholdPolicy, _tau_table, c_n
+from .thresholds import DEFAULT_COARSE_LEVEL, ThresholdPolicy, _method_alpha, _tau, c_n
 
 __all__ = [
     "DeconvolutionProblem",
@@ -210,7 +210,6 @@ def run_estimator(
     *,
     j0: int = DEFAULT_COARSE_LEVEL,
     rng: np.random.Generator | None = None,
-    variance_table: VarianceTable | None = None,
 ) -> EstimateReport:
     """Full deconvolution pipeline for one method.
 
@@ -218,12 +217,11 @@ def run_estimator(
     calibration regardless of the data's true dependence level; the LRD
     method uses problem.alpha in both.
     """
-    methods = [(method, smoothing, variance_table)]
-    block = _block_pass([problem], methods, [[rng]], j1_override, j0=j0)
+    block = _block_pass([problem], [(method, smoothing)], [[rng]], j1_override, j0=j0)
     (j1, stopping_m, saturated), sigma_hat = block.fine[0], block.sigma_hats[0]
     lambdas = {j: float(lams[0]) for j, lams in block.lambdas.items()}
     policy = ThresholdPolicy(
-        method, smoothing, sigma_hat, problem.alpha if method == "lrd" else 1.0, problem.n, lambdas
+        method, smoothing, sigma_hat, _method_alpha(method, problem.alpha), problem.n, lambdas
     )
     detail = {j: values[0] for j, (_, values) in block.detail.items()}
     coefficients = WaveletCoefficients(j0, j1, problem.n, block.scale[0], detail)
@@ -249,7 +247,7 @@ class _BlockPass(NamedTuple):
 
 def _block_pass(
     problems: list[DeconvolutionProblem],
-    methods: list[tuple[str, float, VarianceTable | None]],
+    methods: list[tuple[str, float]],
     rngs: list[list[np.random.Generator | None]],
     j1_override: int | None = None,
     *,
@@ -257,23 +255,23 @@ def _block_pass(
 ) -> _BlockPass:
     """``run_estimator`` on every (problem, method) row, as arrays.
 
-    The problems share one kernel and one alpha; method i runs on problem b
-    with stopping-rule stream rngs[b][i], and row b*m + i equals
-    ``run_estimator`` on problem b with method i's arguments bit for bit.
-    One batched FFT and analysis give every sigma_hat, the stopping rule runs
-    on one channel stack, and Y_hat / K_hat is analysed once per level.
+    The problems share one kernel (equal by value) and one alpha; method i
+    runs on problem b with stopping-rule stream rngs[b][i], and row b*m + i
+    equals ``run_estimator`` on problem b with method i's arguments bit for
+    bit.  One batched FFT and analysis give every sigma_hat, the stopping rule
+    runs on one channel stack, and Y_hat / K_hat is analysed once per level.
     Each level is thresholded as one stack over the rows that reach it, at
     ``build_policy``'s lambda = smoothing * tau(j) * (sigma_hat * c_n) as one
-    vector product, tau read only for methods with a row there.  One
-    ``meyer._synthesize`` call gives every row's samples, a view of a
-    (B*m, n) spectrum that no later pass reuses.
+    vector product, tau read from the value cache only for methods with a row
+    there.  One ``meyer._synthesize`` call gives every row's samples, a view
+    of a (B*m, n) spectrum that no later pass reuses.
     """
     kernel, alpha, n = problems[0].kernel, problems[0].alpha, problems[0].n
-    tables = [_tau_table(method, kernel, alpha, table) for method, _, table in methods]
-    smoothings = np.array([smoothing for _, smoothing, _ in methods])
+    alphas = [_method_alpha(method, alpha) for method, _ in methods]
+    smoothings = np.array([smoothing for _, smoothing in methods])
     if np.any(smoothings <= 0):
         raise ValueError(f"smoothing constant must be positive, got {smoothings.min()}")
-    if any(p.kernel is not kernel or p.alpha != alpha for p in problems):
+    if any(p.kernel != kernel or p.alpha != alpha for p in problems):
         raise ValueError("a stacked pass needs one kernel and one alpha for every problem")
     if len(problems) == 1:
         # the one-problem case reads and fills the problem's own caches
@@ -290,9 +288,9 @@ def _block_pass(
     problem_of, method_of = np.divmod(np.arange(len(problems) * m), m)
 
     if j1_override is None:
-        alphas, sigmas = [tables[i].alpha for i in method_of], [sigma_hats[b] for b in problem_of]
+        sigmas = [sigma_hats[b] for b in problem_of]
         streams = [rngs[b][i] for b, i in zip(problem_of, method_of)]
-        fine = _fine_levels(kernel, alpha, alphas, sigmas, streams, j0)
+        fine = _fine_levels(kernel, alpha, [alphas[i] for i in method_of], sigmas, streams, j0)
     else:
         if not j0 <= j1_override <= int(math.log2(n)) - 2:
             raise ValueError(f"j1 override {j1_override} outside [{j0}, log2(n)-2]")
@@ -301,14 +299,14 @@ def _block_pass(
 
     scale, raw = _deconvolve(spectra, kernel, j0, int(levels.max()))
     del spectra
-    c_ns = np.array([c_n(n, table.alpha) for table in tables])
+    c_ns = np.array([c_n(n, a) for a in alphas])
     factors = np.array(sigma_hats)[problem_of] * c_ns[method_of]
     detail, lambdas, counts, kept = {}, {}, {}, np.zeros(problem_of.size, dtype=int)
     for j, coeffs in raw.items():
         rows = np.flatnonzero(levels >= j)
         taus = np.zeros(m)
         for i in np.unique(method_of[rows]).tolist():
-            taus[i] = tables[i].tau(j)
+            taus[i] = _tau(methods[i][0], j, kernel, alphas[i])
         lambdas[j] = smoothings[method_of[rows]] * taus[method_of[rows]] * factors[rows]
         detail[j] = rows, _threshold_rows(coeffs[problem_of[rows]], lambdas[j])
         counts[j] = np.count_nonzero(detail[j][1], axis=1)

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .covariance import KernelSpec
 from .estimator import DeconvolutionProblem
 from .noise import NoiseModel
+from .thresholds import _method_alpha
 
 __all__ = [
     "SIGNAL_NAMES",
@@ -89,6 +91,8 @@ def _gamma_pdf(t: np.ndarray, shape: float, scale: float) -> np.ndarray:
     return out
 
 
+# kernels are immutable: equal calls share one object, which the tau cache matches by identity
+@lru_cache(maxsize=16)
 def gamma_kernel(n: int, shape: float = 0.7, scale: float = 0.25) -> KernelSpec:
     """Gamma-density blur kernel; degree of ill-posedness equals the shape.
 
@@ -147,15 +151,18 @@ class ExperimentConfig:
             raise ValueError(f"n must be a power of two >= 32, got {self.n}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        unknown = [m for m in self.methods if m not in ("iid", "lrd")]
-        if unknown:
-            raise ValueError(f"unknown method {unknown[0]!r}; choose from ('iid', 'lrd')")
+        if not 0.0 < self.nu <= 1.0:
+            raise ValueError(f"nu must lie in (0, 1], got {self.nu}")
+        if not self.kernel_scale > 0.0:
+            raise ValueError(f"kernel_scale must be positive, got {self.kernel_scale}")
+        if not math.isfinite(self.snr_db):
+            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
         if len(self.methods) != len(self.smoothing):
             raise ValueError("methods and smoothing lists must have equal length")
         for method, spec in zip(self.methods, self.smoothing):
-            resolve_smoothing(spec, self.alpha if method == "lrd" else 1.0)
+            resolve_smoothing(spec, _method_alpha(method, self.alpha))
         if self.replications < 1:
-            raise ValueError("need at least one replication")
+            raise ValueError(f"replications must be at least 1, got {self.replications}")
 
     def as_dict(self) -> dict:
         return {
@@ -211,7 +218,7 @@ def _clean_cell(config: ExperimentConfig) -> _CleanCell:
     kernel = gamma_kernel(config.n, shape=config.nu, scale=config.kernel_scale)
     blurred = blur(f_true, kernel)
     sigma = calibrate_sigma(blurred, config.snr_db)
-    for values in (f_true, kernel.fourier, blurred):
+    for values in (f_true, blurred):
         values.setflags(write=False)
     return _CleanCell(
         f_true=f_true,

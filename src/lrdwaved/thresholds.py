@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
-import numpy as np
-
-from .covariance import KernelSpec, VarianceTable, _WavedTable
+from .covariance import KernelSpec, VarianceTable, tau_level, waved_tau_level
 
 __all__ = [
     "ThresholdPolicy",
@@ -27,7 +26,6 @@ __all__ = [
 ]
 
 DEFAULT_COARSE_LEVEL = 3
-DEFAULT_ETA = math.sqrt(6.0)
 
 
 def c_n(n: int, alpha: float) -> float:
@@ -78,27 +76,30 @@ def build_policy(
     *,
     variance_table: VarianceTable | None = None,
 ) -> ThresholdPolicy:
-    """Assemble lambda_j for levels j0..j1 using the per-level tau factors."""
+    """Assemble lambda_j for levels j0..j1 from the cached per-level tau factors.
+
+    ``variance_table`` is not read; it goes with ``VarianceTable``.
+    """
     if smoothing <= 0:
         raise ValueError(f"smoothing constant must be positive, got {smoothing}")
     if j0 > j1:
         raise ValueError(f"need j0 <= j1, got ({j0}, {j1})")
-    table = _tau_table(method, kernel, alpha, variance_table)
-    factor = sigma_hat * c_n(n, table.alpha)
-    lambdas = {j: smoothing * table.tau(j) * factor for j in range(j0, j1 + 1)}
+    assumed = _method_alpha(method, alpha)
+    factor = sigma_hat * c_n(n, assumed)
+    lambdas = {j: smoothing * _tau(method, j, kernel, assumed) * factor for j in range(j0, j1 + 1)}
     return ThresholdPolicy(method, smoothing, sigma_hat, alpha, n, lambdas)
 
 
-def _tau_table(method: str, kernel: KernelSpec, alpha: float, table: VarianceTable | None):
-    """``table`` if it holds ``method``'s tau factors (matched by type, alpha, and kernel by
-    identity or value), else a new table: LRD reads tau_{alpha,j}, IID the classical tau_j."""
+def _method_alpha(method: str, alpha: float) -> float:
+    """The dependence level ``method`` assumes on data at ``alpha``: alpha for LRD, 1 for IID."""
     if method not in ("lrd", "iid"):
-        raise ValueError(f"unknown method {method!r}")
-    table_type, tau_alpha = (VarianceTable, alpha) if method == "lrd" else (_WavedTable, 1.0)
-    if (
-        type(table) is not table_type
-        or table.alpha != tau_alpha
-        or (table.kernel is not kernel and not np.array_equal(table.kernel.fourier, kernel.fourier))
-    ):
-        table = table_type(kernel=kernel, alpha=tau_alpha)
-    return table
+        raise ValueError(f"unknown method {method!r}; choose from ('iid', 'lrd')")
+    return alpha if method == "lrd" else 1.0
+
+
+# the one tau cache: at most 256 (method, level, kernel, alpha) entries, each holding its
+# kernel; the 60-cell grid at n=4096 fills at most 48 (5 LRD alphas and IID, levels 3-10)
+@lru_cache(maxsize=256)
+def _tau(method: str, j: int, kernel: KernelSpec, alpha: float) -> float:
+    """``method``'s tau_j at its ``_method_alpha``: LRD tau_{alpha,j}, IID the WaveD tau_j."""
+    return waved_tau_level(j, kernel) if method == "iid" else tau_level(j, kernel, alpha)

@@ -9,7 +9,6 @@ from lrdwaved.bench import (
     run_benchmark,
     run_rate_experiment,
 )
-from lrdwaved.covariance import VarianceTable
 from lrdwaved.estimator import run_estimator
 from lrdwaved.noise import derive_rng
 from lrdwaved.signals import ExperimentConfig, generate_dataset, resolve_smoothing
@@ -62,7 +61,7 @@ class TestRunBenchmark:
         import sys
 
         import lrdwaved.bench as bench_module
-        from lrdwaved import finescale, meyer
+        from lrdwaved import finescale, meyer, thresholds
 
         mapped = []
 
@@ -77,7 +76,7 @@ class TestRunBenchmark:
         serial = run_benchmark(config, threads=1)
         assert mapped == []
         for cache in (meyer._detail_plan, meyer._scale_plan, finescale._cutoffs,
-                      finescale._channel_noise_sd):
+                      finescale._channel_noise_sd, thresholds._tau):
             cache.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -199,23 +198,49 @@ class TestRunBenchmark:
 
     def test_each_tau_level_computed_once_per_cell(self, monkeypatch):
         # the two default LRD methods threshold at the same alpha and share one
-        # tau table; the IID method reads none
-        from lrdwaved import covariance
+        # cache entry per level; the IID method reads none.  Counted as the
+        # misses of a cleared tau cache
+        from lrdwaved import thresholds
 
         calls = []
-        real = covariance.tau_level
+        real = thresholds.tau_level
 
         def counting(j, kernel, alpha):
             calls.append((j, alpha))
             return real(j, kernel, alpha)
 
-        monkeypatch.setattr(covariance, "tau_level", counting)
+        thresholds._tau.cache_clear()
+        monkeypatch.setattr(thresholds, "tau_level", counting)
         config = ExperimentConfig("cusp", n=1024, alpha=0.6, snr_db=30.0, replications=6, seed=5)
         result = run_benchmark(config)
         assert config.methods == ("iid", "lrd", "lrd")
         assert calls and len(calls) == len(set(calls))
         assert {alpha for _, alpha in calls} == {0.6}
         assert max(j for j, _ in calls) == max(m.fine_levels.max() for m in result.methods[1:])
+
+    def test_second_cell_with_the_same_kernel_computes_no_tau(self):
+        # tau is cached by kernel value, not per cell: a second cell at the same
+        # (n, nu, kernel scale, alpha), here with another SNR and seed and
+        # another kernel object, reads every level from the cache
+        from lrdwaved.signals import gamma_kernel
+        from lrdwaved.thresholds import _tau
+
+        _tau.cache_clear()
+        gamma_kernel.cache_clear()
+        first = run_benchmark(
+            ExperimentConfig("cusp", n=1024, alpha=0.6, snr_db=30.0, replications=6, seed=5)
+        )
+        misses = _tau.cache_info().misses
+        assert misses > 0
+        gamma_kernel.cache_clear()
+        second = run_benchmark(
+            ExperimentConfig("cusp", n=1024, alpha=0.6, snr_db=10.0, replications=6, seed=6)
+        )
+        assert all(
+            b.fine_levels.max() <= a.fine_levels.max()
+            for a, b in zip(first.methods, second.methods)
+        )
+        assert _tau.cache_info().misses == misses
 
     def test_replications_match_generate_dataset(self):
         # the once-per-call clean cell and the stacked pass give each
@@ -232,7 +257,6 @@ class TestRunBenchmark:
                     report = run_estimator(
                         problem, method, resolve_smoothing(spec, alpha),
                         rng=derive_rng(config.seed, rep, i),
-                        variance_table=VarianceTable(kernel=problem.kernel, alpha=alpha),
                     )
                     mse = float(np.mean((report.estimate - f_true) ** 2))
                     assert result.methods[i].mses[rep] == mse
@@ -306,14 +330,14 @@ class TestRunBenchmark:
         config = ExperimentConfig("cusp", n=1024, alpha=0.4, snr_db=30.0, seed=3)
         cell = _clean_cell(config)
         problems = [_noisy_problem(cell, rep) for rep in range(4)]
-        methods = [("iid", math.sqrt(6.0), None), ("lrd", math.sqrt(0.4), None)]
+        methods = [("iid", math.sqrt(6.0)), ("lrd", math.sqrt(0.4))]
         rngs = [[derive_rng(3, rep, i) for i in range(2)] for rep in range(4)]
         first = _block_pass(problems[:2], methods, rngs[:2]).estimates
         kept = first.copy()
         second = _block_pass(problems[2:], methods, rngs[2:]).estimates
         np.testing.assert_array_equal(first, kept)
         assert not np.array_equal(first[:2], second[:2])
-        for i, (method, smoothing, _) in enumerate(methods):
+        for i, (method, smoothing) in enumerate(methods):
             alone = run_estimator(problems[0], method, smoothing, rng=derive_rng(3, 0, i))
             estimate = alone.estimate.copy()
             run_estimator(problems[1], method, smoothing, rng=derive_rng(3, 1, i))
@@ -372,7 +396,8 @@ class TestRunBenchmark:
         assert peak < 4 * 2**20
 
     def test_waved_tau_once_per_level_per_call(self, monkeypatch):
-        # the IID method's classical tau_j is computed once per cell and level
+        # the IID method's classical tau_j is computed once per cell and level,
+        # counted from a cleared tau cache
         from lrdwaved import covariance, thresholds
 
         calls = []
@@ -382,6 +407,7 @@ class TestRunBenchmark:
             calls.append(j)
             return real(j, kernel)
 
+        thresholds._tau.cache_clear()
         for module in (covariance, thresholds):
             if hasattr(module, "waved_tau_level"):
                 monkeypatch.setattr(module, "waved_tau_level", counting)

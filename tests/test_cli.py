@@ -306,6 +306,30 @@ class TestBenchmarkCommand:
             ) in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["rates", "--signal", "cusp", "--n-grid", "64,128", "--alpha", 1.5],
+         "alpha must lie in (0, 1], got 1.5"),
+        (["rates", "--signal", "cusp", "--n-grid", "64,128", "--nu", 2],
+         "nu must lie in (0, 1], got 2.0"),
+        (["rates", "--signal", "cusp", "--n-grid", "64,128", "--replications", 0],
+         "replications must be at least 1, got 0"),
+        (["benchmark", "--signal", "cusp", "--n", 64, "--alpha-grid", "1", "--nu", 2],
+         "nu must lie in (0, 1], got 2.0"),
+        (["benchmark", "--signal", "cusp", "--n", 64, "--alpha-grid", "1", "--kernel-scale", -1],
+         "kernel_scale must be positive, got -1.0"),
+        (["benchmark", "--signal", "cusp", "--n", 64, "--alpha-grid", "1", "--snr", "nan"],
+         "snr_db must be finite, got nan"),
+        (["simulate", "--signal", "cusp", "--n", 64, "--nu", 2], "nu must lie in (0, 1], got 2.0"),
+        (["stopping-trace", "--signal", "cusp", "--n", 64, "--nu", 2],
+         "nu must lie in (0, 1], got 2.0"),
+        (["noise", "--n", 64, "--alpha", 1.5], "alpha must lie in (0, 1], got 1.5"),
+    ])
+    def test_bad_model_flag_names_it_and_creates_nothing(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert run_cli(argv + ["--seed", 1, "--out", out]) == 3
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [["benchmark", "--n", 512, "--alpha-grid", "1"],
                                          ["rates", "--n-grid", "256,512"]])
     def test_threads_below_one_is_validation_error(self, tmp_path, capsys, command):

@@ -310,3 +310,42 @@ class TestVarianceTable:
         assert table.taus[4] == first
         assert table.tau(4) == first
 
+    def test_reads_the_value_cache(self):
+        # a table's tau is the cached value, shared with every equal kernel
+        from lrdwaved.thresholds import _tau
+
+        kernel = gamma_kernel(1024)
+        _tau.cache_clear()
+        first = VarianceTable(kernel=kernel, alpha=0.6).tau(4)
+        second = VarianceTable(kernel=KernelSpec(kernel.fourier), alpha=0.6).tau(4)
+        assert first == second == tau_level(4, kernel, 0.6)
+        assert _tau.cache_info().misses == 1 and _tau.cache_info().hits == 1
+
+
+class TestKernelSpec:
+    def test_equal_values_compare_equal_and_hash_alike(self):
+        a, b = KernelSpec(gamma_kernel(64).fourier), KernelSpec(gamma_kernel(64).fourier)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != gamma_kernel(64, shape=0.5)
+        assert a != gamma_kernel(128)
+        assert a != a.fourier.tolist() and a != "kernel"
+        assert len({a, b, gamma_kernel(64, shape=0.5)}) == 2
+        # equal coefficients whatever their signed zeros or dtype
+        signed = KernelSpec(fourier=np.array([1.0, -0.0, 2.0 - 0.0j]))
+        plain = KernelSpec(fourier=np.array([1.0, 0.0, 2.0]))
+        assert signed == plain and hash(signed) == hash(plain)
+
+    def test_hash_is_computed_once_when_first_asked(self):
+        kernel = KernelSpec(gamma_kernel(64).fourier)
+        assert "_hash" not in vars(kernel)
+        first = hash(kernel)
+        assert vars(kernel)["_hash"] == first == hash(kernel)
+
+    def test_coefficients_are_a_read_only_copy(self):
+        fourier = np.ones(64, dtype=complex)
+        kernel = KernelSpec(fourier=fourier)
+        fourier[3] = 2.0
+        assert kernel.fourier[3] == 1.0
+        assert kernel == KernelSpec(fourier=np.ones(64, dtype=complex))
+        with pytest.raises(ValueError):
+            kernel.fourier[3] = 2.0

@@ -313,10 +313,30 @@ class TestEstimateSigma:
 
         y = np.random.default_rng(13).standard_normal(256)
         a = DeconvolutionProblem(y, gamma_kernel(256), alpha=0.6)
-        for b in (DeconvolutionProblem(y, gamma_kernel(256), alpha=0.6),
+        for b in (DeconvolutionProblem(y, gamma_kernel(256, shape=0.5), alpha=0.6),
                   DeconvolutionProblem(y, a.kernel, alpha=0.8)):
             with pytest.raises(ValueError, match="one kernel and one alpha"):
-                _block_pass([a, b], [("lrd", 1.0, None)], [[None], [None]])
+                _block_pass([a, b], [("lrd", 1.0)], [[None], [None]])
+
+    def test_stacked_pass_takes_kernels_equal_by_value(self):
+        # problems whose kernels are distinct objects with equal coefficients
+        # stack into one pass, which equals the pass over one shared kernel
+        from lrdwaved.estimator import _block_pass
+
+        rng = np.random.default_rng(13)
+        ys = [rng.standard_normal(256) for _ in range(2)]
+        shared = gamma_kernel(256)
+        copies = KernelSpec(shared.fourier), KernelSpec(shared.fourier)
+        methods = [("lrd", 1.0), ("iid", 2.0)]
+        passes = [
+            _block_pass(
+                [DeconvolutionProblem(y, k, alpha=0.6) for y, k in zip(ys, kernels)],
+                methods, [[derive_rng(2, b, i) for i in range(2)] for b in range(2)],
+            )
+            for kernels in ((shared, shared), copies)
+        ]
+        assert passes[1].estimates.tobytes() == passes[0].estimates.tobytes()
+        assert passes[1].levels.tolist() == passes[0].levels.tolist()
 
     def test_mad_computed_once_for_every_method(self, monkeypatch):
         # the stopping rule and the thresholds of all three default methods
@@ -470,16 +490,15 @@ class TestRunEstimator:
 
     def test_warm_replication_evaluates_no_window(self, monkeypatch):
         # after one warm-up run at a given n, a replication reads every band
-        # layout and window from the cached plans and every tau from its table
+        # layout and window from the cached plans and every tau from the
+        # value cache, though its kernel is another object
         from lrdwaved import covariance, meyer
-        from lrdwaved.covariance import VarianceTable
         from lrdwaved.signals import ExperimentConfig, generate_dataset
 
         config = ExperimentConfig(signal="cusp", n=1024, alpha=0.6, snr_db=20.0, seed=8)
         warm, _ = generate_dataset(config, 0)
-        tables = {m: VarianceTable(kernel=warm.kernel, alpha=a) for m, a in (("iid", 1.0), ("lrd", 0.6))}
-        for method, table in tables.items():
-            run_estimator(warm, method, 1.0, j1_override=8, variance_table=table)
+        for method in ("iid", "lrd"):
+            run_estimator(warm, method, 1.0, j1_override=8)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a warm replication evaluated a Meyer window or band")
@@ -487,11 +506,11 @@ class TestRunEstimator:
         for name in ("psi_hat", "phi_hat", "band_set", "scale_band_set"):
             monkeypatch.setattr(meyer, name, forbidden)
         monkeypatch.setattr(covariance, "psi_hat", forbidden)
+        gamma_kernel.cache_clear()
         problem, _ = generate_dataset(config, 1)
-        for method, table in tables.items():
-            report = run_estimator(
-                problem, method, 1.0, rng=derive_rng(8, 1), variance_table=table
-            )
+        assert problem.kernel is not warm.kernel
+        for method in ("iid", "lrd"):
+            report = run_estimator(problem, method, 1.0, rng=derive_rng(8, 1))
             assert np.all(np.isfinite(report.estimate))
 
     def test_unknown_method(self):
@@ -501,9 +520,9 @@ class TestRunEstimator:
 
     def test_block_lambdas_are_build_policy_lambdas(self):
         # every row's lambda_j equals build_policy's bit for bit, for both
-        # methods, with a table that matches, matches by kernel value, or has
-        # the wrong type, alpha or kernel (which build_policy replaces)
-        from lrdwaved.covariance import KernelSpec, VarianceTable, _WavedTable
+        # methods, whatever table build_policy is given: none, one that
+        # matches, matches by kernel value, or has the wrong alpha or kernel
+        from lrdwaved.covariance import KernelSpec, VarianceTable
         from lrdwaved.estimator import _block_pass
         from lrdwaved.signals import ExperimentConfig, _clean_cell, _noisy_problem
         from lrdwaved.thresholds import build_policy
@@ -520,15 +539,15 @@ class TestRunEstimator:
             VarianceTable(kernel=same_values, alpha=0.4),
             VarianceTable(kernel=kernel, alpha=0.9),
             VarianceTable(kernel=other, alpha=0.4),
-            _WavedTable(kernel=kernel),
-            _WavedTable(kernel=other),
+            VarianceTable(kernel=kernel, alpha=1.0),
+            VarianceTable(kernel=other, alpha=1.0),
         ]
+        methods = [("lrd", 0.7), ("iid", 2.1)]
+        rngs = [[derive_rng(6, rep, i) for i in range(2)] for rep in range(3)]
+        block = _block_pass(problems, methods, rngs)
         for table in tables:
-            methods = [("lrd", 0.7, table), ("iid", 2.1, table)]
-            rngs = [[derive_rng(6, rep, i) for i in range(2)] for rep in range(3)]
-            block = _block_pass(problems, methods, rngs)
             for r, j1 in enumerate(block.levels.tolist()):
-                (method, smoothing, _), b = methods[r % 2], r // 2
+                (method, smoothing), b = methods[r % 2], r // 2
                 policy = build_policy(
                     method, kernel, 1024, 0.4 if method == "lrd" else 1.0,
                     block.sigma_hats[b], smoothing, 3, j1, variance_table=table,
@@ -541,5 +560,3 @@ class TestRunEstimator:
                 assert all(
                     lambdas[j].hex() == policy.lambdas[j].hex() for j in policy.lambdas
                 )
-        # a table whose kernel equals the problem's by value is read, not replaced
-        assert tables[2].taus

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -28,3 +29,22 @@ def test_import_leaves_numpy_random_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_every_cache_is_bounded():
+    # each functools cache in the package, module-level or on a class, has a
+    # finite maxsize: a cache keyed by value must not grow with the inputs
+    caches = {}
+    for name in MODULES:
+        module = importlib.import_module(f"lrdwaved.{name}")
+        for attr, value in vars(module).items():
+            owners = [(attr, value)]
+            if inspect.isclass(value) and value.__module__ == module.__name__:
+                owners += [(f"{attr}.{a}", v) for a, v in vars(value).items()]
+            for label, obj in owners:
+                obj = getattr(obj, "__func__", obj)  # staticmethod / classmethod
+                if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__:
+                    caches[f"{name}.{label}"] = obj.cache_parameters()["maxsize"]
+    assert "thresholds._tau" in caches and "meyer._detail_plan" in caches
+    unbounded = [label for label, size in caches.items() if size is None]
+    assert not unbounded, f"unbounded caches: {unbounded}"

@@ -88,18 +88,27 @@ class TestBuildPolicy:
         }
         assert lam[0.3] > lam[0.6] > lam[1.0]
 
-    def test_variance_table_reused_by_kernel_value(self):
-        # a table fills only when build_policy accepts it: equal alpha and
-        # equal kernel coefficients, whichever object holds them
+    def test_tau_cache_is_keyed_by_kernel_value(self):
+        # tau is computed once per (method, level, kernel coefficients, alpha):
+        # an equal kernel held by another object, or any table passed in,
+        # reads the cached values; another kernel or alpha computes its own
+        from lrdwaved.thresholds import _tau
+
         n = 1024
         kernel = gamma_kernel(n)
-        same = VarianceTable(kernel=gamma_kernel(n), alpha=0.6)
-        build_policy("lrd", kernel, n, 0.6, 1.0, 1.0, 3, 5, variance_table=same)
-        assert set(same.taus) == {3, 4, 5}
-        for table in (VarianceTable(kernel=gamma_kernel(n, shape=0.5), alpha=0.6),
-                      VarianceTable(kernel=gamma_kernel(n), alpha=0.8)):
-            build_policy("lrd", kernel, n, 0.6, 1.0, 1.0, 3, 5, variance_table=table)
-            assert table.taus == {}
+        _tau.cache_clear()
+        first = build_policy("lrd", kernel, n, 0.6, 1.0, 1.0, 3, 5)
+        assert _tau.cache_info().misses == 3
+        table = VarianceTable(kernel=gamma_kernel(n, shape=0.5), alpha=0.8)
+        same = KernelSpec(kernel.fourier)
+        again = build_policy("lrd", same, n, 0.6, 1.0, 1.0, 3, 5, variance_table=table)
+        assert again.lambdas == first.lambdas
+        assert _tau.cache_info().misses == 3 and table.taus == {}
+        build_policy("lrd", gamma_kernel(n, shape=0.5), n, 0.6, 1.0, 1.0, 3, 5)
+        build_policy("lrd", gamma_kernel(n), n, 0.8, 1.0, 1.0, 3, 5)
+        build_policy("iid", gamma_kernel(n), n, 0.6, 1.0, 1.0, 3, 5)
+        build_policy("iid", gamma_kernel(n), n, 0.8, 1.0, 1.0, 3, 5)
+        assert _tau.cache_info().misses == 12
 
     def test_positivity_and_validation(self):
         n = 256
