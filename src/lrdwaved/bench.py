@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,12 +73,15 @@ def run_benchmark(config: ExperimentConfig, threads: int = 1) -> BenchResult:
     """Replicate the simulation protocol and report empirical MSE per method.
 
     Each replication shares one dataset across methods (paired comparison).
-    Replications run in blocks of ``BLOCK``, each block's methods as one
-    stacked estimator pass; the stopping-rule noise stream derives from
+    Replications run serially in blocks of ``BLOCK``, each block's methods as
+    one stacked estimator pass; the stopping-rule noise stream derives from
     (seed, replication, method index), so results are independent of the
-    blocking, scheduling and thread count.  The signal, kernel, blur and
-    noise scale are built once per call; a replication draws only its noise,
-    giving the same dataset as ``generate_dataset(config, rep)``.
+    blocking.  The signal, kernel, blur and noise scale are built once per
+    call; a replication draws only its noise, giving the same dataset as
+    ``generate_dataset(config, rep)``.
+
+    ``threads`` is not read: the replication work holds the GIL, so threads
+    over blocks gave no speed-up.  It stays while callers pass ``threads=1``.
     """
     n_methods = len(config.methods)
     mses = np.empty((n_methods, config.replications))
@@ -107,7 +109,8 @@ def run_benchmark(config: ExperimentConfig, threads: int = 1) -> BenchResult:
         levels[:, cols] = block.levels.reshape(shape).T
         kept[:, cols] = block.kept.reshape(shape).T
 
-    def one_block(reps: range) -> None:
+    for start in range(0, config.replications, BLOCK):
+        reps = range(start, min(start + BLOCK, config.replications))
         try:
             run_block(reps)
         except Exception as exc:
@@ -123,17 +126,6 @@ def run_benchmark(config: ExperimentConfig, threads: int = 1) -> BenchResult:
             raise RuntimeError(
                 f"replications {reps[0]}-{reps[-1]} (seed {config.seed}) failed: {exc}"
             ) from exc
-
-    blocks = [
-        range(start, min(start + BLOCK, config.replications))
-        for start in range(0, config.replications, BLOCK)
-    ]
-    if threads <= 1:
-        for block in blocks:
-            one_block(block)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one_block, blocks))
 
     results = []
     for i, (method, smooth_spec) in enumerate(zip(config.methods, config.smoothing)):
@@ -215,7 +207,6 @@ def run_rate_experiment(
     seed: int = 0,
     noise_kind: str = "farima",
     smoothness: float = 0.5,
-    threads: int = 1,
 ) -> RateResult:
     """Mean MSE across a grid of n and the fitted slope against log(n/log n).
 
@@ -231,7 +222,7 @@ def run_rate_experiment(
                          seed + idx, noise_kind)
         for idx, n in enumerate(n_grid)
     ]
-    means = np.array([run_benchmark(c, threads=threads).methods[0].mean_mse for c in configs])
+    means = np.array([run_benchmark(c).methods[0].mean_mse for c in configs])
     x = np.log(np.asarray(n_grid, dtype=float) / np.log(n_grid))
     slope, _ = np.polyfit(x, np.log(means), 1)
     rho = rate_exponent(smoothness, 2.0, nu, alpha, 2.0)

@@ -7,7 +7,8 @@ Every CSV carries a provenance header (version, config hash, seed), and each
 JSON report the same provenance as a block; the hash covers every flag the
 command parsed, the seed resolved and input files by their bytes, except
 --out and --threads, which change no output byte.  Each command declares
-only the flags it reads.
+only the flags it reads, except --threads on benchmark and rates: it is
+checked (at least 1) but not read, since replications run serially.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .noise import NoiseModel, _stream_words, derive_rng
 from .signals import (
     SIGNAL_NAMES,
     ExperimentConfig,
+    _check_kernel_flags,
     blur,
     gamma_kernel,
     generate_dataset,
@@ -150,10 +152,9 @@ def _smoothing(spec: str, flag: str, alpha: float = 1.0) -> float:
         raise ValidationError(f"{flag}: {exc}") from None
 
 
-def _check_threads(threads: int) -> int:
+def _check_threads(threads: int) -> None:
     if threads < 1:
         raise ValidationError(f"--threads must be at least 1, got {threads}")
-    return threads
 
 
 def _add_seed_and_out(parser: argparse.ArgumentParser) -> None:
@@ -274,6 +275,8 @@ def _signed(index: int, n: int) -> int:
 
 def cmd_estimate(args) -> int:
     seed = _resolve_seed(args)
+    if args.kernel_file is None:
+        _check_kernel_flags(args.nu, args.kernel_scale)
     table = _read_dataset(Path(args.input))
     for col in ("t", "y"):
         if col not in table:
@@ -334,7 +337,7 @@ def _render_table(results: list[dict]) -> str:
 
 def cmd_benchmark(args) -> int:
     seed = _resolve_seed(args)
-    threads = _check_threads(args.threads)
+    _check_threads(args.threads)
     alphas = _parse_grid(args.alpha_grid, "--alpha-grid", "alpha", float)
     methods = tuple(args.methods.split(","))
     smoothing = tuple(args.smoothing.split(","))
@@ -345,7 +348,7 @@ def cmd_benchmark(args) -> int:
         for alpha in alphas
     ]
     out = _out_dir(args)
-    results = [run_benchmark(config, threads=threads) for config in configs]
+    results = [run_benchmark(config) for config in configs]
 
     provenance = _provenance(args, seed)
     rows = []
@@ -399,7 +402,7 @@ def cmd_rates(args) -> int:
         _check_n(n, "--n-grid entry")
     # grid entry i runs at seed + i
     seed = _resolve_seed(args, runs=len(n_grid))
-    threads = _check_threads(args.threads)
+    _check_threads(args.threads)
     flag, smoothing = ("--xi", args.xi) if args.method == "lrd" else ("--eta", args.eta)
     _smoothing(smoothing, flag)
     # the run checks every grid config first; --out is created after it
@@ -414,7 +417,6 @@ def cmd_rates(args) -> int:
         snr_db=args.snr,
         seed=seed,
         noise_kind=args.noise_kind,
-        threads=threads,
     )
     out = _out_dir(args)
     provenance = _provenance(args, seed)
@@ -492,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smoothing", default="sqrt6,sqrtalpha,sqrt2alpha")
     p.add_argument("--replications", type=int, default=64)
     p.add_argument(
-        "--threads", type=int, default=1, help="threads over blocks of replications (GIL-bound)"
+        "--threads", type=int, default=1, help="not read: replications run serially (>= 1)"
     )
     _add_seed_and_out(p)
     p.set_defaults(func=cmd_benchmark)
@@ -510,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-grid", default="1024,2048,4096,8192,16384")
     p.add_argument("--replications", type=int, default=32)
     p.add_argument(
-        "--threads", type=int, default=1, help="threads over blocks of replications (GIL-bound)"
+        "--threads", type=int, default=1, help="not read: replications run serially (>= 1)"
     )
     _add_seed_and_out(p)
     p.set_defaults(func=cmd_rates)

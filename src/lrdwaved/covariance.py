@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -82,14 +82,15 @@ class KernelSpec:
             raise ValueError(
                 f"band of level {j} exceeds representable frequencies for n={self.n}"
             )
-        plan = _detail_plan(j, self.n)
+        return self._band_coefficients(_detail_plan(j, self.n), f"level {j}")
+
+    def _band_coefficients(self, plan, band: str) -> np.ndarray:
+        """Kernel coefficients over ``plan``'s band; raises, naming ``band``, if any vanishes."""
         coeffs = self.fourier[plan.index]
         dead = np.abs(coeffs) == 0.0
         if np.any(dead):
             ell = int(plan.frequencies[np.argmax(dead)])
-            raise ValueError(
-                f"kernel Fourier coefficient vanishes at frequency {ell} (level {j})"
-            )
+            raise ValueError(f"kernel Fourier coefficient vanishes at frequency {ell} ({band})")
         return coeffs
 
 
@@ -141,27 +142,13 @@ def tau_level(j: int, kernel: KernelSpec, alpha: float) -> float:
     ells = plan.frequencies
     a = plan.synthesis * np.abs(ells) ** (0.5 - hurst) / np.conj(coeffs)
     tau2 = 0.0
-    for window, residues, width in _tau_folds(j, kernel.n):
-        z = _band_fold(a * window, residues, width)
+    for level in range(max(j - 1, 0), j + 2):
+        z = _band_fold(a * psi_hat(ells / 2**level), ells % 2**level, 2**level)
         tau2 += float(np.sum(z.real**2 + z.imag**2))
     tau2 *= fbm_spectral_constant(hurst)
     if not (math.isfinite(tau2) and tau2 > 0.0):
         raise ValueError(f"tau^2 must be finite and positive, got {tau2:.3e} at level {j}")
     return math.sqrt(tau2)
-
-
-# Like the spectral plans, the fold windows depend only on (j, n).
-@lru_cache(maxsize=64)
-def _tau_folds(j: int, n: int) -> tuple[tuple[np.ndarray, np.ndarray, int], ...]:
-    """Read-only (psi_hat(l 2^-j'), l mod 2^j', 2^j') over band j for j' = j-1, j, j+1."""
-    ells = _detail_plan(j, n).frequencies
-    folds = []
-    for level in range(max(j - 1, 0), j + 2):
-        window, residues = psi_hat(ells / 2**level), ells % 2**level
-        window.setflags(write=False)
-        residues.setflags(write=False)
-        folds.append((window, residues, 2**level))
-    return tuple(folds)
 
 
 def waved_tau_level(j: int, kernel: KernelSpec) -> float:

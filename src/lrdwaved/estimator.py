@@ -137,11 +137,7 @@ def _deconvolve(
     if j0 > j1:
         raise ValueError(f"need j0 <= j1, got ({j0}, {j1})")
     plan = meyer._scale_plan(j0, n)
-    scale_kernel = kernel.fourier[plan.index]
-    dead = np.abs(scale_kernel) == 0.0
-    if np.any(dead):
-        ell = int(plan.frequencies[np.argmax(dead)])
-        raise ValueError(f"kernel Fourier coefficient vanishes at frequency {ell} (scale level {j0})")
+    scale_kernel = kernel._band_coefficients(plan, f"scale level {j0}")
     detail_kernel = {j: kernel.validate_band(j) for j in range(j0, j1 + 1)}
 
     # Y_hat / K_hat is needed on the bands only

@@ -128,6 +128,14 @@ def calibrate_sigma(blurred: np.ndarray, snr_db: float) -> float:
     return level * 10.0 ** (-snr_db / 20.0)
 
 
+def _check_kernel_flags(nu: float, kernel_scale: float) -> None:
+    """``gamma_kernel``'s shape and scale checks, naming them ``nu`` and ``kernel_scale``."""
+    if not 0.0 < nu <= 1.0:
+        raise ValueError(f"nu must lie in (0, 1], got {nu}")
+    if not kernel_scale > 0.0:
+        raise ValueError(f"kernel_scale must be positive, got {kernel_scale}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one simulation experiment."""
@@ -151,10 +159,7 @@ class ExperimentConfig:
             raise ValueError(f"n must be a power of two >= 32, got {self.n}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not 0.0 < self.nu <= 1.0:
-            raise ValueError(f"nu must lie in (0, 1], got {self.nu}")
-        if not self.kernel_scale > 0.0:
-            raise ValueError(f"kernel_scale must be positive, got {self.kernel_scale}")
+        _check_kernel_flags(self.nu, self.kernel_scale)
         if not math.isfinite(self.snr_db):
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")
         if len(self.methods) != len(self.smoothing):

@@ -54,7 +54,7 @@ class ThresholdPolicy:
     method: str  # "lrd" | "iid"
     smoothing: float
     sigma_hat: float
-    alpha: float
+    alpha: float  # the method's assumed alpha: the data's for LRD, 1 for IID
     n: int
     lambdas: dict[int, float]
 
@@ -87,7 +87,7 @@ def build_policy(
     assumed = _method_alpha(method, alpha)
     factor = sigma_hat * c_n(n, assumed)
     lambdas = {j: smoothing * _tau(method, j, kernel, assumed) * factor for j in range(j0, j1 + 1)}
-    return ThresholdPolicy(method, smoothing, sigma_hat, alpha, n, lambdas)
+    return ThresholdPolicy(method, smoothing, sigma_hat, assumed, n, lambdas)
 
 
 def _method_alpha(method: str, alpha: float) -> float:

@@ -54,41 +54,6 @@ class TestRunBenchmark:
         for ma, mb in zip(serial.methods, threaded.methods):
             np.testing.assert_array_equal(ma.mses, mb.mses)
 
-    def test_threads_share_cold_caches(self, monkeypatch):
-        # the pool maps over blocks of replications: threads build the
-        # spectral plans and read the shared clean cell at once, with the
-        # interpreter switching threads as often as it can
-        import sys
-
-        import lrdwaved.bench as bench_module
-        from lrdwaved import finescale, meyer, thresholds
-
-        mapped = []
-
-        class RecordingPool(bench_module.ThreadPoolExecutor):
-            def map(self, fn, *iterables, **kwargs):
-                items = list(iterables[0])
-                mapped.extend(items)
-                return super().map(fn, items, **kwargs)
-
-        monkeypatch.setattr(bench_module, "ThreadPoolExecutor", RecordingPool)
-        config = small_config(replications=28, n=2048)
-        serial = run_benchmark(config, threads=1)
-        assert mapped == []
-        for cache in (meyer._detail_plan, meyer._scale_plan, finescale._cutoffs,
-                      finescale._channel_noise_sd, thresholds._tau):
-            cache.cache_clear()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = run_benchmark(config, threads=8)
-        finally:
-            sys.setswitchinterval(interval)
-        assert mapped == [range(0, 8), range(8, 16), range(16, 24), range(24, 28)]
-        for ma, mb in zip(serial.methods, threaded.methods):
-            np.testing.assert_array_equal(ma.mses, mb.mses)
-            np.testing.assert_array_equal(ma.fine_levels, mb.fine_levels)
-
     def test_se_shrinks_with_replications(self):
         small = run_benchmark(small_config(replications=16, alpha=1.0))
         large = run_benchmark(small_config(replications=64, alpha=1.0))

@@ -323,8 +323,14 @@ class TestBenchmarkCommand:
         (["stopping-trace", "--signal", "cusp", "--n", 64, "--nu", 2],
          "nu must lie in (0, 1], got 2.0"),
         (["noise", "--n", 64, "--alpha", 1.5], "alpha must lie in (0, 1], got 1.5"),
+        (["estimate", "<dataset>", "--nu", 2], "nu must lie in (0, 1], got 2.0"),
+        (["estimate", "<dataset>", "--kernel-scale", -1],
+         "kernel_scale must be positive, got -1.0"),
     ])
     def test_bad_model_flag_names_it_and_creates_nothing(self, tmp_path, capsys, argv, message):
+        if "<dataset>" in argv:
+            run_cli(["simulate", "--signal", "cusp", "--n", 64, "--out", tmp_path / "data"])
+            argv = [tmp_path / "data" / "dataset.csv" if a == "<dataset>" else a for a in argv]
         out = tmp_path / "out"
         assert run_cli(argv + ["--seed", 1, "--out", out]) == 3
         assert f"error: {message}" in capsys.readouterr().err

@@ -9,7 +9,6 @@ from scipy.integrate import quad
 from lrdwaved.covariance import (
     KernelSpec,
     VarianceTable,
-    _tau_folds,
     fbm_spectral_constant,
     tau_level,
     waved_tau_level,
@@ -270,20 +269,6 @@ class TestTauLevel:
         kernel = identity_kernel(64)
         with pytest.raises(ValueError):
             tau_level(6, kernel, 1.0)
-
-    def test_fold_windows_cached_read_only_and_keyed_by_value(self):
-        folds = _tau_folds(5, 1024)
-        assert _tau_folds(np.int64(5), np.int64(1024)) is folds
-        ells = band_set(5)
-        for (window, residues, width), level in zip(folds, (4, 5, 6)):
-            assert width == 2**level
-            np.testing.assert_array_equal(window, psi_hat(ells / 2**level))
-            np.testing.assert_array_equal(residues, ells % 2**level)
-            assert not (window.flags.writeable or residues.flags.writeable)
-        assert [width for *_, width in _tau_folds(0, 64)] == [1, 2]
-        info = _tau_folds.cache_info()
-        assert info.maxsize is not None and info.currsize <= info.maxsize
-
 
 class TestWavedTau:
     def test_identity_kernel(self):

@@ -137,14 +137,16 @@ class TestDeconvolveCoefficients:
         assert np.all(np.abs(bias) <= 3.5 * se)
 
     def test_vanishing_kernel_coefficient_named(self):
+        # a detail-band zero names its level, a scale-band zero the scale level
         n = 256
-        fourier = np.ones(n, dtype=complex)
-        fourier[7] = 0.0
-        problem = DeconvolutionProblem(
-            observations=np.zeros(n), kernel=KernelSpec(fourier=fourier)
-        )
-        with pytest.raises(ValueError, match=r"frequency 7.*level 3"):
-            deconvolve_coefficients(problem, 3, 5)
+        for ell, band in ((7, "level 3"), (2, "scale level 3")):
+            fourier = np.ones(n, dtype=complex)
+            fourier[ell] = 0.0
+            problem = DeconvolutionProblem(
+                observations=np.zeros(n), kernel=KernelSpec(fourier=fourier)
+            )
+            with pytest.raises(ValueError, match=rf"frequency {ell} \({band}\)"):
+                deconvolve_coefficients(problem, 3, 5)
 
 
 def random_kernel(n, seed):
@@ -545,13 +547,21 @@ class TestRunEstimator:
         methods = [("lrd", 0.7), ("iid", 2.1)]
         rngs = [[derive_rng(6, rep, i) for i in range(2)] for rep in range(3)]
         block = _block_pass(problems, methods, rngs)
+        # build_policy reports the alpha the method assumes, as run_estimator does
+        assumed = [
+            run_estimator(problems[r // 2], *methods[r % 2], rng=derive_rng(6, r // 2, r % 2))
+            .policy.alpha
+            for r in range(6)
+        ]
+        assert assumed == [0.4, 1.0] * 3
         for table in tables:
             for r, j1 in enumerate(block.levels.tolist()):
                 (method, smoothing), b = methods[r % 2], r // 2
                 policy = build_policy(
-                    method, kernel, 1024, 0.4 if method == "lrd" else 1.0,
-                    block.sigma_hats[b], smoothing, 3, j1, variance_table=table,
+                    method, kernel, 1024, 0.4, block.sigma_hats[b], smoothing, 3, j1,
+                    variance_table=table,
                 )
+                assert policy.alpha == assumed[r]
                 lambdas = {
                     j: float(block.lambdas[j][np.searchsorted(rows, r)])
                     for j, (rows, _) in block.detail.items() if r in rows

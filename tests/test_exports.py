@@ -23,12 +23,14 @@ def test_every_export_resolves_once(name):
 
 def test_import_leaves_numpy_random_unloaded():
     # numpy.random is imported with the first random stream, not with the
-    # package: it would add to every command's start-up time
-    code = "import sys, lrdwaved; print('numpy.random' in sys.modules)"
+    # package, and nothing needs concurrent.futures: either would add to every
+    # command's start-up time
+    code = ("import sys, lrdwaved; "
+            "print('numpy.random' in sys.modules, 'concurrent.futures' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(lrdwaved.__file__))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_every_cache_is_bounded():
