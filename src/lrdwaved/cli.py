@@ -32,12 +32,12 @@ from .signals import (
     SIGNAL_NAMES,
     ExperimentConfig,
     _check_kernel_flags,
-    blur,
+    _clean_cell,
+    _noisy_problem,
     gamma_kernel,
-    generate_dataset,
     resolve_smoothing,
 )
-from .thresholds import _method_alpha
+from .thresholds import DEFAULT_COARSE_LEVEL, _method_alpha
 
 ENV_SEED = "LRDWAVED_SEED"
 # flags that name an input file; provenance records the file's bytes, not its path
@@ -200,10 +200,9 @@ def cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     config = _experiment_config(args, seed, args.alpha, ("iid",), ("sqrt6",))
     out = _out_dir(args)
-    problem, f_true = generate_dataset(config, 0)
-    blurred = blur(f_true, problem.kernel)
+    cell = _clean_cell(config)
     t = np.arange(config.n) / config.n
-    rows = zip(t, problem.observations, f_true, blurred)
+    rows = zip(t, _noisy_problem(cell, 0).observations, cell.f_true, cell.blurred)
     _write_csv(
         out / "dataset.csv", _provenance(args, seed), ["t", "y", "f_true", "blurred"], rows
     )
@@ -275,8 +274,12 @@ def _signed(index: int, n: int) -> int:
 
 def cmd_estimate(args) -> int:
     seed = _resolve_seed(args)
-    if args.kernel_file is None:
-        _check_kernel_flags(args.nu, args.kernel_scale)
+    for name in ("nu", "kernel_scale"):
+        if getattr(args, name) is None:  # not given: hashed as its default
+            setattr(args, name, getattr(ExperimentConfig, name))
+        elif args.kernel_file is not None:
+            raise ValidationError(f"--{name.replace('_', '-')} does not apply with --kernel-file")
+    _check_kernel_flags(args.nu, args.kernel_scale)
     table = _read_dataset(Path(args.input))
     for col in ("t", "y"):
         if col not in table:
@@ -445,7 +448,7 @@ def cmd_stopping_trace(args) -> int:
     seed = _resolve_seed(args)
     config = _experiment_config(args, seed, args.alpha, ("lrd",), ("sqrtalpha",))
     out = _out_dir(args)
-    problem, _ = generate_dataset(config, 0)
+    problem = _noisy_problem(_clean_cell(config), 0)
     # the stream of run_benchmark's replication 0, method 0: the trace shows
     # the level a one-method LRD benchmark of this config picks
     level, stopping = fine_level_details(problem, args.alpha, rng=derive_rng(seed, 0, 0))
@@ -475,6 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="dataset CSV with columns t,y[,f_true,...]")
     p.add_argument("--method", choices=("iid", "lrd"), default="iid")
     _add_model_flags(p, omit=("--signal", "--n", "--snr", "--noise-kind"))
+    p.set_defaults(nu=None, kernel_scale=None)  # None marks a flag not given
     p.add_argument(
         "--kernel-file",
         default=None,
@@ -482,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--xi", default="sqrt2alpha", help="LRD smoothing: sqrtalpha|sqrt2alpha|number")
     p.add_argument("--eta", default="sqrt6", help="IID smoothing constant")
-    p.add_argument("--j0", type=int, default=3)
+    p.add_argument("--j0", type=int, default=DEFAULT_COARSE_LEVEL)
     p.add_argument("--j1", type=int, default=None, help="override the data-driven fine level")
     _add_seed_and_out(p)
     p.set_defaults(func=cmd_estimate)

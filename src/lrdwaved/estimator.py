@@ -65,7 +65,7 @@ class DeconvolutionProblem:
     @cached_property
     def spectrum(self) -> np.ndarray:
         """Y_hat = fft(y) / n, computed once and read-only."""
-        out = np.fft.fft(self.observations) / self.n
+        out = meyer._spectra(self.observations[np.newaxis])[0]
         out.setflags(write=False)
         return out
 
@@ -255,7 +255,7 @@ def _block_pass(
     runs on problem b with stopping-rule stream rngs[b][i], and row b*m + i
     equals ``run_estimator`` on problem b with method i's arguments bit for
     bit.  One batched FFT and analysis give every sigma_hat, the stopping rule
-    runs on one channel stack, and Y_hat / K_hat is analysed once per level.
+    scans every row together, and Y_hat / K_hat is analysed once per level.
     Each level is thresholded as one stack over the rows that reach it, at
     ``build_policy``'s lambda = smoothing * tau(j) * (sigma_hat * c_n) as one
     vector product, tau read from the value cache only for methods with a row
@@ -274,11 +274,7 @@ def _block_pass(
         spectra = problems[0].spectrum[np.newaxis]
         sigma_hats = [problems[0].sigma_hat]
     else:
-        # complex input: fft casts real input in small buffered chunks, at
-        # twice the cost of the transform itself (the same values either way)
-        spectra = np.array([p.observations for p in problems], dtype=complex)
-        np.fft.fft(spectra, axis=-1, out=spectra)
-        spectra /= n
+        spectra = meyer._spectra([p.observations for p in problems])
         sigma_hats = _sigma_hats(spectra).tolist()
     m = len(methods)
     problem_of, method_of = np.divmod(np.arange(len(problems) * m), m)

@@ -109,8 +109,17 @@ def stopping_time(
     cut = _cutoffs(mags.size, alpha, epsilon, log_power)
     first = int(_crossings(mags[np.newaxis], [cut])[0])
     m = first + 1 if first >= 0 else mags.size
-    j_hat = int(math.floor(math.log2(m))) - 1
+    j_hat = _levels([m])[0]
     return StoppingResult(M=m, j_hat=j_hat, saturated=first < 0, magnitudes=mags, cutoffs=cut)
+
+
+def _levels(ms, clamp: tuple[int, int] | None = None) -> list[int]:
+    """floor(log2 M) - 1 per stopping frequency M; clamp (j0, n) bounds it to [j0, j1 at n]."""
+    levels = [int(math.floor(math.log2(m))) - 1 for m in ms]
+    if clamp is None:
+        return levels
+    j0, top = clamp[0], fine_level_theoretical(clamp[1], 1.0, 0.0)
+    return [min(max(level, j0), top) for level in levels]
 
 
 def _crossings(mags: np.ndarray, cuts) -> np.ndarray:
@@ -133,42 +142,30 @@ def kernel_channel(
     (``noise_alpha``), whatever level the stopping rule later assumes.  With
     rng None the channel is noiseless (the deterministic crossing).
     """
-    stack = _ChannelStack(kernel, noise_alpha, [sigma_hat], [rng])
-    return stack.columns([0], 0, stack.size)[0]
+    return _channel(kernel, noise_alpha, [sigma_hat], [rng], 0, kernel.n // 2 - 1)[0]
 
 
-class _ChannelStack:
-    """Rows of ``kernel_channel``, built range of frequencies by range of frequencies.
+def _channel(kernel, noise_alpha: float, sigma_hats, rngs, lo: int, hi: int) -> np.ndarray:
+    """Frequencies lo+1..hi of ``kernel_channel``'s rows at (sigma_hats[i], rngs[i]).
 
-    Row i is divided by sigma_hats[i] and drawn from rngs[i]: each range of
-    columns draws its normals in one call, interleaved as (re, im) per
-    frequency, so a stream draws only the frequencies its row builds.  One
-    standard_normal(a + b) equals standard_normal(a) followed by
-    standard_normal(b), so a row built up to any width holds the values of
-    its one-piece form.  A None stream leaves its row noiseless.
+    A row draws its normals in one call, (re, im) per frequency, and
+    standard_normal(a + b) equals standard_normal(a) then standard_normal(b):
+    a row built range by range from one stream equals its one-piece form.
+    A None stream leaves its row noiseless.
     """
-
-    def __init__(self, kernel, noise_alpha: float, sigma_hats, rngs) -> None:
-        sigma_hats = np.asarray(sigma_hats, dtype=float)
-        if np.any(sigma_hats <= 0):
-            raise ValueError(f"sigma_hat must be positive, got {sigma_hats.min()}")
-        self.kernel, self.noise_alpha = kernel, noise_alpha
-        self.sigma_hats, self.rngs = sigma_hats, rngs
-        self.size = kernel.n // 2 - 1
-
-    def columns(self, rows, lo: int, hi: int) -> np.ndarray:
-        """Frequencies lo+1..hi of ``rows``, whose frequencies up to lo are built already."""
-        n = self.kernel.n
-        # one buffer, updated in place: temporaries of its size cost more than the arithmetic
-        out = np.zeros((len(rows), hi - lo), dtype=complex)
-        for row, i in zip(out, rows):
-            if self.rngs[i] is not None:
-                self.rngs[i].standard_normal(out=row.view(float))
-        out *= _channel_noise_sd(n, self.noise_alpha)[lo:hi]
-        out *= n ** (-self.noise_alpha / 2.0)
-        channel = np.asarray(self.kernel.fourier[1 + lo : 1 + hi], dtype=complex)
-        out += channel / self.sigma_hats[rows, np.newaxis]
-        return out
+    sigma_hats = np.asarray(sigma_hats, dtype=float)
+    if np.any(sigma_hats <= 0):
+        raise ValueError(f"sigma_hat must be positive, got {sigma_hats.min()}")
+    # one buffer, updated in place: temporaries of its size cost more than the arithmetic
+    out = np.zeros((len(rngs), hi - lo), dtype=complex)
+    for row, rng in zip(out, rngs):
+        if rng is not None:
+            rng.standard_normal(out=row.view(float))
+    out *= _channel_noise_sd(kernel.n, noise_alpha)[lo:hi]
+    out *= kernel.n ** (-noise_alpha / 2.0)
+    channel = np.asarray(kernel.fourier[1 + lo : 1 + hi], dtype=complex)
+    out += channel / sigma_hats[:, np.newaxis]
+    return out
 
 
 def lemma_bracket(
@@ -214,7 +211,7 @@ def fine_level_details(
         sigma_hat = problem.sigma_hat
     channel = kernel_channel(problem.kernel, problem.alpha, sigma_hat, rng)
     result = stopping_time(channel, alpha, problem.n**-0.5, OPERATIONAL_LOG_POWER)
-    return min(max(result.j_hat, j0), fine_level_theoretical(problem.n, 1.0, 0.0)), result
+    return _levels([result.M], (j0, problem.n))[0], result
 
 
 def _fine_levels(
@@ -223,31 +220,26 @@ def _fine_levels(
     """(level, M, saturated) of ``fine_level_details`` for every (alpha, sigma_hat, rng) row.
 
     The rows may come from several problems that share one kernel and one
-    noise level ``noise_alpha``, and run on one channel stack.  A row is
+    noise level ``noise_alpha``; each width is one ``_channel`` stack.  A row is
     built and scanned over its first ``_FIRST_WIDTH`` frequencies; a row
     with no crossing doubles its prefix, until it reaches n/2 - 1 and
     saturates.  No trace is kept: each row's prefix covers its first
     crossing, so M, the level and the saturation flag equal the full-trace
     ones.
     """
-    stack = _ChannelStack(kernel, noise_alpha, sigma_hats, rngs)
-    top = fine_level_theoretical(kernel.n, 1.0, 0.0)
-    cuts = [
-        _cutoffs(stack.size, alpha, kernel.n**-0.5, OPERATIONAL_LOG_POWER) for alpha in alphas
-    ]
-    results: list[tuple[int, int, bool] | None] = [None] * len(rngs)
-    rows, lo, hi = list(range(len(rngs))), 0, min(_FIRST_WIDTH, stack.size)
+    size, sigma_hats = kernel.n // 2 - 1, np.asarray(sigma_hats, dtype=float)
+    cuts = [_cutoffs(size, alpha, kernel.n**-0.5, OPERATIONAL_LOG_POWER) for alpha in alphas]
+    stops: list[tuple[int, bool] | None] = [None] * len(rngs)
+    rows, lo, hi = list(range(len(rngs))), 0, min(_FIRST_WIDTH, size)
     while rows:
-        mags = np.abs(stack.columns(rows, lo, hi))
-        firsts = _crossings(mags, [cuts[i][lo:hi] for i in rows]).tolist()
+        channel = _channel(kernel, noise_alpha, sigma_hats[rows], [rngs[i] for i in rows], lo, hi)
+        firsts = _crossings(np.abs(channel), [cuts[i][lo:hi] for i in rows]).tolist()
         open_rows = []
         for i, first in zip(rows, firsts):
-            if first >= 0 or hi == stack.size:
-                m = lo + first + 1 if first >= 0 else hi
-                j_hat = int(math.floor(math.log2(m))) - 1
-                results[i] = (min(max(j_hat, j0), top), m, first < 0)
+            if first >= 0 or hi == size:
+                stops[i] = (lo + first + 1 if first >= 0 else hi, first < 0)
             else:
                 open_rows.append(i)
-        rows, lo, hi = open_rows, hi, min(2 * hi, stack.size)
-    return results
-
+        rows, lo, hi = open_rows, hi, min(2 * hi, size)
+    levels = _levels([m for m, _ in stops], (j0, kernel.n))
+    return [(level, m, saturated) for level, (m, saturated) in zip(levels, stops)]

@@ -253,6 +253,14 @@ def _analyze(values: np.ndarray, plan: _BandPlan, what: str) -> np.ndarray:
     return _real_part(coeffs, f"{what} coefficients at level {plan.level}")
 
 
+def _spectra(rows) -> np.ndarray:
+    """y_tilde = fft(y) / n of each row of a (rows, n) real stack, bit for bit as for real input."""
+    out = np.array(rows, dtype=complex)  # fft casts real input in small chunks, at twice its cost
+    np.fft.fft(out, axis=-1, out=out)
+    out /= out.shape[-1]
+    return out
+
+
 def _detail_from_spectrum(spectrum: np.ndarray, j: int, n: int) -> np.ndarray:
     plan = _detail_plan(j, n)
     return _analyze(np.take(spectrum, plan.index, axis=-1), plan, "detail")
@@ -269,7 +277,7 @@ def forward_transform(signal: np.ndarray, j0: int, j1: int) -> WaveletCoefficien
     if j0 > j1:
         raise ValueError(f"need j0 <= j1, got ({j0}, {j1})")
     _check_grid(n, j1)
-    spectrum, plan = np.fft.fft(signal) / n, _scale_plan(j0, n)
+    spectrum, plan = _spectra(signal[np.newaxis])[0], _scale_plan(j0, n)
     scale = _analyze(np.take(spectrum, plan.index, axis=-1), plan, "scale")
     detail = {j: _detail_from_spectrum(spectrum, j, n) for j in range(j0, j1 + 1)}
     return WaveletCoefficients(j0=j0, j1=j1, n=n, scale=scale, detail=detail)

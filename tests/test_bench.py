@@ -417,6 +417,19 @@ class TestRateExponent:
         assert rate_exponent(1.0, 2.0, 0.9, 1.0, 2.0) < base
         assert rate_exponent(1.0, 2.0, 0.5, 0.5, 2.0) < base
 
+    @pytest.mark.parametrize("args, message", [
+        ((1.0, 2.0, 0.5, 1.5, 2.0), "alpha must lie in (0, 1], got 1.5"),
+        ((1.0, 2.0, -0.1, 1.0, 2.0), "nu must be nonnegative, got -0.1"),
+        # p = 2/(2 nu + alpha) empties the sparse region, but rounding leaves
+        # one s below the boundary 0.05 and above the lower bound 0.25 - 0.2
+        ((float(np.nextafter(0.05, 0.0)), 5.0, 0.0, 0.4, 4.0),
+         "sparse phase requires p > 2/(2 nu + alpha) = 5"),
+    ], ids=["alpha", "nu", "sparse-phase"])
+    def test_inadmissible_parameter_message(self, args, message):
+        with pytest.raises(ValueError) as info:
+            rate_exponent(*args)
+        assert info.value.args == (message,)
+
     def test_inadmissible_parameters_named(self):
         with pytest.raises(ValueError, match="p must exceed 1"):
             rate_exponent(1.0, 1.0, 0.5, 1.0, 2.0)

@@ -326,6 +326,11 @@ class TestBenchmarkCommand:
         (["estimate", "<dataset>", "--nu", 2], "nu must lie in (0, 1], got 2.0"),
         (["estimate", "<dataset>", "--kernel-scale", -1],
          "kernel_scale must be positive, got -1.0"),
+        # the kernel file is not read: the flag check comes first
+        (["estimate", "<dataset>", "--kernel-file", "<dataset>", "--nu", 0.3],
+         "--nu does not apply with --kernel-file"),
+        (["estimate", "<dataset>", "--kernel-file", "<dataset>", "--kernel-scale", 0.25],
+         "--kernel-scale does not apply with --kernel-file"),
     ])
     def test_bad_model_flag_names_it_and_creates_nothing(self, tmp_path, capsys, argv, message):
         if "<dataset>" in argv:

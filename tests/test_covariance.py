@@ -82,6 +82,13 @@ class TestSpectralConstant:
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.5])
+def test_tau_level_alpha_out_of_range_named(alpha):
+    with pytest.raises(ValueError) as info:
+        tau_level(3, gamma_kernel(64), alpha)
+    assert info.value.args == (f"alpha must lie in (0, 1], got {alpha}",)
+
+
 class TestZCov:
     def test_rejects_zero_frequency(self):
         with pytest.raises(ValueError):

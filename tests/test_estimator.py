@@ -35,7 +35,23 @@ def make_policy(lambdas, method="iid", n=1024):
     )
 
 
+def noise_problem(n=64):
+    return DeconvolutionProblem(derive_rng(1).standard_normal(n), identity_kernel(n))
+
+
 class TestProblemValidation:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: DeconvolutionProblem(np.zeros(64), identity_kernel(64), alpha=1.5),
+         "alpha must lie in (0, 1], got 1.5"),
+        (lambda: run_estimator(noise_problem(), "lrd", 0.0),
+         "smoothing constant must be positive, got 0.0"),
+        (lambda: deconvolve_coefficients(noise_problem(), 5, 4), "need j0 <= j1, got (5, 4)"),
+    ], ids=["problem-alpha", "run-estimator-smoothing", "deconvolve-j0-above-j1"])
+    def test_public_input_check_message(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert info.value.args == (message,)
+
     def test_power_of_two_required(self):
         with pytest.raises(ValueError):
             DeconvolutionProblem(observations=np.zeros(100), kernel=identity_kernel(100))
@@ -229,7 +245,7 @@ class TestObservationSpectrum:
         real_fft = np.fft.fft
 
         def counting_fft(a, *args, **kwargs):
-            if np.shape(a) == (problem.n,):
+            if np.shape(a)[-1] == problem.n:
                 calls.append(1)
             return real_fft(a, *args, **kwargs)
 

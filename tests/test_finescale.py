@@ -8,7 +8,7 @@ from lrdwaved.estimator import estimate_sigma
 from lrdwaved.finescale import (
     OPERATIONAL_LOG_POWER,
     _FIRST_WIDTH,
-    _ChannelStack,
+    _channel,
     _channel_noise_sd,
     _cutoffs,
     _fine_levels,
@@ -34,6 +34,12 @@ class TestStoppingTime:
         result = stopping_time(mags, 1.0, 0.01)
         assert result.saturated
         assert result.M == 64
+
+    @pytest.mark.parametrize("observation", [[], np.ones((2, 4))], ids=["empty", "2-d"])
+    def test_observation_shape_checked(self, observation):
+        with pytest.raises(ValueError) as info:
+            stopping_time(observation, 1.0, 0.1)
+        assert info.value.args == ("kernel observation must be a nonempty 1-d sequence",)
 
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):
@@ -124,7 +130,7 @@ class TestKernelChannel:
         with pytest.raises(ValueError):
             kernel_channel(gamma_kernel(256), 0.5, 0.0, None)
         with pytest.raises(ValueError, match="sigma_hat must be positive"):
-            _ChannelStack(gamma_kernel(256), 0.5, [0.3, -1.0], [None, None])
+            _channel(gamma_kernel(256), 0.5, [0.3, -1.0], [None, None], 0, 127)
 
     def test_stacked_rows_equal_one_row_channels(self):
         # rows of several problems, each divided by its own sigma_hat
@@ -133,13 +139,15 @@ class TestKernelChannel:
         sigmas = [0.3, 0.3, 0.7, 0.7, 1.1]
         keys = [(4, 0, 0), (4, 0, 1), (4, 1, 0), None, (4, 2, 0)]
         rngs = [None if key is None else derive_rng(*key) for key in keys]
-        stack = _ChannelStack(kernel, alpha, sigmas, rngs)
+        size = n // 2 - 1
         # built in pieces, the later ones over a subset of the rows
-        stacked = np.empty((len(keys), stack.size), dtype=complex)
+        stacked = np.empty((len(keys), size), dtype=complex)
         for rows, lo, hi in (([0, 1, 2, 3, 4], 0, 100), ([0, 2, 3], 100, 101),
                              ([1, 4], 100, 200), ([0, 2, 3], 101, 200),
-                             ([0, 1, 2, 3, 4], 200, stack.size)):
-            stacked[rows, lo:hi] = stack.columns(rows, lo, hi)
+                             ([0, 1, 2, 3, 4], 200, size)):
+            stacked[rows, lo:hi] = _channel(
+                kernel, alpha, [sigmas[i] for i in rows], [rngs[i] for i in rows], lo, hi
+            )
         for row, sigma, key in zip(stacked, sigmas, keys):
             alone = kernel_channel(kernel, alpha, sigma, None if key is None else derive_rng(*key))
             assert row.tobytes() == alone.tobytes()

@@ -141,6 +141,19 @@ class TestPeriodizedCoefficients:
 
 
 class TestTransforms:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: forward_transform(np.zeros(64), 4, 3), "need j0 <= j1, got (4, 3)"),
+        (lambda: WaveletCoefficients(3, 4, 64, np.zeros(4), {3: np.zeros(8), 4: np.zeros(16)}),
+         "scale must hold 2^3 entries"),
+        (lambda: WaveletCoefficients(3, 4, 64, np.zeros(8), {3: np.zeros(8), 4: np.zeros(8)}),
+         "detail level 4 must hold 2^4 entries"),
+        (lambda: WaveletCoefficients.zeros(3, 6, 64), "need j0 <= j1 < log2(n), got (3, 6, 64)"),
+    ], ids=["forward-j0-above-j1", "scale-shape", "detail-shape", "j1-at-log2-n"])
+    def test_public_input_check_message(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert info.value.args == (message,)
+
     def test_single_basis_function(self):
         n = 1024
         coeffs = WaveletCoefficients.zeros(3, 7, n)
@@ -281,6 +294,15 @@ class TestSpectralPlans:
 
 
 class TestStackedAnalysis:
+    @pytest.mark.parametrize("n", [2**k for k in range(5, 15)])
+    def test_spectra_rows_are_the_real_input_transform(self, n):
+        # the one Y_hat = fft(y) / n recipe, complex cast and in place, bit for bit
+        rng = np.random.default_rng(n)
+        for rows in (1, 3, 8):
+            stack = rng.standard_normal((rows, n))
+            for row, spectrum in zip(stack, meyer._spectra(stack)):
+                assert spectrum.tobytes() == (np.fft.fft(row) / n).tobytes()
+
     def test_stacked_analysis_equals_each_row(self):
         # one fold and one batched inverse FFT over a stack give each row's
         # one-row analysis bit for bit, detail and scale bands alike

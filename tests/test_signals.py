@@ -10,6 +10,7 @@ from lrdwaved.signals import (
     generate_dataset,
     grid_norm,
     make_signal,
+    resolve_smoothing,
 )
 
 
@@ -149,6 +150,19 @@ class TestGenerateDataset:
             ratios.append(np.mean(resid**2) / target)
         avg_db = 10.0 * np.log10(np.mean(ratios))
         assert abs(avg_db) < 1.0
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: calibrate_sigma(np.ones(8), float("nan")), "snr_db must be finite"),
+        (lambda: blur(np.zeros(32), gamma_kernel(64)), "signal and kernel grids disagree"),
+    ], ids=["calibrate-nan-snr", "blur-grids"])
+    def test_public_input_check_message(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert info.value.args == (message,)
+
+    @pytest.mark.parametrize("spec", ["0.8", 0.8])
+    def test_numeric_smoothing_spec_is_its_value(self, spec):
+        assert resolve_smoothing(spec, 0.4) == 0.8
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pytest
 from lrdwaved.covariance import KernelSpec, VarianceTable
 from lrdwaved.signals import gamma_kernel
 from lrdwaved.thresholds import (
+    ThresholdPolicy,
     build_policy,
     c_n,
     fine_level_theoretical,
@@ -31,6 +32,16 @@ class TestSampleFactor:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             c_n(1, 0.5)
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: c_n(1, 0.5), ValueError, "need n >= 2, got 1"),
+        (lambda: ThresholdPolicy("iid", 1.0, 1.0, 1.0, 64, {3: 0.1}).lam(9), KeyError,
+         "policy has no threshold for level 9"),
+    ], ids=["c-n-small-n", "policy-missing-level"])
+    def test_public_input_check_message(self, call, error, message):
+        with pytest.raises(error) as info:
+            call()
+        assert info.value.args == (message,)
 
 
 class TestFineLevelTheoretical:
