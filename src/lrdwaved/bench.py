@@ -8,8 +8,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimator import _block_pass
+from .meyer import _spectra
 from .noise import derive_rng
-from .signals import ExperimentConfig, _clean_cell, _noisy_problem, resolve_smoothing
+from .signals import ExperimentConfig, _clean_cell, _observations, resolve_smoothing
 from .thresholds import _method_alpha
 
 __all__ = [
@@ -77,8 +78,9 @@ def run_benchmark(config: ExperimentConfig, threads: int = 1) -> BenchResult:
     one stacked estimator pass; the stopping-rule noise stream derives from
     (seed, replication, method index), so results are independent of the
     blocking.  The signal, kernel, blur and noise scale are built once per
-    call; a replication draws only its noise, giving the same dataset as
-    ``generate_dataset(config, rep)``.
+    call; a block draws each replication's noise into its row of one (B, n)
+    stack, row b the dataset ``generate_dataset(config, rep)`` of its
+    replication.
 
     ``threads`` is not read: the replication work holds the GIL, so threads
     over blocks gave no speed-up.  It stays while callers pass ``threads=1``.
@@ -96,16 +98,16 @@ def run_benchmark(config: ExperimentConfig, threads: int = 1) -> BenchResult:
     ]
 
     def run_block(reps: range) -> None:
-        problems = [_noisy_problem(cell, rep) for rep in reps]
         rngs = [[derive_rng(config.seed, rep, i) for i in range(n_methods)] for rep in reps]
-        block = _block_pass(problems, rows, rngs)
-        # row b*m + i of the pass is replication reps[b] under method i; the
-        # errors are squared in the estimates' own buffer, which no one else reads
-        sq = block.estimates
-        sq -= f_true
+        # the pass holds the only reference to the block's spectra and frees them before synthesis
+        block = _block_pass(
+            _spectra(_observations(cell, reps)), cell.kernel, config.alpha, rows, rngs
+        )
+        # row b*m + i of the pass is replication reps[b] under method i
+        sq = np.subtract(block.estimates, f_true)
         sq *= sq
         cols, shape = slice(reps[0], reps[-1] + 1), (len(reps), n_methods)
-        mses[:, cols] = np.mean(sq, axis=1).reshape(shape).T
+        mses[:, cols] = sq.mean(axis=1).reshape(shape).T
         levels[:, cols] = block.levels.reshape(shape).T
         kept[:, cols] = block.kept.reshape(shape).T
 

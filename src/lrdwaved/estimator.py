@@ -133,9 +133,7 @@ def _deconvolve(
     each band is analysed once for the whole stack.
     """
     n = spectra.shape[-1]
-    meyer._check_grid(n, j1)
-    if j0 > j1:
-        raise ValueError(f"need j0 <= j1, got ({j0}, {j1})")
+    meyer._check_levels(n, j0, j1)
     plan = meyer._scale_plan(j0, n)
     scale_kernel = kernel._band_coefficients(plan, f"scale level {j0}")
     detail_kernel = {j: kernel.validate_band(j) for j in range(j0, j1 + 1)}
@@ -213,7 +211,10 @@ def run_estimator(
     calibration regardless of the data's true dependence level; the LRD
     method uses problem.alpha in both.
     """
-    block = _block_pass([problem], [(method, smoothing)], [[rng]], j1_override, j0=j0)
+    block = _block_pass(
+        problem.spectrum[np.newaxis], problem.kernel, problem.alpha, [(method, smoothing)],
+        [[rng]], j1_override, j0=j0, sigma_hats=[problem.sigma_hat],
+    )
     (j1, stopping_m, saturated), sigma_hat = block.fine[0], block.sigma_hats[0]
     lambdas = {j: float(lams[0]) for j, lams in block.lambdas.items()}
     policy = ThresholdPolicy(
@@ -228,13 +229,13 @@ def run_estimator(
 
 
 class _BlockPass(NamedTuple):
-    """The arrays of one stacked pass; row b*m + i is problem b under method i."""
+    """The arrays of one stacked pass; row b*m + i is dataset b under method i."""
 
     estimates: np.ndarray  # (B*m, n)
     levels: np.ndarray  # (B*m,) fine levels
     fine: list[tuple[int, int | None, bool]]  # (level, M, saturated); M None if overridden
-    sigma_hats: list[float]  # per problem
-    scale: np.ndarray  # (B, 2^j0), per problem
+    sigma_hats: list[float]  # per dataset
+    scale: np.ndarray  # (B, 2^j0), per dataset
     detail: dict[int, tuple[np.ndarray, np.ndarray]]  # j -> (rows reaching j, thresholded stack)
     lambdas: dict[int, np.ndarray]  # j -> lambda_j of those rows
     counts: dict[int, np.ndarray]  # j -> kept count of those rows
@@ -242,42 +243,41 @@ class _BlockPass(NamedTuple):
 
 
 def _block_pass(
-    problems: list[DeconvolutionProblem],
+    spectra: np.ndarray,
+    kernel: KernelSpec,
+    alpha: float,
     methods: list[tuple[str, float]],
     rngs: list[list[np.random.Generator | None]],
     j1_override: int | None = None,
     *,
     j0: int = DEFAULT_COARSE_LEVEL,
+    sigma_hats: list[float] | None = None,
 ) -> _BlockPass:
-    """``run_estimator`` on every (problem, method) row, as arrays.
+    """``run_estimator`` on every (dataset, method) row, as arrays.
 
-    The problems share one kernel (equal by value) and one alpha; method i
-    runs on problem b with stopping-rule stream rngs[b][i], and row b*m + i
-    equals ``run_estimator`` on problem b with method i's arguments bit for
-    bit.  One batched FFT and analysis give every sigma_hat, the stopping rule
-    scans every row together, and Y_hat / K_hat is analysed once per level.
-    Each level is thresholded as one stack over the rows that reach it, at
+    The datasets are the rows of a (B, n) stack of spectra Y_hat
+    (``meyer._spectra``), observed through one kernel at one alpha; their
+    ``_sigma_hats`` are computed here unless given.  Method i runs on dataset
+    b with stopping-rule stream rngs[b][i], and row b*m + i equals
+    ``run_estimator`` on dataset b with method i's arguments bit for bit.
+    The stopping rule scans every row together, and Y_hat / K_hat is
+    analysed once per level; the pass then drops ``spectra``, so a stack
+    passed with no other reference is freed before synthesis.  Each level is
+    thresholded as one stack over the rows that reach it, at
     ``build_policy``'s lambda = smoothing * tau(j) * (sigma_hat * c_n) as one
     vector product, tau read from the value cache only for methods with a row
     there.  One ``meyer._synthesize`` call gives every row's samples, a view
     of a (B*m, n) spectrum that no later pass reuses.
     """
-    kernel, alpha, n = problems[0].kernel, problems[0].alpha, problems[0].n
+    n = spectra.shape[-1]
     alphas = [_method_alpha(method, alpha) for method, _ in methods]
     smoothings = np.array([smoothing for _, smoothing in methods])
     if np.any(smoothings <= 0):
         raise ValueError(f"smoothing constant must be positive, got {smoothings.min()}")
-    if any(p.kernel != kernel or p.alpha != alpha for p in problems):
-        raise ValueError("a stacked pass needs one kernel and one alpha for every problem")
-    if len(problems) == 1:
-        # the one-problem case reads and fills the problem's own caches
-        spectra = problems[0].spectrum[np.newaxis]
-        sigma_hats = [problems[0].sigma_hat]
-    else:
-        spectra = meyer._spectra([p.observations for p in problems])
+    if sigma_hats is None:
         sigma_hats = _sigma_hats(spectra).tolist()
     m = len(methods)
-    problem_of, method_of = np.divmod(np.arange(len(problems) * m), m)
+    problem_of, method_of = np.divmod(np.arange(len(spectra) * m), m)
 
     if j1_override is None:
         sigmas = [sigma_hats[b] for b in problem_of]

@@ -156,6 +156,13 @@ class WaveletCoefficients:
         return range(self.j0, self.j1 + 1)
 
 
+def _check_levels(n: int, j0: int, j1: int) -> None:
+    """The one level-range check: j0 <= j1 first, then ``_check_grid``."""
+    if j0 > j1:
+        raise ValueError(f"need j0 <= j1, got ({j0}, {j1})")
+    _check_grid(n, j1)
+
+
 def _check_grid(n: int, j1: int) -> None:
     if n < 2 or (n & (n - 1)) != 0:
         raise ValueError(f"grid length must be a power of two, got {n}")
@@ -170,8 +177,11 @@ def _real_part(values: np.ndarray, what: str) -> np.ndarray:
     """Real part of ``values``; each row's imaginary residual is checked against its own scale."""
     rows = values.reshape(-1, values.shape[-1])
     imag = np.abs(rows.imag).max(axis=-1)
-    # |z| >= |Re z|: rows within bounds of their real parts' scale pass
-    # without the costlier complex magnitudes
+    # every row's bound below is at least 1e-9, so rows within it pass at
+    # once (a NaN row does not); |z| >= |Re z|, so rows within bounds of their
+    # real parts' scale pass without the costlier complex magnitudes
+    if (imag <= 1e-9).all():
+        return values.real
     if not (imag <= 1e-9 * np.maximum(np.abs(rows.real).max(axis=-1), 1.0)).all():
         bad = imag > 1e-9 * np.maximum(np.abs(rows).max(axis=-1), 1.0)
         if bad.any():
@@ -254,11 +264,12 @@ def _analyze(values: np.ndarray, plan: _BandPlan, what: str) -> np.ndarray:
 
 
 def _spectra(rows) -> np.ndarray:
-    """y_tilde = fft(y) / n of each row of a (rows, n) real stack, bit for bit as for real input."""
+    """y_tilde = fft(y) / n of each row of a (rows, n) real stack, bit for bit as for real input.
+
+    The forward norm scales by 1/n inside the transform; n is a power of two, so exactly.
+    """
     out = np.array(rows, dtype=complex)  # fft casts real input in small chunks, at twice its cost
-    np.fft.fft(out, axis=-1, out=out)
-    out /= out.shape[-1]
-    return out
+    return np.fft.fft(out, axis=-1, out=out, norm="forward")
 
 
 def _detail_from_spectrum(spectrum: np.ndarray, j: int, n: int) -> np.ndarray:
@@ -274,9 +285,7 @@ def forward_transform(signal: np.ndarray, j0: int, j1: int) -> WaveletCoefficien
     """
     signal = np.asarray(signal, dtype=float)
     n = signal.shape[0]
-    if j0 > j1:
-        raise ValueError(f"need j0 <= j1, got ({j0}, {j1})")
-    _check_grid(n, j1)
+    _check_levels(n, j0, j1)
     spectrum, plan = _spectra(signal[np.newaxis])[0], _scale_plan(j0, n)
     scale = _analyze(np.take(spectrum, plan.index, axis=-1), plan, "scale")
     detail = {j: _detail_from_spectrum(spectrum, j, n) for j in range(j0, j1 + 1)}
@@ -290,7 +299,8 @@ def _synthesize(scale: np.ndarray, detail: dict, n: int) -> np.ndarray:
     the rows whose fine level reaches j.  Each band is added to its rows in
     the order scale, then detail j0, j0+1, ...; a row is its one-row
     synthesis exactly.  The rows share one complex (rows, n) spectrum,
-    inverse transformed in place; the samples are its real view.
+    inverse transformed in place with no 1/n (the forward norm's inverse);
+    the samples are its real view.
     """
     _check_grid(n, max(detail, default=0))
     spectrum = np.zeros((scale.shape[0], n), dtype=complex)
@@ -299,8 +309,7 @@ def _synthesize(scale: np.ndarray, detail: dict, n: int) -> np.ndarray:
     for j in sorted(detail):
         plan, (rows, values) = _detail_plan(j, n), detail[j]
         spectrum[rows[:, np.newaxis], plan.index] += _band_terms(plan, values)
-    samples = np.fft.ifft(spectrum, axis=-1, out=spectrum)
-    samples *= n
+    samples = np.fft.ifft(spectrum, axis=-1, out=spectrum, norm="forward")
     return _real_part(samples, "synthesized samples")
 
 

@@ -112,14 +112,21 @@ class NoiseModel:
         """Exact unit-variance sample of length n for a replication key."""
         if n < 1:
             raise ValueError("need n >= 1")
-        rng = self.rng(*key)
+        out = np.empty(n)
+        self._sample_into(out, *key)
+        return out
+
+    def _sample_into(self, out: np.ndarray, *key: int) -> None:
+        """``sample(out.size, *key)`` written into ``out``, a contiguous float row."""
+        n, rng = out.shape[0], self.rng(*key)
         if self.kind == "fgn":
-            return _circulant_sample(_sqrt_embedding_eigenvalues(self.hurst, n), n, rng)
-        innovations = rng.standard_normal(n)
-        if self.d == 0.0:
-            return innovations
-        psi_hat, weights, inv_b = _farima_factor(self.d, n)
-        return np.fft.irfft(psi_hat * np.fft.rfft(weights * innovations, 2 * n), 2 * n)[:n] * inv_b
+            _circulant_sample(_sqrt_embedding_eigenvalues(self.hurst, n), rng, out)
+            return
+        rng.standard_normal(out=out)  # the innovations
+        if self.d > 0.0:
+            psi_hat, weights, inv_b = _farima_factor(self.d, n)
+            path = np.fft.irfft(psi_hat * np.fft.rfft(weights * out, 2 * n), 2 * n)
+            np.multiply(path[:n], inv_b, out=out)
 
 
 def fgn_autocovariance(h, hurst: float):
@@ -166,16 +173,24 @@ def _sqrt_embedding_eigenvalues(hurst: float, n: int) -> np.ndarray:
     return root
 
 
-def _circulant_sample(sqrt_eig: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """First n values of one draw with the embedded circulant covariance."""
+def _circulant_sample(sqrt_eig: np.ndarray, rng: np.random.Generator, out: np.ndarray) -> None:
+    """First ``out.size`` values of one draw with the embedded circulant covariance, into ``out``.
+
+    The stream gives zeta_0, zeta_m, then the real and the imaginary parts of
+    zeta_1..zeta_(m-1); one call draws them all.  The work array is transformed in place.
+    """
     size = sqrt_eig.size
     m = size // 2
+    draws = rng.standard_normal(2 * m)
     zeta = np.empty(size, dtype=complex)
-    zeta[0] = rng.standard_normal()
-    zeta[m] = rng.standard_normal()
-    zeta[1:m] = (rng.standard_normal(m - 1) + 1j * rng.standard_normal(m - 1)) / np.sqrt(2.0)
-    zeta[m + 1 :] = np.conj(zeta[1:m][::-1])
-    return (np.sqrt(size) * np.fft.ifft(sqrt_eig * zeta)).real[:n]
+    zeta[0], zeta[m] = draws[0], draws[1]
+    zeta.real[1:m], zeta.imag[1:m] = draws[2 : m + 1], draws[m + 1 :]
+    # numpy divides a complex by sqrt(2) as a multiply by this reciprocal, part by part
+    zeta.view(float)[2 : 2 * m] *= 1.0 / np.sqrt(2.0)
+    np.conjugate(zeta[m - 1 : 0 : -1], out=zeta[m + 1 :])
+    np.multiply(sqrt_eig, zeta, out=zeta)
+    np.fft.ifft(zeta, out=zeta)
+    np.multiply(zeta.real[: out.size], np.sqrt(size), out=out)
 
 
 @lru_cache(maxsize=16)

@@ -225,9 +225,20 @@ def _clean_cell(config: ExperimentConfig) -> _CleanCell:
     )
 
 
+def _observations(cell: _CleanCell, replications) -> np.ndarray:
+    """(B, n) stack of the replications' observations, row b from replication b's own stream."""
+    y = np.empty((len(replications), cell.f_true.shape[0]))
+    for row, replication in zip(y, replications):
+        cell.noise._sample_into(row, replication)
+    y *= cell.noise_scale
+    y += cell.blurred
+    if not np.isfinite(y).all():
+        raise ValueError("observations must be finite (found NaN or inf)")
+    return y
+
+
 def _noisy_problem(cell: _CleanCell, replication: int) -> DeconvolutionProblem:
-    e = cell.noise.sample(cell.f_true.shape[0], replication)
-    y = cell.blurred + cell.noise_scale * e
+    y = _observations(cell, [replication])[0]
     return DeconvolutionProblem(observations=y, kernel=cell.kernel, alpha=cell.noise.alpha)
 
 

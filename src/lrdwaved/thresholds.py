@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .covariance import KernelSpec, VarianceTable, tau_level, waved_tau_level
+from .meyer import _check_levels
 
 __all__ = [
     "ThresholdPolicy",
@@ -82,8 +83,7 @@ def build_policy(
     """
     if smoothing <= 0:
         raise ValueError(f"smoothing constant must be positive, got {smoothing}")
-    if j0 > j1:
-        raise ValueError(f"need j0 <= j1, got ({j0}, {j1})")
+    _check_levels(n, j0, j1)
     assumed = _method_alpha(method, alpha)
     factor = sigma_hat * c_n(n, assumed)
     lambdas = {j: smoothing * _tau(method, j, kernel, assumed) * factor for j in range(j0, j1 + 1)}

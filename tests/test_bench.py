@@ -85,17 +85,19 @@ class TestRunBenchmark:
 
     @staticmethod
     def _fail_replication(monkeypatch, config, rep, replace):
-        # the block pass sees replication rep's problem swapped by replace(problem)
+        # the block pass sees replication rep's spectrum swapped for that of
+        # replace(problem), problem = generate_dataset(config, rep)
         import lrdwaved.bench as bench_module
 
-        target = generate_dataset(config, rep)[0].observations
+        target = generate_dataset(config, rep)[0]
         real = bench_module._block_pass
 
-        def swapping(problems, *args, **kwargs):
-            problems = [
-                replace(p) if np.array_equal(p.observations, target) else p for p in problems
-            ]
-            return real(problems, *args, **kwargs)
+        def swapping(spectra, *args, **kwargs):
+            spectra = np.array(
+                [replace(target).spectrum if np.array_equal(row, target.spectrum) else row
+                 for row in spectra]
+            )
+            return real(spectra, *args, **kwargs)
 
         monkeypatch.setattr(bench_module, "_block_pass", swapping)
 
@@ -123,17 +125,17 @@ class TestRunBenchmark:
         assert "finite and positive" in str(info.value.__cause__)
 
     def test_non_finite_data_in_one_row_names_its_replication(self, monkeypatch):
+        # every draw, a block's rows included, goes through NoiseModel._sample_into
         from lrdwaved.noise import NoiseModel
 
-        real = NoiseModel.sample
+        real = NoiseModel._sample_into
 
-        def sample(self, n, *key):
-            e = real(self, n, *key)
+        def sample_into(self, out, *key):
+            real(self, out, *key)
             if key == (9,):
-                e[17] = np.nan
-            return e
+                out[17] = np.nan
 
-        monkeypatch.setattr(NoiseModel, "sample", sample)
+        monkeypatch.setattr(NoiseModel, "_sample_into", sample_into)
         with pytest.raises(RuntimeError, match=r"replication 9 \(seed 3\) failed") as info:
             run_benchmark(small_config(replications=12))
         assert isinstance(info.value.__cause__, ValueError)
@@ -141,19 +143,20 @@ class TestRunBenchmark:
 
     # sha256 of every method's mses (float64) then fine_levels (int64), in
     # method order, recorded when the streams became keyed Philox streams with
-    # interleaved channel draws (version 0.2.0); fixed-seed outputs must stay
-    # byte-identical.
+    # interleaved channel draws (version 0.2.0); the fGn cell was recorded
+    # later on the same streams.  Fixed-seed outputs must stay byte-identical.
     @pytest.mark.parametrize(
-        "alpha, digest",
+        "alpha, digest, noise_kind",
         [
-            (1.0, "9762c9e1308b1fc129851a9f798bf6523bbe8b09876b2cbd9cf457f0f70858c2"),
-            (0.4, "72ad6bce1669ed10c148bebed0f8da8ed6e54dc53b5407ba67817bd25e67bb7b"),
+            (1.0, "9762c9e1308b1fc129851a9f798bf6523bbe8b09876b2cbd9cf457f0f70858c2", "farima"),
+            (0.4, "72ad6bce1669ed10c148bebed0f8da8ed6e54dc53b5407ba67817bd25e67bb7b", "farima"),
+            (0.6, "9b10199d0c4244d0dcaa96ffc6a8afe3a746b7a1d75fc5b1feeec566801ce351", "fgn"),
         ],
     )
-    def test_pinned_cusp_outputs(self, alpha, digest):
+    def test_pinned_cusp_outputs(self, alpha, digest, noise_kind):
         config = ExperimentConfig(
             "cusp", n=4096, alpha=alpha, snr_db=20.0, replications=4, seed=11,
-            noise_kind="farima",
+            noise_kind=noise_kind,
         )
         h = hashlib.sha256()
         for m in run_benchmark(config).methods:
@@ -290,16 +293,22 @@ class TestRunBenchmark:
         # a pass's estimates keep their values after the next pass runs on
         # other problems, and equal run_estimator's; so does a report's
         from lrdwaved.estimator import _block_pass
-        from lrdwaved.signals import _clean_cell, _noisy_problem
+        from lrdwaved.meyer import _spectra
+        from lrdwaved.signals import _clean_cell, _noisy_problem, _observations
 
         config = ExperimentConfig("cusp", n=1024, alpha=0.4, snr_db=30.0, seed=3)
         cell = _clean_cell(config)
         problems = [_noisy_problem(cell, rep) for rep in range(4)]
         methods = [("iid", math.sqrt(6.0)), ("lrd", math.sqrt(0.4))]
         rngs = [[derive_rng(3, rep, i) for i in range(2)] for rep in range(4)]
-        first = _block_pass(problems[:2], methods, rngs[:2]).estimates
+
+        def block(reps):
+            spectra = _spectra(_observations(cell, reps))
+            return _block_pass(spectra, cell.kernel, 0.4, methods, [rngs[r] for r in reps])
+
+        first = block(range(2)).estimates
         kept = first.copy()
-        second = _block_pass(problems[2:], methods, rngs[2:]).estimates
+        second = block(range(2, 4)).estimates
         np.testing.assert_array_equal(first, kept)
         assert not np.array_equal(first[:2], second[:2])
         for i, (method, smoothing) in enumerate(methods):
@@ -345,8 +354,9 @@ class TestRunBenchmark:
 
     def test_traced_peak_holds_one_block(self):
         # one block of 8 replications at n=4096 holds a few (8, n)-sized
-        # arrays (spectra, sigma analysis) and the block's one (24, n) complex
-        # synthesis spectrum, a traced peak of about 2.8 MB; a pass over all
+        # arrays (observations, spectra, sigma analysis; the spectra are
+        # freed before synthesis) and the block's one (24, n) complex
+        # synthesis spectrum, a traced peak of about 2.5 MB; a pass over all
         # 64 replications at once would need several times that
         import tracemalloc
 

@@ -52,6 +52,22 @@ class TestProblemValidation:
             call()
         assert info.value.args == (message,)
 
+    def test_levels_checked_before_the_grid(self):
+        # j0 > j1 is reported first everywhere, even where j1 is also too
+        # fine for the grid
+        from lrdwaved.thresholds import build_policy
+
+        n, message = 64, "need j0 <= j1, got (9, 8)"
+        calls = [
+            lambda: deconvolve_coefficients(noise_problem(n), 9, 8),
+            lambda: forward_transform(np.zeros(n), 9, 8),
+            lambda: build_policy("iid", identity_kernel(n), n, 1.0, 1.0, 1.0, 9, 8),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert info.value.args == (message,)
+
     def test_power_of_two_required(self):
         with pytest.raises(ValueError):
             DeconvolutionProblem(observations=np.zeros(100), kernel=identity_kernel(100))
@@ -326,32 +342,22 @@ class TestEstimateSigma:
             expected = np.median(np.abs(x - np.median(x, axis=-1, keepdims=True)), axis=-1)
             assert _mad(x).tobytes() == expected.tobytes()
 
-    def test_stacked_pass_needs_one_kernel_and_alpha(self):
-        from lrdwaved.estimator import _block_pass
-
-        y = np.random.default_rng(13).standard_normal(256)
-        a = DeconvolutionProblem(y, gamma_kernel(256), alpha=0.6)
-        for b in (DeconvolutionProblem(y, gamma_kernel(256, shape=0.5), alpha=0.6),
-                  DeconvolutionProblem(y, a.kernel, alpha=0.8)):
-            with pytest.raises(ValueError, match="one kernel and one alpha"):
-                _block_pass([a, b], [("lrd", 1.0)], [[None], [None]])
-
     def test_stacked_pass_takes_kernels_equal_by_value(self):
-        # problems whose kernels are distinct objects with equal coefficients
-        # stack into one pass, which equals the pass over one shared kernel
+        # a pass through a kernel that is another object with equal
+        # coefficients equals the pass through the shared kernel
         from lrdwaved.estimator import _block_pass
+        from lrdwaved.meyer import _spectra
 
         rng = np.random.default_rng(13)
-        ys = [rng.standard_normal(256) for _ in range(2)]
+        ys = np.array([rng.standard_normal(256) for _ in range(2)])
         shared = gamma_kernel(256)
-        copies = KernelSpec(shared.fourier), KernelSpec(shared.fourier)
         methods = [("lrd", 1.0), ("iid", 2.0)]
         passes = [
             _block_pass(
-                [DeconvolutionProblem(y, k, alpha=0.6) for y, k in zip(ys, kernels)],
-                methods, [[derive_rng(2, b, i) for i in range(2)] for b in range(2)],
+                _spectra(ys), kernel, 0.6, methods,
+                [[derive_rng(2, b, i) for i in range(2)] for b in range(2)],
             )
-            for kernels in ((shared, shared), copies)
+            for kernel in (shared, KernelSpec(shared.fourier))
         ]
         assert passes[1].estimates.tobytes() == passes[0].estimates.tobytes()
         assert passes[1].levels.tolist() == passes[0].levels.tolist()
@@ -542,7 +548,8 @@ class TestRunEstimator:
         # matches, matches by kernel value, or has the wrong alpha or kernel
         from lrdwaved.covariance import KernelSpec, VarianceTable
         from lrdwaved.estimator import _block_pass
-        from lrdwaved.signals import ExperimentConfig, _clean_cell, _noisy_problem
+        from lrdwaved.meyer import _spectra
+        from lrdwaved.signals import ExperimentConfig, _clean_cell, _noisy_problem, _observations
         from lrdwaved.thresholds import build_policy
 
         config = ExperimentConfig("cusp", n=1024, alpha=0.4, snr_db=30.0, seed=3)
@@ -562,7 +569,7 @@ class TestRunEstimator:
         ]
         methods = [("lrd", 0.7), ("iid", 2.1)]
         rngs = [[derive_rng(6, rep, i) for i in range(2)] for rep in range(3)]
-        block = _block_pass(problems, methods, rngs)
+        block = _block_pass(_spectra(_observations(cell, range(3))), kernel, 0.4, methods, rngs)
         # build_policy reports the alpha the method assumes, as run_estimator does
         assumed = [
             run_estimator(problems[r // 2], *methods[r % 2], rng=derive_rng(6, r // 2, r % 2))

@@ -336,3 +336,65 @@ class TestStackedAnalysis:
         values[1, 0] = 1.0  # one frequency without its conjugate: a complex coefficient
         with pytest.raises(AssertionError, match=r"detail coefficients at level 4 \(row 1\)"):
             meyer._analyze(values, plan, "detail")
+
+
+class TestExactScaling:
+    # the forward norm and the unscaled inverse replace a division by n after
+    # every FFT and a multiplication by n after every synthesis; n is a power
+    # of two, so both are exact
+    @pytest.mark.parametrize("n", [2**k for k in range(5, 14)])
+    def test_spectra_equal_fft_over_n(self, n):
+        rows = np.random.default_rng(n).standard_normal((3, n)) * [[1e-3], [1.0], [1e6]]
+        stacked = meyer._spectra(rows)
+        for row, spectrum in zip(rows, stacked):
+            assert spectrum.tobytes() == (np.fft.fft(row) / n).tobytes()
+
+    @pytest.mark.parametrize("n", [64, 1024, 4096])
+    def test_synthesis_equals_scaled_inverse_fft(self, n):
+        rng = np.random.default_rng(n + 1)
+        top = int(np.log2(n)) - 2
+        scale = rng.standard_normal((3, 8))
+        # row 2 stops one level below the others
+        detail = {j: (np.arange(3)[: 3 - (j == top)], rng.standard_normal((3 - (j == top), 2**j)))
+                  for j in range(3, top + 1)}
+        spectrum = np.zeros((3, n), dtype=complex)
+        plan = meyer._scale_plan(3, n)
+        spectrum[:, plan.index] += meyer._band_terms(plan, scale)
+        for j, (rows, values) in sorted(detail.items()):
+            plan = meyer._detail_plan(j, n)
+            spectrum[rows[:, np.newaxis], plan.index] += meyer._band_terms(plan, values)
+        expected = (np.fft.ifft(spectrum, axis=-1) * n).real
+        assert meyer._synthesize(scale, detail, n).tobytes() == expected.tobytes()
+
+    @staticmethod
+    def _full_check(values):
+        # the check without the fast path: each row against its own scale
+        imag = np.abs(values.imag).max(axis=-1)
+        bad = imag > 1e-9 * np.maximum(np.abs(values).max(axis=-1), 1.0)
+        return int(bad.argmax()) if bad.any() else None
+
+    @pytest.mark.parametrize("real_scale, passes", [(10.0, True), (1.0, False)])
+    def test_real_part_fast_path_takes_the_full_decision(self, real_scale, passes):
+        # an imaginary residual of 5e-9 is above the fast path's 1e-9 and
+        # within the bound of a row whose real part reaches 10, not of one at 1
+        values = np.full((3, 16), 0.5 + 0j)
+        values[1, 4] = real_scale + 5e-9j
+        assert (self._full_check(values) is None) == passes
+        if passes:
+            assert meyer._real_part(values, "x").tobytes() == values.real.tobytes()
+        else:
+            with pytest.raises(AssertionError, match=r"x \(row 1\) should be real"):
+                meyer._real_part(values, "x")
+
+    def test_real_part_nan_row_takes_the_full_check(self):
+        # a NaN row is never within a bound, so it skips the fast path; the
+        # full check then passes it, as it did before, and still names a bad row
+        values = np.full((3, 16), 0.5 + 0j)
+        values[0, 2] = complex(np.nan, np.nan)
+        assert self._full_check(values) is None
+        out = meyer._real_part(values, "x")
+        assert out.tobytes() == values.real.tobytes()
+        values[2, 5] += 1e-3j
+        assert self._full_check(values) == 2
+        with pytest.raises(AssertionError, match=r"x \(row 2\) should be real"):
+            meyer._real_part(values, "x")
