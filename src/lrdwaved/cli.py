@@ -8,7 +8,9 @@ JSON report the same provenance as a block; the hash covers every flag the
 command parsed, the seed resolved and input files by their bytes, except
 --out and --threads, which change no output byte.  Each command declares
 only the flags it reads, except --threads on benchmark and rates: it is
-checked (at least 1) but not read, since replications run serially.
+checked (at least 1) but not read, since replications run serially.  The
+model flags set ExperimentConfig's fields and default to them, as do
+benchmark's --methods, --smoothing, --replications and noise's --n, --kind.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -162,43 +165,44 @@ def _add_seed_and_out(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=".", help="output directory (created if absent)")
 
 
+# each model flag and the ExperimentConfig field it sets; the field gives its default
+_MODEL_FLAGS = {
+    "--signal": ("signal", dict(required=True, choices=SIGNAL_NAMES)),
+    "--n": ("n", dict(type=int)),
+    "--alpha": ("alpha", dict(type=float)),
+    "--nu": ("nu", dict(type=float, help="Gamma kernel shape (= DIP)")),
+    "--kernel-scale": ("kernel_scale", dict(type=float)),
+    "--snr": ("snr_db", dict(type=float, help="blurred SNR in dB")),
+    "--noise-kind": ("noise_kind", dict(choices=("farima", "fgn"))),
+}
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING}
+# argparse dest -> field: "--kernel-scale" sets args.kernel_scale, "--snr" args.snr
+_FIELD_OF = {flag[2:].replace("-", "_"): field for flag, (field, _) in _MODEL_FLAGS.items()}
+
+
 def _add_model_flags(parser: argparse.ArgumentParser, omit: tuple[str, ...] = ()) -> None:
-    flags = {
-        "--signal": dict(required=True, choices=SIGNAL_NAMES),
-        "--n": dict(type=int, default=4096),
-        "--alpha": dict(type=float, default=1.0),
-        "--nu": dict(type=float, default=0.7, help="Gamma kernel shape (= DIP)"),
-        "--kernel-scale": dict(type=float, default=0.25),
-        "--snr": dict(type=float, default=20.0, help="blurred SNR in dB"),
-        "--noise-kind": dict(choices=("farima", "fgn"), default="farima"),
-    }
-    for flag, spec in flags.items():
+    for flag, (field, spec) in _MODEL_FLAGS.items():
         if flag not in omit:
-            parser.add_argument(flag, **spec)
+            parser.add_argument(flag, default=_DEFAULTS.get(field), **spec)
+
+
+def _model(args) -> dict:
+    """The ExperimentConfig fields that the command's model flags set."""
+    return {_FIELD_OF[dest]: v for dest, v in vars(args).items() if dest in _FIELD_OF}
 
 
 def _experiment_config(
-    args, seed: int, alpha: float, methods: tuple, smoothing: tuple, replications: int = 1
+    args, seed: int, methods: tuple, smoothing: tuple, replications: int = 1, **model
 ) -> ExperimentConfig:
-    """The model flags, the seed and the command's own alpha, methods and replications."""
-    return ExperimentConfig(
-        signal=args.signal,
-        n=_check_n(args.n),
-        alpha=alpha,
-        nu=args.nu,
-        snr_db=args.snr,
-        methods=methods,
-        smoothing=smoothing,
-        replications=replications,
-        seed=seed,
-        noise_kind=args.noise_kind,
-        kernel_scale=args.kernel_scale,
-    )
+    """The model flags (``model`` overrides them), the seed and the command's methods."""
+    _check_n(args.n)
+    model = {**_model(args), **model, "replications": replications, "seed": seed}
+    return ExperimentConfig(methods=methods, smoothing=smoothing, **model)
 
 
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
-    config = _experiment_config(args, seed, args.alpha, ("iid",), ("sqrt6",))
+    config = _experiment_config(args, seed, ("iid",), ("sqrt6",))
     out = _out_dir(args)
     cell = _clean_cell(config)
     t = np.arange(config.n) / config.n
@@ -276,7 +280,7 @@ def cmd_estimate(args) -> int:
     seed = _resolve_seed(args)
     for name in ("nu", "kernel_scale"):
         if getattr(args, name) is None:  # not given: hashed as its default
-            setattr(args, name, getattr(ExperimentConfig, name))
+            setattr(args, name, _DEFAULTS[_FIELD_OF[name]])
         elif args.kernel_file is not None:
             raise ValidationError(f"--{name.replace('_', '-')} does not apply with --kernel-file")
     _check_kernel_flags(args.nu, args.kernel_scale)
@@ -347,7 +351,7 @@ def cmd_benchmark(args) -> int:
     for spec in smoothing:
         _smoothing(spec, "--smoothing")
     configs = [
-        _experiment_config(args, seed, alpha, methods, smoothing, args.replications)
+        _experiment_config(args, seed, methods, smoothing, args.replications, alpha=alpha)
         for alpha in alphas
     ]
     out = _out_dir(args)
@@ -410,16 +414,12 @@ def cmd_rates(args) -> int:
     _smoothing(smoothing, flag)
     # the run checks every grid config first; --out is created after it
     result = run_rate_experiment(
-        args.signal,
-        args.method,
-        args.alpha,
-        args.nu,
-        n_grid,
-        args.replications,
+        **_model(args),
+        method=args.method,
+        n_grid=n_grid,
+        replications=args.replications,
         smoothing=smoothing,
-        snr_db=args.snr,
         seed=seed,
-        noise_kind=args.noise_kind,
     )
     out = _out_dir(args)
     provenance = _provenance(args, seed)
@@ -446,7 +446,7 @@ def cmd_noise(args) -> int:
 
 def cmd_stopping_trace(args) -> int:
     seed = _resolve_seed(args)
-    config = _experiment_config(args, seed, args.alpha, ("lrd",), ("sqrtalpha",))
+    config = _experiment_config(args, seed, ("lrd",), ("sqrtalpha",))
     out = _out_dir(args)
     problem = _noisy_problem(_clean_cell(config), 0)
     # the stream of run_benchmark's replication 0, method 0: the trace shows
@@ -494,9 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("benchmark", help="Monte Carlo MSE benchmark")
     _add_model_flags(p, omit=("--alpha",))
     p.add_argument("--alpha-grid", default="1,0.8,0.6,0.4,0.2")
-    p.add_argument("--methods", default="iid,lrd,lrd")
-    p.add_argument("--smoothing", default="sqrt6,sqrtalpha,sqrt2alpha")
-    p.add_argument("--replications", type=int, default=64)
+    p.add_argument("--methods", default=",".join(_DEFAULTS["methods"]))
+    p.add_argument("--smoothing", default=",".join(_DEFAULTS["smoothing"]))
+    p.add_argument("--replications", type=int, default=_DEFAULTS["replications"])
     p.add_argument(
         "--threads", type=int, default=1, help="not read: replications run serially (>= 1)"
     )
@@ -522,9 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rates)
 
     p = sub.add_parser("noise", help="dump a noise sample as CSV")
-    p.add_argument("--kind", choices=("fgn", "farima"), default="farima")
+    p.add_argument("--kind", choices=("fgn", "farima"), default=_DEFAULTS["noise_kind"])
     p.add_argument("--alpha", type=float, default=0.6)
-    p.add_argument("--n", type=int, default=4096)
+    p.add_argument("--n", type=int, default=_DEFAULTS["n"])
     _add_seed_and_out(p)
     p.set_defaults(func=cmd_noise)
 

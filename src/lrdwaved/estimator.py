@@ -284,8 +284,7 @@ def _block_pass(
         streams = [rngs[b][i] for b, i in zip(problem_of, method_of)]
         fine = _fine_levels(kernel, alpha, [alphas[i] for i in method_of], sigmas, streams, j0)
     else:
-        if not j0 <= j1_override <= int(math.log2(n)) - 2:
-            raise ValueError(f"j1 override {j1_override} outside [{j0}, log2(n)-2]")
+        meyer._check_levels(n, j0, j1_override)
         fine = [(j1_override, None, False)] * problem_of.size
     levels = np.array([level for level, _, _ in fine])
 

@@ -83,6 +83,24 @@ class TestRunBenchmark:
         with pytest.raises(RuntimeError, match=r"replication 0 \(seed 3\) failed: injected"):
             run_benchmark(small_config())
 
+    def test_failure_of_the_stacked_block_alone_names_its_range(self, monkeypatch):
+        # each replication of the second block (8-11) passes alone, so the
+        # error names the block's range
+        import lrdwaved.bench as bench_module
+
+        real = bench_module._block_pass
+
+        def stacked_only(spectra, *args, **kwargs):
+            if len(spectra) == 4:
+                raise ValueError("injected failure")
+            return real(spectra, *args, **kwargs)
+
+        monkeypatch.setattr(bench_module, "_block_pass", stacked_only)
+        with pytest.raises(RuntimeError) as info:
+            run_benchmark(small_config(replications=12))
+        assert info.value.args == ("replications 8-11 (seed 3) failed: injected failure",)
+        assert isinstance(info.value.__cause__, ValueError)
+
     @staticmethod
     def _fail_replication(monkeypatch, config, rep, replace):
         # the block pass sees replication rep's spectrum swapped for that of

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -103,6 +104,16 @@ class TestEstimate:
         assert report["fine_level_used"] == 4
         assert report["provenance"]["config"]["j1"] == 4
 
+    def test_j1_override_too_fine_writes_no_estimate(self, tmp_path, capsys):
+        dataset = self._simulate(tmp_path)
+        out = tmp_path / "est"
+        assert run_cli(["estimate", dataset, "--j1", 11, "--seed", 5, "--out", out]) == 3
+        assert (
+            "error: fine level j1=11 too large for n=1024: need j1 <= log2(n)-2 "
+            "so all band frequencies stay below the Nyquist range"
+        ) in capsys.readouterr().err
+        assert not (out / "estimate.csv").exists()
+
     def test_unknown_smoothing_names_its_flag(self, tmp_path, capsys):
         dataset = self._simulate(tmp_path)
         for method, flag in (("lrd", "--xi"), ("iid", "--eta")):
@@ -145,6 +156,26 @@ class TestEstimate:
             assert code == 3
             assert f"{dataset} {message}" in capsys.readouterr().err
             assert not (tmp_path / "est" / "estimate.csv").exists()
+
+    @pytest.mark.parametrize("text, kernel, message", [
+        ("# comment\nt,y\n", None, "{dataset} has no data rows"),
+        ("t,x\n0,1\n", None, "dataset {dataset} needs at least columns t,y"),
+        (None, "ell,re\n0,1\n", "kernel table {kernel} needs columns ell,re,im"),
+    ], ids=["header-only", "no-y-column", "kernel-without-im"])
+    def test_input_without_its_columns_or_rows_is_named(
+        self, tmp_path, capsys, text, kernel, message
+    ):
+        dataset = self._simulate(tmp_path)
+        argv = ["estimate", dataset, "--seed", 5, "--out", tmp_path / "est"]
+        if text is not None:
+            dataset.write_text(text)
+        if kernel is not None:
+            (tmp_path / "kernel.csv").write_text(kernel)
+            argv += ["--kernel-file", tmp_path / "kernel.csv"]
+        assert run_cli(argv) == 3
+        message = message.format(dataset=dataset, kernel=tmp_path / "kernel.csv")
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "est").exists()
 
     @staticmethod
     def _kernel_file(tmp_path, ells, n=1024, zero_beyond=None):
@@ -233,6 +264,18 @@ class TestBenchmarkCommand:
         assert code == 0
         assert capsys.readouterr().out.strip() == first.strip()
         assert (tmp_path / "re" / "table.txt").read_text() == first
+
+    @pytest.mark.parametrize("payload, message", [
+        (None, "results file {path} does not exist"),
+        ({"provenance": {}, "results": []}, "{path} holds no benchmark results"),
+    ], ids=["missing", "no-results"])
+    def test_table_without_results_is_validation_error(self, tmp_path, capsys, payload, message):
+        path = tmp_path / "results.json"
+        if payload is not None:
+            path.write_text(json.dumps(payload))
+        assert run_cli(["table", path, "--out", tmp_path / "re"]) == 3
+        assert f"error: {message.format(path=path)}" in capsys.readouterr().err
+        assert not (tmp_path / "re").exists()
 
     def test_unknown_method_is_validation_error(self, tmp_path, capsys):
         code = run_cli(["benchmark", "--signal", "cusp", "--n", 512, "--alpha-grid", "1",
@@ -390,6 +433,23 @@ class TestNoiseCommand:
         assert "error: $LRDWAVED_SEED: seed must be" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    def test_env_seed_not_an_integer_names_the_variable(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("LRDWAVED_SEED", "1.5")
+        assert run_cli(["noise", "--n", 32, "--out", tmp_path]) == 3
+        assert "error: LRDWAVED_SEED must be an integer, got '1.5'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_out_naming_a_file_is_a_runtime_failure(self, tmp_path, capsys):
+        import errno
+        import os
+
+        path = tmp_path / "taken"
+        path.write_text("")
+        assert run_cli(["noise", "--n", 32, "--seed", 1, "--out", path]) == 4
+        expected = FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(path))
+        assert f"error: {expected}" in capsys.readouterr().err
+        assert path.read_text() == ""
+
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LRDWAVED_SEED", "33")
         run_cli(["noise", "--n", 32, "--out", tmp_path / "a"])
@@ -504,6 +564,33 @@ class TestProvenance:
         assert read_csv(csv) != read_csv(tmp_path / "b" / csv.name)
         assert config_hash(tmp_path / "a") != config_hash(tmp_path / "b")
 
+    # config hashes of default-flag runs at seed 0 (no --seed, no $LRDWAVED_SEED);
+    # a changed model default, flag dest or type changes them
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["simulate", "--signal", "cusp", "--n", 64], "376b3e439696"),
+            (["benchmark", "--signal", "cusp", "--n", 64, "--replications", 2], "e3414e86af78"),
+            (["rates", "--signal", "cusp", "--n-grid", "32,64", "--replications", 2],
+             "52301e66403b"),
+            (["stopping-trace", "--signal", "cusp", "--n", 64], "a7e0f604bf54"),
+            (["noise", "--n", 64], "02f3539c294e"),
+            (["estimate", DATASET], "e0404bf95c27"),
+            (["estimate", DATASET, "--nu", 0.7], "e0404bf95c27"),
+        ],
+        ids=["simulate", "benchmark", "rates", "stopping-trace", "noise", "estimate",
+             "estimate-nu"],
+    )
+    def test_default_flag_hash_is_pinned(self, tmp_path, monkeypatch, argv, digest):
+        monkeypatch.delenv("LRDWAVED_SEED", raising=False)
+        # a fixed 64-point table written without the package, so its bytes never change
+        dataset = tmp_path / "dataset.csv"
+        rows = [f"{i / 64!r},{(i * 37 % 64) / 64!r}" for i in range(64)]
+        dataset.write_text("\n".join(["t,y"] + rows) + "\n")
+        argv = [dataset if a == DATASET else a for a in argv]
+        assert run_cli(argv + ["--out", tmp_path / "out"]) == 0
+        assert config_hash(tmp_path / "out") == digest
+
     @pytest.mark.parametrize("flag", [DATASET, KERNEL])
     def test_input_file_is_hashed_by_its_bytes(self, tmp_path, files, flag):
         # two files written in turn to one path; the outputs and hashes differ
@@ -558,6 +645,32 @@ class TestDeclaredFlags:
             run_cli(argv + ["--out", tmp_path])
         assert exc.value.code == 2
         assert not any(tmp_path.iterdir())
+
+    def test_model_flag_defaults_are_the_config_fields(self):
+        # every flag that sets an ExperimentConfig field defaults to that field's default
+        from dataclasses import fields
+
+        from lrdwaved.signals import ExperimentConfig
+
+        field_of = {"--n": "n", "--alpha": "alpha", "--nu": "nu", "--kernel-scale": "kernel_scale",
+                    "--snr": "snr_db", "--noise-kind": "noise_kind", "--kind": "noise_kind",
+                    "--methods": "methods", "--smoothing": "smoothing",
+                    "--replications": "replications"}
+        # estimate marks --nu and --kernel-scale not given with None; noise draws at
+        # alpha 0.6 and rates runs 32 replications per grid size
+        own = {("estimate", "--nu"): None, ("estimate", "--kernel-scale"): None,
+               ("noise", "--alpha"): 0.6, ("rates", "--replications"): 32}
+        defaults = {f.name: ",".join(f.default) if isinstance(f.default, tuple) else f.default
+                    for f in fields(ExperimentConfig)}
+        [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        checked = set()
+        for command, parser in sub.choices.items():
+            for action in parser._actions:
+                for flag in set(action.option_strings) & set(field_of):
+                    expected = own.get((command, flag), defaults[field_of[flag]])
+                    assert action.default == expected, (command, flag)
+                    checked.add(flag)
+        assert checked == set(field_of)
 
     def test_benchmark_alpha_is_read_as_alpha_grid(self):
         args = build_parser().parse_args(["benchmark", "--signal", "cusp", "--alpha", "0.6"])

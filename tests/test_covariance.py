@@ -82,6 +82,17 @@ class TestSpectralConstant:
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: fbm_spectral_constant(0.4), "Hurst index must lie in [1/2, 1), got 0.4"),
+    (lambda: fbm_spectral_constant(1.0), "Hurst index must lie in [1/2, 1), got 1.0"),
+    (lambda: z_var([3, 0], 0.7), "frequencies must be nonzero"),
+], ids=["hurst-below-half", "hurst-one", "z-var-zero-frequency"])
+def test_public_input_check_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert info.value.args == (message,)
+
+
 @pytest.mark.parametrize("alpha", [0.0, 1.5])
 def test_tau_level_alpha_out_of_range_named(alpha):
     with pytest.raises(ValueError) as info:

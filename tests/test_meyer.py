@@ -148,7 +148,9 @@ class TestTransforms:
         (lambda: WaveletCoefficients(3, 4, 64, np.zeros(8), {3: np.zeros(8), 4: np.zeros(8)}),
          "detail level 4 must hold 2^4 entries"),
         (lambda: WaveletCoefficients.zeros(3, 6, 64), "need j0 <= j1 < log2(n), got (3, 6, 64)"),
-    ], ids=["forward-j0-above-j1", "scale-shape", "detail-shape", "j1-at-log2-n"])
+        (lambda: scale_band_set(-1), "scale level must be nonnegative, got -1"),
+    ], ids=["forward-j0-above-j1", "scale-shape", "detail-shape", "j1-at-log2-n",
+            "scale-band-negative-level"])
     def test_public_input_check_message(self, call, message):
         with pytest.raises(ValueError) as info:
             call()

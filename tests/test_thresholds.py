@@ -35,9 +35,10 @@ class TestSampleFactor:
 
     @pytest.mark.parametrize("call, error, message", [
         (lambda: c_n(1, 0.5), ValueError, "need n >= 2, got 1"),
+        (lambda: fine_level_theoretical(1, 1.0, 0.0), ValueError, "need n >= 2, got 1"),
         (lambda: ThresholdPolicy("iid", 1.0, 1.0, 1.0, 64, {3: 0.1}).lam(9), KeyError,
          "policy has no threshold for level 9"),
-    ], ids=["c-n-small-n", "policy-missing-level"])
+    ], ids=["c-n-small-n", "fine-level-small-n", "policy-missing-level"])
     def test_public_input_check_message(self, call, error, message):
         with pytest.raises(error) as info:
             call()
