@@ -62,8 +62,8 @@ class BenchResult:
 
 
 def _mode(values: np.ndarray) -> int:
-    uniq, counts = np.unique(values, return_counts=True)
-    return int(uniq[np.argmax(counts)])
+    """The most frequent of nonnegative integers, the smallest among ties."""
+    return int(np.bincount(values).argmax())
 
 
 # replications per stacked estimator pass; the last block of a run may be shorter
@@ -205,14 +205,15 @@ def run_rate_experiment(
     replications: int,
     *,
     smoothing: str = "sqrt2alpha",
-    snr_db: float = 30.0,
-    seed: int = 0,
-    noise_kind: str = "farima",
+    snr_db: float = ExperimentConfig.snr_db,
+    seed: int = ExperimentConfig.seed,
+    noise_kind: str = ExperimentConfig.noise_kind,
     smoothness: float = 0.5,
 ) -> RateResult:
     """Mean MSE across a grid of n and the fitted slope against log(n/log n).
 
-    The theoretical exponent is the p = 2 rate at the given Besov smoothness,
+    The model keywords default to ``ExperimentConfig``'s fields.  The
+    theoretical exponent is the p = 2 rate at the given Besov smoothness,
     reported for comparison only.
     """
     n_grid = tuple(int(n) for n in n_grid)

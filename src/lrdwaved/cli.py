@@ -30,7 +30,7 @@ from .bench import run_benchmark, run_rate_experiment
 from .covariance import KernelSpec
 from .estimator import DeconvolutionProblem, run_estimator
 from .finescale import fine_level_details
-from .noise import NoiseModel, _stream_words, derive_rng
+from .noise import NOISE_KINDS, NoiseModel, _stream_words, derive_rng
 from .signals import (
     SIGNAL_NAMES,
     ExperimentConfig,
@@ -173,7 +173,7 @@ _MODEL_FLAGS = {
     "--nu": ("nu", dict(type=float, help="Gamma kernel shape (= DIP)")),
     "--kernel-scale": ("kernel_scale", dict(type=float)),
     "--snr": ("snr_db", dict(type=float, help="blurred SNR in dB")),
-    "--noise-kind": ("noise_kind", dict(choices=("farima", "fgn"))),
+    "--noise-kind": ("noise_kind", dict(choices=NOISE_KINDS)),
 }
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING}
 # argparse dest -> field: "--kernel-scale" sets args.kernel_scale, "--snr" args.snr
@@ -299,11 +299,11 @@ def cmd_estimate(args) -> int:
 
     flag, spec = ("--xi", args.xi) if args.method == "lrd" else ("--eta", args.eta)
     smoothing = _smoothing(spec, flag, _method_alpha(args.method, problem.alpha))
-    out = _out_dir(args)
     report = run_estimator(
         problem, args.method, smoothing, j1_override=args.j1, j0=args.j0, rng=derive_rng(seed)
     )
 
+    out = _out_dir(args)
     provenance = _provenance(args, seed)
     columns = ["t", "f_hat"]
     series = [table["t"], report.estimate]
@@ -522,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rates)
 
     p = sub.add_parser("noise", help="dump a noise sample as CSV")
-    p.add_argument("--kind", choices=("fgn", "farima"), default=_DEFAULTS["noise_kind"])
+    p.add_argument("--kind", choices=NOISE_KINDS, default=_DEFAULTS["noise_kind"])
     p.add_argument("--alpha", type=float, default=0.6)
     p.add_argument("--n", type=int, default=_DEFAULTS["n"])
     _add_seed_and_out(p)

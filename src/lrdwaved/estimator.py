@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -135,8 +135,8 @@ def _deconvolve(
     n = spectra.shape[-1]
     meyer._check_levels(n, j0, j1)
     plan = meyer._scale_plan(j0, n)
-    scale_kernel = kernel._band_coefficients(plan, f"scale level {j0}")
-    detail_kernel = {j: kernel.validate_band(j) for j in range(j0, j1 + 1)}
+    scale_kernel = _kernel_band(kernel, j0, scale=True)
+    detail_kernel = {j: _kernel_band(kernel, j) for j in range(j0, j1 + 1)}
 
     # Y_hat / K_hat is needed on the bands only
     scale = meyer._analyze(np.take(spectra, plan.index, axis=-1) / scale_kernel, plan, "scale")
@@ -145,6 +145,19 @@ def _deconvolve(
         band = meyer._detail_plan(j, n)
         detail[j] = meyer._analyze(np.take(spectra, band.index, axis=-1) / coeffs, band, "detail")
     return scale, detail
+
+
+# validated kernel coefficients keyed by the kernel's value and the level: a cell's blocks
+# gather and check each band once; one kernel at n=4096 fills 9 entries (scale 3, levels 3-10)
+@lru_cache(maxsize=64)
+def _kernel_band(kernel: KernelSpec, j: int, scale: bool = False) -> np.ndarray:
+    """Read-only kernel coefficients over level j's scale or detail band; raises if any vanishes."""
+    if scale:
+        coeffs = kernel._band_coefficients(meyer._scale_plan(j, kernel.n), f"scale level {j}")
+    else:
+        coeffs = kernel.validate_band(j)
+    coeffs.setflags(write=False)
+    return coeffs
 
 
 def estimate_sigma(problem: DeconvolutionProblem) -> float:
@@ -296,7 +309,7 @@ def _block_pass(
     for j, coeffs in raw.items():
         rows = np.flatnonzero(levels >= j)
         taus = np.zeros(m)
-        for i in np.unique(method_of[rows]).tolist():
+        for i in set(method_of[rows].tolist()):
             taus[i] = _tau(methods[i][0], j, kernel, alphas[i])
         lambdas[j] = smoothings[method_of[rows]] * taus[method_of[rows]] * factors[rows]
         detail[j] = rows, _threshold_rows(coeffs[problem_of[rows]], lambdas[j])

@@ -18,11 +18,14 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
+    "NOISE_KINDS",
     "NoiseModel",
     "fgn_autocovariance",
     "farima_autocovariance",
     "derive_rng",
 ]
+
+NOISE_KINDS = ("fgn", "farima")
 
 _MAX_EMBED_DOUBLINGS = 4
 
@@ -88,13 +91,13 @@ class NoiseModel:
     """Dependence level, generator kind and seed for one noise process."""
 
     alpha: float
-    kind: str = "farima"  # "fgn" | "farima"
+    kind: str = "farima"  # one of NOISE_KINDS
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.kind not in ("fgn", "farima"):
+        if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
 
     @property

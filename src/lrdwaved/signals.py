@@ -209,13 +209,22 @@ class _CleanCell:
     noise: NoiseModel
 
 
-def _clean_cell(config: ExperimentConfig) -> _CleanCell:
-    f_true = make_signal(config.signal, config.n)
-    kernel = gamma_kernel(config.n, shape=config.nu, scale=config.kernel_scale)
+# f and K*f depend on the signal and the kernel's value alone, so cells that differ only in
+# alpha, SNR, seed, noise kind or M share them: the 60-cell grid holds 4 entries (one kernel)
+@lru_cache(maxsize=16)
+def _clean_signal(signal: str, kernel: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (f_true, K*f) of a lower-case signal name on the kernel's grid."""
+    f_true = make_signal(signal, kernel.n)
     blurred = blur(f_true, kernel)
-    sigma = calibrate_sigma(blurred, config.snr_db)
     for values in (f_true, blurred):
         values.setflags(write=False)
+    return f_true, blurred
+
+
+def _clean_cell(config: ExperimentConfig) -> _CleanCell:
+    kernel = gamma_kernel(config.n, shape=config.nu, scale=config.kernel_scale)
+    f_true, blurred = _clean_signal(config.signal.lower(), kernel)
+    sigma = calibrate_sigma(blurred, config.snr_db)
     return _CleanCell(
         f_true=f_true,
         kernel=kernel,

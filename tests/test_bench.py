@@ -62,10 +62,16 @@ class TestRunBenchmark:
             assert ml.se < 0.9 * ms.se
 
     def test_typical_level_is_mode(self):
+        from lrdwaved.bench import _mode
+
         result = run_benchmark(small_config(replications=12))
         for m in result.methods:
             values, counts = np.unique(m.fine_levels, return_counts=True)
             assert m.typical_fine_level == int(values[np.argmax(counts)])
+        # a tie goes to the smallest level, whatever the order of the replications
+        assert _mode(np.array([7, 5, 7, 5, 9])) == 5
+        assert _mode(np.array([9, 6, 6, 9])) == 6
+        assert _mode(np.array([4])) == 4
 
     def test_seed_changes_output(self):
         a = run_benchmark(small_config())
@@ -203,6 +209,29 @@ class TestRunBenchmark:
         assert calls and len(calls) == len(set(calls))
         assert {alpha for _, alpha in calls} == {0.6}
         assert max(j for j, _ in calls) == max(m.fine_levels.max() for m in result.methods[1:])
+
+    def test_cold_clean_signal_cache_gives_the_warm_outputs(self):
+        # the pinned cusp cells, with (f, K*f) built afresh and read from the
+        # value cache: every MSE and fine level equal bit for bit
+        from lrdwaved.signals import _clean_signal
+
+        configs = [
+            ExperimentConfig("cusp", n=4096, alpha=alpha, snr_db=20.0, replications=4, seed=11,
+                             noise_kind=kind)
+            for alpha, kind in ((1.0, "farima"), (0.4, "farima"), (0.6, "fgn"))
+        ]
+        runs = []
+        for _ in range(2):
+            _clean_signal.cache_clear()
+            runs.append([run_benchmark(c) for c in configs])
+            assert _clean_signal.cache_info().misses == 1
+        runs.append([run_benchmark(c) for c in configs])
+        assert _clean_signal.cache_info().misses == 1
+        for results in runs[1:]:
+            for a, b in zip(runs[0], results):
+                for ma, mb in zip(a.methods, b.methods):
+                    assert ma.mses.tobytes() == mb.mses.tobytes()
+                    np.testing.assert_array_equal(ma.fine_levels, mb.fine_levels)
 
     def test_second_cell_with_the_same_kernel_computes_no_tau(self):
         # tau is cached by kernel value, not per cell: a second cell at the same
@@ -484,6 +513,15 @@ class TestRateExperiment:
         assert result.mean_mse.shape == (3,)
         # doubling n never increases the MSE beyond noise: final below first
         assert result.mean_mse[-1] < result.mean_mse[0]
+
+    def test_model_keywords_default_to_the_config_fields(self):
+        import inspect
+        from dataclasses import fields
+
+        params = inspect.signature(run_rate_experiment).parameters
+        defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+        for name in ("snr_db", "seed", "noise_kind"):
+            assert params[name].default == defaults[name], name
 
     def test_needs_grid(self):
         with pytest.raises(ValueError):

@@ -114,6 +114,16 @@ class TestEstimate:
         ) in capsys.readouterr().err
         assert not (out / "estimate.csv").exists()
 
+    def test_j1_override_too_fine_creates_no_out(self, tmp_path, capsys):
+        # the estimator's level check runs before --out is created
+        run_cli(["simulate", "--signal", "cusp", "--n", 256, "--seed", 3, "--out", tmp_path])
+        out = tmp_path / "est"
+        code = run_cli(["estimate", tmp_path / "dataset.csv", "--j1", 11, "--seed", 5,
+                        "--out", out])
+        assert code == 3
+        assert "fine level j1=11 too large for n=256" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_smoothing_names_its_flag(self, tmp_path, capsys):
         dataset = self._simulate(tmp_path)
         for method, flag in (("lrd", "--xi"), ("iid", "--eta")):
@@ -671,6 +681,19 @@ class TestDeclaredFlags:
                     assert action.default == expected, (command, flag)
                     checked.add(flag)
         assert checked == set(field_of)
+
+    def test_noise_kind_choices_are_the_noise_kinds(self):
+        # --noise-kind of every model command and noise --kind offer NoiseModel's kinds
+        from lrdwaved.noise import NOISE_KINDS
+
+        [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        seen = set()
+        for command, parser in sub.choices.items():
+            for action in parser._actions:
+                for flag in {"--noise-kind", "--kind"} & set(action.option_strings):
+                    assert tuple(action.choices) == NOISE_KINDS, (command, flag)
+                    seen.add((command, flag))
+        assert ("noise", "--kind") in seen and ("benchmark", "--noise-kind") in seen
 
     def test_benchmark_alpha_is_read_as_alpha_grid(self):
         args = build_parser().parse_args(["benchmark", "--signal", "cusp", "--alpha", "0.6"])

@@ -186,6 +186,38 @@ class TestDeconvolveCoefficients:
             with pytest.raises(ValueError, match=rf"frequency {ell} \({band}\)"):
                 deconvolve_coefficients(problem, 3, 5)
 
+    def test_kernel_bands_gathered_once_per_kernel_value(self, monkeypatch):
+        # the validated band coefficients are cached by (kernel value, level) and
+        # read-only: a second problem through an equal kernel gathers and checks
+        # no band; a vanishing coefficient is not cached and raises every time
+        from lrdwaved.estimator import _kernel_band
+
+        _kernel_band.cache_clear()
+        kernel = gamma_kernel(256)
+        rng = np.random.default_rng(4)
+        deconvolve_coefficients(DeconvolutionProblem(rng.standard_normal(256), kernel), 3, 5)
+        assert _kernel_band.cache_info().misses == 4  # the scale band and levels 3-5
+        band = _kernel_band(kernel, 4)
+        assert not band.flags.writeable
+        np.testing.assert_array_equal(band, kernel.validate_band(4))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a kernel band was gathered again")
+
+        monkeypatch.setattr(KernelSpec, "validate_band", forbidden)
+        monkeypatch.setattr(KernelSpec, "_band_coefficients", forbidden)
+        y = rng.standard_normal(256)
+        deconvolve_coefficients(DeconvolutionProblem(y, KernelSpec(kernel.fourier)), 3, 5)
+        assert _kernel_band.cache_info().misses == 4
+        monkeypatch.undo()
+
+        fourier = np.ones(256, dtype=complex)
+        fourier[7] = 0.0
+        problem = DeconvolutionProblem(np.zeros(256), KernelSpec(fourier=fourier))
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"frequency 7 \(level 3\)"):
+                deconvolve_coefficients(problem, 3, 5)
+
 
 def random_kernel(n, seed):
     """A real kernel's spectrum with no zero: Hermitian, |K_hat| in [0.05, 1]."""

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,27 @@ class TestGenerateDataset:
         sigma = calibrate_sigma(blurred, 20.0)
         resid = problem.observations - blurred
         assert resid.std() == pytest.approx(sigma * 2**-0.5, rel=0.1)
+
+    def test_cells_share_the_clean_signal(self):
+        # f and K*f are built once per (signal, kernel value): cells that differ in
+        # alpha, SNR, seed, noise kind or M, or hold another kernel object of the
+        # same value, get the same read-only arrays; sigma and the noise stay per cell
+        from lrdwaved.signals import _clean_cell
+
+        base = ExperimentConfig(signal="bumps", n=512, alpha=0.6, snr_db=20.0, seed=3)
+        cell = _clean_cell(base)
+        assert not cell.f_true.flags.writeable and not cell.blurred.flags.writeable
+        for change in (dict(alpha=0.2), dict(snr_db=10.0), dict(seed=9),
+                       dict(noise_kind="fgn"), dict(replications=7), dict(signal="Bumps")):
+            other = _clean_cell(dataclasses.replace(base, **change))
+            assert other.f_true is cell.f_true and other.blurred is cell.blurred, change
+        gamma_kernel.cache_clear()
+        again = _clean_cell(base)
+        assert again.kernel is not cell.kernel and again.blurred is cell.blurred
+        assert _clean_cell(dataclasses.replace(base, nu=0.5)).blurred is not cell.blurred
+        assert _clean_cell(dataclasses.replace(base, snr_db=10.0)).noise_scale == pytest.approx(
+            cell.noise_scale * 10 ** 0.5
+        )
 
     def test_determinism(self):
         config = ExperimentConfig(signal="doppler", n=512, alpha=0.4, snr_db=10.0, seed=3)
