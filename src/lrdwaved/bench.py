@@ -11,7 +11,7 @@ from .estimator import _block_pass
 from .meyer import _spectra
 from .noise import derive_rng
 from .signals import ExperimentConfig, _clean_cell, _observations, resolve_smoothing
-from .thresholds import _method_alpha
+from .thresholds import DEFAULT_SMOOTHING, _method_alpha
 
 __all__ = [
     "MethodResult",
@@ -129,23 +129,15 @@ def run_benchmark(config: ExperimentConfig, threads: int = 1) -> BenchResult:
                 f"replications {reps[0]}-{reps[-1]} (seed {config.seed}) failed: {exc}"
             ) from exc
 
-    results = []
-    for i, (method, smooth_spec) in enumerate(zip(config.methods, config.smoothing)):
-        m = mses[i]
-        results.append(
-            MethodResult(
-                method=method,
-                smoothing_spec=str(smooth_spec),
-                mean_mse=float(m.mean()),
-                se=float(m.std(ddof=1) / math.sqrt(config.replications))
-                if config.replications > 1
-                else 0.0,
-                typical_fine_level=_mode(levels[i]),
-                mean_kept=float(kept[i].mean()),
-                fine_levels=levels[i].copy(),
-                mses=m.copy(),
-            )
-        )
+    means, mean_kept = mses.mean(axis=1), kept.mean(axis=1)
+    ses = np.zeros(n_methods)
+    if config.replications > 1:
+        ses = mses.std(axis=1, ddof=1) / math.sqrt(config.replications)
+    results = [
+        MethodResult(method, str(spec), float(means[i]), float(ses[i]), _mode(levels[i]),
+                     float(mean_kept[i]), levels[i].copy(), mses[i].copy())
+        for i, (method, spec) in enumerate(zip(config.methods, config.smoothing))
+    ]
     return BenchResult(config=config, methods=results)
 
 
@@ -204,7 +196,7 @@ def run_rate_experiment(
     n_grid,
     replications: int,
     *,
-    smoothing: str = "sqrt2alpha",
+    smoothing: str | None = None,
     snr_db: float = ExperimentConfig.snr_db,
     seed: int = ExperimentConfig.seed,
     noise_kind: str = ExperimentConfig.noise_kind,
@@ -212,10 +204,13 @@ def run_rate_experiment(
 ) -> RateResult:
     """Mean MSE across a grid of n and the fitted slope against log(n/log n).
 
-    The model keywords default to ``ExperimentConfig``'s fields.  The
-    theoretical exponent is the p = 2 rate at the given Besov smoothness,
-    reported for comparison only.
+    The model keywords default to ``ExperimentConfig``'s fields, and
+    ``smoothing`` to the method's ``DEFAULT_SMOOTHING`` spec, as ``rates``
+    does.  The theoretical exponent is the p = 2 rate at the given Besov
+    smoothness, reported for comparison only.
     """
+    if smoothing is None:  # an unknown method is named by the config check below
+        smoothing = DEFAULT_SMOOTHING.get(method)
     n_grid = tuple(int(n) for n in n_grid)
     if len(n_grid) < 2:
         raise ValueError("need at least two grid sizes")

@@ -40,7 +40,7 @@ from .signals import (
     gamma_kernel,
     resolve_smoothing,
 )
-from .thresholds import DEFAULT_COARSE_LEVEL, _method_alpha
+from .thresholds import DEFAULT_COARSE_LEVEL, DEFAULT_SMOOTHING, _method_alpha
 
 ENV_SEED = "LRDWAVED_SEED"
 # flags that name an input file; provenance records the file's bytes, not its path
@@ -155,6 +155,18 @@ def _smoothing(spec: str, flag: str, alpha: float = 1.0) -> float:
         raise ValidationError(f"{flag}: {exc}") from None
 
 
+def _method_smoothing(args, alpha: float = 1.0) -> tuple[str, float]:
+    """``--method``'s smoothing spec (--xi for lrd, --eta for iid) and its value at alpha."""
+    flag, spec = ("--xi", args.xi) if args.method == "lrd" else ("--eta", args.eta)
+    return spec, _smoothing(spec, flag, alpha)
+
+
+def _add_smoothing_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--xi", default=DEFAULT_SMOOTHING["lrd"],
+                        help="LRD smoothing: sqrtalpha|sqrt2alpha|number")
+    parser.add_argument("--eta", default=DEFAULT_SMOOTHING["iid"], help="IID smoothing constant")
+
+
 def _check_threads(threads: int) -> None:
     if threads < 1:
         raise ValidationError(f"--threads must be at least 1, got {threads}")
@@ -202,7 +214,7 @@ def _experiment_config(
 
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
-    config = _experiment_config(args, seed, ("iid",), ("sqrt6",))
+    config = _experiment_config(args, seed, ("iid",), (DEFAULT_SMOOTHING["iid"],))
     out = _out_dir(args)
     cell = _clean_cell(config)
     t = np.arange(config.n) / config.n
@@ -297,8 +309,7 @@ def cmd_estimate(args) -> int:
         kernel = gamma_kernel(n, shape=args.nu, scale=args.kernel_scale)
     problem = DeconvolutionProblem(observations=y, kernel=kernel, alpha=args.alpha)
 
-    flag, spec = ("--xi", args.xi) if args.method == "lrd" else ("--eta", args.eta)
-    smoothing = _smoothing(spec, flag, _method_alpha(args.method, problem.alpha))
+    _, smoothing = _method_smoothing(args, _method_alpha(args.method, problem.alpha))
     report = run_estimator(
         problem, args.method, smoothing, j1_override=args.j1, j0=args.j0, rng=derive_rng(seed)
     )
@@ -410,8 +421,7 @@ def cmd_rates(args) -> int:
     # grid entry i runs at seed + i
     seed = _resolve_seed(args, runs=len(n_grid))
     _check_threads(args.threads)
-    flag, smoothing = ("--xi", args.xi) if args.method == "lrd" else ("--eta", args.eta)
-    _smoothing(smoothing, flag)
+    smoothing, _ = _method_smoothing(args)
     # the run checks every grid config first; --out is created after it
     result = run_rate_experiment(
         **_model(args),
@@ -484,8 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="CSV with columns ell,re,im: one row per integer frequency |ell| < n/2",
     )
-    p.add_argument("--xi", default="sqrt2alpha", help="LRD smoothing: sqrtalpha|sqrt2alpha|number")
-    p.add_argument("--eta", default="sqrt6", help="IID smoothing constant")
+    _add_smoothing_flags(p)
     p.add_argument("--j0", type=int, default=DEFAULT_COARSE_LEVEL)
     p.add_argument("--j1", type=int, default=None, help="override the data-driven fine level")
     _add_seed_and_out(p)
@@ -511,8 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rates", help="rate-of-convergence experiment")
     _add_model_flags(p, omit=("--n", "--kernel-scale"))
     p.add_argument("--method", choices=("iid", "lrd"), default="lrd")
-    p.add_argument("--xi", default="sqrt2alpha")
-    p.add_argument("--eta", default="sqrt6")
+    _add_smoothing_flags(p)
     p.add_argument("--n-grid", default="1024,2048,4096,8192,16384")
     p.add_argument("--replications", type=int, default=32)
     p.add_argument(

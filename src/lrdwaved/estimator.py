@@ -233,7 +233,7 @@ def run_estimator(
     policy = ThresholdPolicy(
         method, smoothing, sigma_hat, _method_alpha(method, problem.alpha), problem.n, lambdas
     )
-    detail = {j: values[0] for j, (_, values) in block.detail.items()}
+    detail = {j: values[0] for j, values in block.detail.items()}
     coefficients = WaveletCoefficients(j0, j1, problem.n, block.scale[0], detail)
     kept_count = {j: int(counts[0]) for j, counts in block.counts.items()}
     return EstimateReport(
@@ -242,16 +242,16 @@ def run_estimator(
 
 
 class _BlockPass(NamedTuple):
-    """The arrays of one stacked pass; row b*m + i is dataset b under method i."""
+    """The arrays of one stacked pass; row b*m + i is dataset b under method i at every level."""
 
     estimates: np.ndarray  # (B*m, n)
     levels: np.ndarray  # (B*m,) fine levels
     fine: list[tuple[int, int | None, bool]]  # (level, M, saturated); M None if overridden
     sigma_hats: list[float]  # per dataset
     scale: np.ndarray  # (B, 2^j0), per dataset
-    detail: dict[int, tuple[np.ndarray, np.ndarray]]  # j -> (rows reaching j, thresholded stack)
-    lambdas: dict[int, np.ndarray]  # j -> lambda_j of those rows
-    counts: dict[int, np.ndarray]  # j -> kept count of those rows
+    detail: dict[int, np.ndarray]  # j -> (B*m, 2^j) thresholded stack; 0 above a row's level
+    lambdas: dict[int, np.ndarray]  # j -> (B*m,) lambda_j; +inf above a row's level
+    counts: dict[int, np.ndarray]  # j -> (B*m,) kept counts
     kept: np.ndarray  # (B*m,) kept totals over the levels
 
 
@@ -275,12 +275,13 @@ def _block_pass(
     ``run_estimator`` on dataset b with method i's arguments bit for bit.
     The stopping rule scans every row together, and Y_hat / K_hat is
     analysed once per level; the pass then drops ``spectra``, so a stack
-    passed with no other reference is freed before synthesis.  Each level is
-    thresholded as one stack over the rows that reach it, at
-    ``build_policy``'s lambda = smoothing * tau(j) * (sigma_hat * c_n) as one
-    vector product, tau read from the value cache only for methods with a row
-    there.  One ``meyer._synthesize`` call gives every row's samples, a view
-    of a (B*m, n) spectrum that no later pass reuses.
+    passed with no other reference is freed before synthesis.  Each level up
+    to the largest fine level is thresholded as one stack of all rows at
+    ``build_policy``'s lambda = smoothing * tau(j) * (sigma_hat * c_n), one
+    vector product with tau read only for methods with a row at j; a row
+    above its own fine level gets lambda = +inf and coefficients set to 0.
+    One ``meyer._synthesize`` call gives every row's samples, a view of a
+    (B*m, n) spectrum that no later pass reuses.
     """
     n = spectra.shape[-1]
     alphas = [_method_alpha(method, alpha) for method, _ in methods]
@@ -305,16 +306,17 @@ def _block_pass(
     del spectra
     c_ns = np.array([c_n(n, a) for a in alphas])
     factors = np.array(sigma_hats)[problem_of] * c_ns[method_of]
-    detail, lambdas, counts, kept = {}, {}, {}, np.zeros(problem_of.size, dtype=int)
+    detail, lambdas, counts = {}, {}, {}
     for j, coeffs in raw.items():
-        rows = np.flatnonzero(levels >= j)
+        above = levels < j
         taus = np.zeros(m)
-        for i in set(method_of[rows].tolist()):
+        for i in set(method_of[~above].tolist()):
             taus[i] = _tau(methods[i][0], j, kernel, alphas[i])
-        lambdas[j] = smoothings[method_of[rows]] * taus[method_of[rows]] * factors[rows]
-        detail[j] = rows, _threshold_rows(coeffs[problem_of[rows]], lambdas[j])
-        counts[j] = np.count_nonzero(detail[j][1], axis=1)
-        kept[rows] += counts[j]
+        lambdas[j] = np.where(above, np.inf, smoothings[method_of] * taus[method_of] * factors)
+        detail[j] = _threshold_rows(coeffs[problem_of], lambdas[j])
+        detail[j][above] = 0.0
+        counts[j] = np.count_nonzero(detail[j], axis=1)
     del raw
+    kept = sum(counts.values())
     estimates = meyer._synthesize(np.repeat(scale, m, axis=0), detail, n)
     return _BlockPass(estimates, levels, fine, sigma_hats, scale, detail, lambdas, counts, kept)

@@ -295,20 +295,20 @@ def forward_transform(signal: np.ndarray, j0: int, j1: int) -> WaveletCoefficien
 def _synthesize(scale: np.ndarray, detail: dict, n: int) -> np.ndarray:
     """(rows, n) samples from a (rows, 2^j0) scale stack and detail stacks, one inverse FFT.
 
-    ``detail`` maps each level j to (row numbers, their (rows, 2^j) stack):
-    the rows whose fine level reaches j.  Each band is added to its rows in
-    the order scale, then detail j0, j0+1, ...; a row is its one-row
-    synthesis exactly.  The rows share one complex (rows, n) spectrum,
-    inverse transformed in place with no 1/n (the forward norm's inverse);
-    the samples are its real view.
+    ``detail`` maps each level j to the (rows, 2^j) stack of every row; a row
+    that stops below j holds zeros there, which add only signed zeros.  Each
+    band is added in the order scale, then detail j0, j0+1, ...; a row is its
+    one-row synthesis exactly.  The rows share one complex (rows, n)
+    spectrum, inverse transformed in place with no 1/n (the forward norm's
+    inverse); the samples are its real view.
     """
     _check_grid(n, max(detail, default=0))
     spectrum = np.zeros((scale.shape[0], n), dtype=complex)
     plan = _scale_plan(scale.shape[-1].bit_length() - 1, n)
     spectrum[:, plan.index] += _band_terms(plan, scale)
     for j in sorted(detail):
-        plan, (rows, values) = _detail_plan(j, n), detail[j]
-        spectrum[rows[:, np.newaxis], plan.index] += _band_terms(plan, values)
+        plan = _detail_plan(j, n)
+        spectrum[:, plan.index] += _band_terms(plan, detail[j])
     samples = np.fft.ifft(spectrum, axis=-1, out=spectrum, norm="forward")
     return _real_part(samples, "synthesized samples")
 
@@ -321,6 +321,5 @@ def _band_terms(plan: _BandPlan, values) -> np.ndarray:
 
 def inverse_transform(coeffs: WaveletCoefficients, n: int) -> np.ndarray:
     """Synthesize samples on t_i = i/n from periodized Meyer coefficients."""
-    row = np.zeros(1, dtype=int)
-    detail = {j: (row, coeffs.detail[j][np.newaxis]) for j in coeffs.levels()}
+    detail = {j: coeffs.detail[j][np.newaxis] for j in coeffs.levels()}
     return _synthesize(coeffs.scale[np.newaxis], detail, n)[0]

@@ -16,8 +16,8 @@ import numpy as np
 
 from .covariance import KernelSpec
 from .estimator import DeconvolutionProblem
-from .noise import NoiseModel
-from .thresholds import _method_alpha
+from .noise import NoiseModel, _stream_words
+from .thresholds import DEFAULT_SMOOTHING, _method_alpha
 
 __all__ = [
     "SIGNAL_NAMES",
@@ -147,7 +147,7 @@ class ExperimentConfig:
     nu: float = 0.7
     snr_db: float = 20.0
     methods: tuple[str, ...] = ("iid", "lrd", "lrd")
-    smoothing: tuple[str, ...] = ("sqrt6", "sqrtalpha", "sqrt2alpha")
+    smoothing: tuple[str, ...] = (DEFAULT_SMOOTHING["iid"], "sqrtalpha", DEFAULT_SMOOTHING["lrd"])
     replications: int = 64
     seed: int = 0
     noise_kind: str = "farima"
@@ -163,12 +163,15 @@ class ExperimentConfig:
         _check_kernel_flags(self.nu, self.kernel_scale)
         if not math.isfinite(self.snr_db):
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")
+        if not self.methods:
+            raise ValueError("methods must name at least one method")
         if len(self.methods) != len(self.smoothing):
             raise ValueError("methods and smoothing lists must have equal length")
         for method, spec in zip(self.methods, self.smoothing):
             resolve_smoothing(spec, _method_alpha(method, self.alpha))
         if self.replications < 1:
             raise ValueError(f"replications must be at least 1, got {self.replications}")
+        _stream_words(self.seed, ())  # derive_rng's seed domain, [0, 2**64)
 
     def as_dict(self) -> dict:
         """Every field by name, tuples as lists."""

@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 DEFAULT_COARSE_LEVEL = 3
+# each method's default smoothing spec, eta for IID and xi for LRD (the CLI's --eta and --xi)
+DEFAULT_SMOOTHING = {"iid": "sqrt6", "lrd": "sqrt2alpha"}
 
 
 def c_n(n: int, alpha: float) -> float:

@@ -314,27 +314,29 @@ class TestRunBenchmark:
 
     def test_one_synthesis_per_block(self, monkeypatch):
         # every (replication, method) row of a block is synthesized by one
-        # meyer._synthesize call, each row at its own fine level
+        # meyer._synthesize call, each row at its own fine level: the call's
+        # stacks reach the block's top level, and no row holds a nonzero
+        # coefficient above its own level
         from lrdwaved import meyer
 
         calls = []
         real = meyer._synthesize
 
         def counting(scale, detail, n):
-            # a row's fine level is the last level whose rows include it
-            calls.append([max(j for j, (rows, _) in detail.items() if r in rows)
-                          for r in range(scale.shape[0])])
+            # each row's last level with a nonzero coefficient (j0 = 3 if none)
+            last = [max([3] + [j for j, values in detail.items() if values[r].any()])
+                    for r in range(scale.shape[0])]
+            calls.append((max(detail), last))
             return real(scale, detail, n)
 
         monkeypatch.setattr(meyer, "_synthesize", counting)
         config = ExperimentConfig("cusp", n=1024, alpha=0.4, snr_db=30.0, replications=12, seed=3)
         result = run_benchmark(config)
-        assert [len(levels) for levels in calls] == [8 * 3, 4 * 3]
-        expected = [
-            [int(m.fine_levels[rep]) for rep in block for m in result.methods]
-            for block in (range(0, 8), range(8, 12))
-        ]
-        assert calls == expected
+        assert [len(last) for _, last in calls] == [8 * 3, 4 * 3]
+        for (top, last), block in zip(calls, (range(0, 8), range(8, 12))):
+            levels = [int(m.fine_levels[rep]) for rep in block for m in result.methods]
+            assert top == max(levels)
+            assert all(j <= level for j, level in zip(last, levels))
 
     def test_block_estimates_outlive_the_next_problem(self):
         # a pass's estimates keep their values after the next pass runs on
@@ -522,6 +524,39 @@ class TestRateExperiment:
         defaults = {f.name: f.default for f in fields(ExperimentConfig)}
         for name in ("snr_db", "seed", "noise_kind"):
             assert params[name].default == defaults[name], name
+
+    def test_seed_past_the_domain_fails_before_any_cell_runs(self, monkeypatch):
+        # grid entry i runs at seed + i: the second entry's 2**64 is refused
+        # when its config is built, before the first cell runs
+        from lrdwaved import bench
+
+        calls = []
+        monkeypatch.setattr(bench, "run_benchmark", lambda config: calls.append(config))
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            run_rate_experiment("cusp", "lrd", 1.0, 0.7, (256, 512), replications=2,
+                                seed=2**64 - 1)
+        assert calls == []
+
+    def test_smoothing_defaults_to_the_method_default(self, monkeypatch):
+        # the spec rates --xi / --eta default to, which the config's default
+        # IID method and its second LRD method also take
+        from lrdwaved import bench
+
+        class Stop(Exception):
+            pass
+
+        specs = []
+
+        def spy(config):
+            specs.append(config.smoothing)
+            raise Stop
+
+        monkeypatch.setattr(bench, "run_benchmark", spy)
+        for method in ("lrd", "iid"):
+            with pytest.raises(Stop):
+                run_rate_experiment("cusp", method, 1.0, 0.7, (256, 512), replications=2)
+        iid, _, lrd = ExperimentConfig("cusp").smoothing
+        assert specs == [(lrd,), (iid,)] == [("sqrt2alpha",), ("sqrt6",)]
 
     def test_needs_grid(self):
         with pytest.raises(ValueError):

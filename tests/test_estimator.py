@@ -623,11 +623,51 @@ class TestRunEstimator:
                     variance_table=table,
                 )
                 assert policy.alpha == assumed[r]
-                lambdas = {
-                    j: float(block.lambdas[j][np.searchsorted(rows, r)])
-                    for j, (rows, _) in block.detail.items() if r in rows
-                }
+                lambdas = {j: float(lams[r]) for j, lams in block.lambdas.items() if j <= j1}
                 assert lambdas == policy.lambdas
+                # a row's lambda above its own fine level is +inf
+                assert all(lams[r] == np.inf for j, lams in block.lambdas.items() if j > j1)
                 assert all(
                     lambdas[j].hex() == policy.lambdas[j].hex() for j in policy.lambdas
                 )
+
+    def test_block_rows_stop_at_their_own_fine_level(self):
+        # a block whose rows stop at levels 4, 5 and 6 thresholds every row at
+        # every level up to 6: above a row's own level its coefficients are 0,
+        # its lambda +inf and its kept count 0, and the row still equals
+        # run_estimator on its dataset and keeps the MSE it had when each level
+        # held only the rows that reach it (sha256 of the 24 MSEs, row order)
+        import hashlib
+
+        from lrdwaved.estimator import _block_pass
+        from lrdwaved.meyer import _spectra
+        from lrdwaved.signals import (
+            ExperimentConfig, _clean_cell, _noisy_problem, _observations, resolve_smoothing,
+        )
+        from lrdwaved.thresholds import _method_alpha
+
+        config = ExperimentConfig("cusp", n=1024, alpha=0.4, snr_db=30.0, replications=8, seed=3)
+        cell = _clean_cell(config)
+        methods = [
+            (method, resolve_smoothing(spec, _method_alpha(method, 0.4)))
+            for method, spec in zip(config.methods, config.smoothing)
+        ]
+        rngs = [[derive_rng(3, rep, i) for i in range(3)] for rep in range(8)]
+        block = _block_pass(_spectra(_observations(cell, range(8))), cell.kernel, 0.4, methods,
+                            rngs)
+        assert set(block.levels.tolist()) == {4, 5, 6}
+        assert max(block.detail) == 6
+        for r, j1 in enumerate(block.levels.tolist()):
+            for j in range(j1 + 1, 7):
+                assert not block.detail[j][r].any()
+                assert block.lambdas[j][r] == np.inf
+                assert block.counts[j][r] == 0
+            b, i = divmod(r, 3)
+            alone = run_estimator(_noisy_problem(cell, b), *methods[i], rng=derive_rng(3, b, i))
+            assert alone.fine_level_used == j1
+            assert np.array_equal(block.estimates[r], alone.estimate)
+        sq = np.subtract(block.estimates, cell.f_true)
+        sq *= sq
+        assert hashlib.sha256(sq.mean(axis=1).tobytes()).hexdigest() == (
+            "6550d6beea7996621b4b1def30879a8a073afeb9be77d35c5c7884f2ad2439fe"
+        )

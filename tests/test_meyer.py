@@ -209,12 +209,12 @@ class TestTransforms:
         small = WaveletCoefficients.zeros(3, 4, n)
         small.detail[4][:] = rng.standard_normal(16)
         def synthesize(expansions):
-            # row r of the stack is expansions[r], up to its own fine level
+            # row r of the stack is expansions[r], zero above its own fine level
             top = max(c.j1 for c in expansions)
-            detail = {}
-            for j in range(3, top + 1):
-                rows = np.array([r for r, c in enumerate(expansions) if c.j1 >= j])
-                detail[j] = (rows, np.array([expansions[r].detail[j] for r in rows]))
+            detail = {
+                j: np.array([c.detail[j] if c.j1 >= j else np.zeros(2**j) for c in expansions])
+                for j in range(3, top + 1)
+            }
             return meyer._synthesize(np.array([c.scale for c in expansions]), detail, n)
 
         stacked = synthesize([big, small])
@@ -356,15 +356,15 @@ class TestExactScaling:
         rng = np.random.default_rng(n + 1)
         top = int(np.log2(n)) - 2
         scale = rng.standard_normal((3, 8))
-        # row 2 stops one level below the others
-        detail = {j: (np.arange(3)[: 3 - (j == top)], rng.standard_normal((3 - (j == top), 2**j)))
-                  for j in range(3, top + 1)}
+        detail = {j: rng.standard_normal((3, 2**j)) for j in range(3, top + 1)}
+        detail[top][2] = 0.0  # row 2 stops one level below the others
         spectrum = np.zeros((3, n), dtype=complex)
         plan = meyer._scale_plan(3, n)
         spectrum[:, plan.index] += meyer._band_terms(plan, scale)
-        for j, (rows, values) in sorted(detail.items()):
-            plan = meyer._detail_plan(j, n)
-            spectrum[rows[:, np.newaxis], plan.index] += meyer._band_terms(plan, values)
+        for j, values in sorted(detail.items()):
+            # the expected spectrum adds each band only to the rows that reach it
+            plan, rows = meyer._detail_plan(j, n), np.arange(3)[: 3 - (j == top)]
+            spectrum[rows[:, np.newaxis], plan.index] += meyer._band_terms(plan, values[rows])
         expected = (np.fft.ifft(spectrum, axis=-1) * n).real
         assert meyer._synthesize(scale, detail, n).tobytes() == expected.tobytes()
 

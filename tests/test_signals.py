@@ -197,6 +197,19 @@ class TestGenerateDataset:
         with pytest.raises(ValueError):
             ExperimentConfig(signal="cusp", methods=("iid",), smoothing=("sqrt6", "sqrt6"))
 
+    @pytest.mark.parametrize(
+        "seed, error", [(-1, ValueError), (2**64, ValueError), (1.5, TypeError)]
+    )
+    def test_seed_outside_the_stream_domain_rejected(self, seed, error):
+        # the config is refused when built, not when its first block runs
+        with pytest.raises(error, match="seed must be an integer|cannot be interpreted"):
+            ExperimentConfig("cusp", n=256, replications=2, seed=seed)
+        assert ExperimentConfig("cusp", seed=2**64 - 1).seed == 2**64 - 1
+
+    def test_empty_method_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one method"):
+            ExperimentConfig("cusp", n=256, replications=2, methods=(), smoothing=())
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method 'bogus'"):
             ExperimentConfig(signal="cusp", methods=("iid", "bogus"), smoothing=("sqrt6", "sqrt6"))
