@@ -216,8 +216,11 @@ def run_rate_experiment(
         raise ValueError("need at least two grid sizes")
     # every config is built, and so checked, before any replication runs
     configs = [
-        ExperimentConfig(signal, n, alpha, nu, snr_db, (method,), (smoothing,), replications,
-                         seed + idx, noise_kind)
+        ExperimentConfig(
+            signal=signal, n=n, alpha=alpha, nu=nu, snr_db=snr_db, methods=(method,),
+            smoothing=(smoothing,), replications=replications, seed=seed + idx,
+            noise_kind=noise_kind,
+        )
         for idx, n in enumerate(n_grid)
     ]
     means = np.array([run_benchmark(c).methods[0].mean_mse for c in configs])

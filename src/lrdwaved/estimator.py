@@ -226,9 +226,9 @@ def run_estimator(
     """
     block = _block_pass(
         problem.spectrum[np.newaxis], problem.kernel, problem.alpha, [(method, smoothing)],
-        [[rng]], j1_override, j0=j0, sigma_hats=[problem.sigma_hat],
+        [[rng]], j1_override, j0=j0,
     )
-    (j1, stopping_m, saturated), sigma_hat = block.fine[0], block.sigma_hats[0]
+    (j1, stopping_m, saturated), sigma_hat = block.fine[0], float(block.sigma_hats[0])
     lambdas = {j: float(lams[0]) for j, lams in block.lambdas.items()}
     policy = ThresholdPolicy(
         method, smoothing, sigma_hat, _method_alpha(method, problem.alpha), problem.n, lambdas
@@ -242,12 +242,12 @@ def run_estimator(
 
 
 class _BlockPass(NamedTuple):
-    """The arrays of one stacked pass; row b*m + i is dataset b under method i at every level."""
+    """One stacked pass's arrays, its sigma_hats too; row b*m + i is dataset b under method i."""
 
     estimates: np.ndarray  # (B*m, n)
     levels: np.ndarray  # (B*m,) fine levels
     fine: list[tuple[int, int | None, bool]]  # (level, M, saturated); M None if overridden
-    sigma_hats: list[float]  # per dataset
+    sigma_hats: np.ndarray  # (B,) per dataset
     scale: np.ndarray  # (B, 2^j0), per dataset
     detail: dict[int, np.ndarray]  # j -> (B*m, 2^j) thresholded stack; 0 above a row's level
     lambdas: dict[int, np.ndarray]  # j -> (B*m,) lambda_j; +inf above a row's level
@@ -264,13 +264,12 @@ def _block_pass(
     j1_override: int | None = None,
     *,
     j0: int = DEFAULT_COARSE_LEVEL,
-    sigma_hats: list[float] | None = None,
 ) -> _BlockPass:
     """``run_estimator`` on every (dataset, method) row, as arrays.
 
     The datasets are the rows of a (B, n) stack of spectra Y_hat
     (``meyer._spectra``), observed through one kernel at one alpha; their
-    ``_sigma_hats`` are computed here unless given.  Method i runs on dataset
+    ``_sigma_hats`` come first, from the spectra.  Method i runs on dataset
     b with stopping-rule stream rngs[b][i], and row b*m + i equals
     ``run_estimator`` on dataset b with method i's arguments bit for bit.
     The stopping rule scans every row together, and Y_hat / K_hat is
@@ -284,17 +283,16 @@ def _block_pass(
     (B*m, n) spectrum that no later pass reuses.
     """
     n = spectra.shape[-1]
+    sigma_hats = _sigma_hats(spectra)
     alphas = [_method_alpha(method, alpha) for method, _ in methods]
     smoothings = np.array([smoothing for _, smoothing in methods])
     if np.any(smoothings <= 0):
         raise ValueError(f"smoothing constant must be positive, got {smoothings.min()}")
-    if sigma_hats is None:
-        sigma_hats = _sigma_hats(spectra).tolist()
     m = len(methods)
     problem_of, method_of = np.divmod(np.arange(len(spectra) * m), m)
+    sigmas = sigma_hats[problem_of]
 
     if j1_override is None:
-        sigmas = [sigma_hats[b] for b in problem_of]
         streams = [rngs[b][i] for b, i in zip(problem_of, method_of)]
         fine = _fine_levels(kernel, alpha, [alphas[i] for i in method_of], sigmas, streams, j0)
     else:
@@ -305,7 +303,7 @@ def _block_pass(
     scale, raw = _deconvolve(spectra, kernel, j0, int(levels.max()))
     del spectra
     c_ns = np.array([c_n(n, a) for a in alphas])
-    factors = np.array(sigma_hats)[problem_of] * c_ns[method_of]
+    factors = sigmas * c_ns[method_of]
     detail, lambdas, counts = {}, {}, {}
     for j, coeffs in raw.items():
         above = levels < j

@@ -174,22 +174,20 @@ def _check_grid(n: int, j1: int) -> None:
 
 
 def _real_part(values: np.ndarray, what: str) -> np.ndarray:
-    """Real part of ``values``; each row's imaginary residual is checked against its own scale."""
+    """Real part of ``values``; a row's imaginary residual must be within 1e-9 * max(|z|, 1)."""
     rows = values.reshape(-1, values.shape[-1])
     imag = np.abs(rows.imag).max(axis=-1)
     # every row's bound below is at least 1e-9, so rows within it pass at
-    # once (a NaN row does not); |z| >= |Re z|, so rows within bounds of their
-    # real parts' scale pass without the costlier complex magnitudes
+    # once (a NaN row does not)
     if (imag <= 1e-9).all():
         return values.real
-    if not (imag <= 1e-9 * np.maximum(np.abs(rows.real).max(axis=-1), 1.0)).all():
-        bad = imag > 1e-9 * np.maximum(np.abs(rows).max(axis=-1), 1.0)
-        if bad.any():
-            i = int(bad.argmax())
-            where = f" (row {i})" if values.ndim > 1 else ""
-            raise AssertionError(
-                f"{what}{where} should be real; residual imaginary part {imag[i]:.3e}"
-            )
+    bad = imag > 1e-9 * np.maximum(np.abs(rows).max(axis=-1), 1.0)
+    if bad.any():
+        i = int(bad.argmax())
+        where = f" (row {i})" if values.ndim > 1 else ""
+        raise AssertionError(
+            f"{what}{where} should be real; residual imaginary part {imag[i]:.3e}"
+        )
     return values.real
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .covariance import KernelSpec
 from .estimator import DeconvolutionProblem
-from .noise import NoiseModel, _stream_words
+from .noise import NOISE_KINDS, NoiseModel, _stream_words
 from .thresholds import DEFAULT_SMOOTHING, _method_alpha
 
 __all__ = [
@@ -163,6 +163,8 @@ class ExperimentConfig:
         _check_kernel_flags(self.nu, self.kernel_scale)
         if not math.isfinite(self.snr_db):
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")
+        if self.noise_kind not in NOISE_KINDS:
+            raise ValueError(f"unknown noise kind {self.noise_kind!r}")
         if not self.methods:
             raise ValueError("methods must name at least one method")
         if len(self.methods) != len(self.smoothing):

@@ -81,10 +81,13 @@ def build_policy(
 ) -> ThresholdPolicy:
     """Assemble lambda_j for levels j0..j1 from the cached per-level tau factors.
 
-    ``variance_table`` is not read; it goes with ``VarianceTable``.
+    ``n`` must be the kernel's grid length.  ``variance_table`` is not read;
+    it goes with ``VarianceTable``.
     """
     if smoothing <= 0:
         raise ValueError(f"smoothing constant must be positive, got {smoothing}")
+    if n != kernel.n:
+        raise ValueError(f"grid length n={n} disagrees with the kernel's length {kernel.n}")
     _check_levels(n, j0, j1)
     assumed = _method_alpha(method, alpha)
     factor = sigma_hat * c_n(n, assumed)

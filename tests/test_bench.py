@@ -537,6 +537,38 @@ class TestRateExperiment:
                                 seed=2**64 - 1)
         assert calls == []
 
+    def test_unknown_noise_kind_fails_before_any_cell_runs(self, monkeypatch):
+        from lrdwaved import bench
+
+        calls = []
+        monkeypatch.setattr(bench, "run_benchmark", lambda config: calls.append(config))
+        with pytest.raises(ValueError, match="unknown noise kind 'bogus'"):
+            run_rate_experiment("cusp", "lrd", 1.0, 0.7, (256, 512), replications=2,
+                                noise_kind="bogus")
+        assert calls == []
+
+    def test_grid_configs_carry_every_argument(self, monkeypatch):
+        # each argument lands in its own config field, whatever the field order
+        from lrdwaved import bench
+
+        class Stop(Exception):
+            pass
+
+        configs = []
+
+        def spy(config):
+            configs.append(config)
+            raise Stop
+
+        monkeypatch.setattr(bench, "run_benchmark", spy)
+        with pytest.raises(Stop):
+            run_rate_experiment("doppler", "iid", 0.6, 0.5, (256, 512), replications=3,
+                                smoothing="1.5", snr_db=10.0, seed=7, noise_kind="fgn")
+        assert configs == [ExperimentConfig(
+            signal="doppler", n=256, alpha=0.6, nu=0.5, snr_db=10.0, methods=("iid",),
+            smoothing=("1.5",), replications=3, seed=7, noise_kind="fgn",
+        )]
+
     def test_smoothing_defaults_to_the_method_default(self, monkeypatch):
         # the spec rates --xi / --eta default to, which the config's default
         # IID method and its second LRD method also take

@@ -400,14 +400,18 @@ class TestEstimateSigma:
         assert passes[1].estimates.tobytes() == passes[0].estimates.tobytes()
         assert passes[1].levels.tolist() == passes[0].levels.tolist()
 
-    def test_mad_computed_once_for_every_method(self, monkeypatch):
-        # the stopping rule and the thresholds of all three default methods
-        # read one cached sigma_hat: one analysis of the finest level J
+    def test_block_pass_analyses_the_finest_level_once_for_every_method(self, monkeypatch):
+        # the stopping rule and the thresholds of all three default methods on
+        # every dataset of a block read one stacked sigma_hat: one analysis of
+        # the finest level J, the problems' own sigma_hat recipe
         from lrdwaved import meyer
+        from lrdwaved.estimator import _block_pass
         from lrdwaved.signals import ExperimentConfig, generate_dataset
 
-        problem, _ = generate_dataset(ExperimentConfig(signal="cusp", n=1024, alpha=0.6), 0)
-        finest = int(math.log2(problem.n)) - 2
+        config = ExperimentConfig(signal="cusp", n=1024, alpha=0.6)
+        problems = [generate_dataset(config, rep)[0] for rep in range(2)]
+        methods = [("iid", 2.4), ("lrd", 0.77), ("lrd", 1.1)]
+        finest = int(math.log2(config.n)) - 2
         calls = []
         real = meyer._detail_from_spectrum
 
@@ -416,13 +420,18 @@ class TestEstimateSigma:
             return real(spectrum, j, n)
 
         monkeypatch.setattr(meyer, "_detail_from_spectrum", counting)
-        reports = [
-            run_estimator(problem, method, smoothing, rng=derive_rng(1, i))
-            for i, (method, smoothing) in enumerate((("iid", 2.4), ("lrd", 0.77), ("lrd", 1.1)))
-        ]
+        block = _block_pass(
+            np.stack([p.spectrum for p in problems]), problems[0].kernel, 0.6, methods,
+            [[derive_rng(1, b, i) for i in range(3)] for b in range(2)],
+        )
         assert calls.count(finest) == 1
-        assert estimate_sigma(problem) == problem.sigma_hat
-        assert {r.sigma_hat for r in reports} == {problem.sigma_hat}
+        assert block.sigma_hats.tolist() == [p.sigma_hat for p in problems]
+        reports = [
+            run_estimator(problems[0], method, smoothing, rng=derive_rng(1, 0, i))
+            for i, (method, smoothing) in enumerate(methods)
+        ]
+        assert estimate_sigma(problems[0]) == problems[0].sigma_hat
+        assert {r.sigma_hat for r in reports} == {problems[0].sigma_hat}
 
 
 class TestHardThreshold:

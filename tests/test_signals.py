@@ -206,6 +206,13 @@ class TestGenerateDataset:
             ExperimentConfig("cusp", n=256, replications=2, seed=seed)
         assert ExperimentConfig("cusp", seed=2**64 - 1).seed == 2**64 - 1
 
+    def test_unknown_noise_kind_rejected(self):
+        # refused when the config is built, with NoiseModel's own message
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig("cusp", n=64, noise_kind="bogus")
+        assert info.value.args == ("unknown noise kind 'bogus'",)
+        assert ExperimentConfig("cusp", n=64, noise_kind="fgn").noise_kind == "fgn"
+
     def test_empty_method_list_rejected(self):
         with pytest.raises(ValueError, match="at least one method"):
             ExperimentConfig("cusp", n=256, replications=2, methods=(), smoothing=())

@@ -122,6 +122,12 @@ class TestBuildPolicy:
         build_policy("iid", gamma_kernel(n), n, 0.8, 1.0, 1.0, 3, 5)
         assert _tau.cache_info().misses == 12
 
+    def test_grid_length_must_be_the_kernel_length(self):
+        # a 1024-point kernel's tau with c_n(4096) is no policy at either length
+        with pytest.raises(ValueError) as info:
+            build_policy("lrd", gamma_kernel(1024), 4096, 0.6, 1.0, 1.0, 3, 5)
+        assert info.value.args == ("grid length n=4096 disagrees with the kernel's length 1024",)
+
     def test_positivity_and_validation(self):
         n = 256
         with pytest.raises(ValueError):
