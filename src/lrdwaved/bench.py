@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,20 +72,38 @@ def _mode(values: np.ndarray) -> int:
 BLOCK = 8
 
 
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def run_benchmark(config: ExperimentConfig, threads: int = 1) -> BenchResult:
     """Replicate the simulation protocol and report empirical MSE per method.
 
     Each replication shares one dataset across methods (paired comparison).
-    Replications run serially in blocks of ``BLOCK``, each block's methods as
-    one stacked estimator pass; the stopping-rule noise stream derives from
+    Replications run in blocks of ``BLOCK``, each block's methods as one
+    stacked estimator pass; the stopping-rule noise stream derives from
     (seed, replication, method index), so results are independent of the
     blocking.  The signal, kernel, blur and noise scale are built once per
     call; a block draws each replication's noise into its row of one (B, n)
     stack, row b the dataset ``generate_dataset(config, rep)`` of its
     replication.
 
-    ``threads`` is not read: the replication work holds the GIL, so threads
-    over blocks gave no speed-up.  It stays while callers pass ``threads=1``.
+    A cell of two or more blocks, in a process that may use two or more
+    CPUs, runs its blocks on the calling thread and one helper thread: both
+    take the next block from one iterator, and a block reads only its own
+    streams and writes only its own columns, so every output byte is the
+    serial run's.  The overlap comes from the FFTs, Philox fills and array
+    loops, which release the GIL.  A one-block cell, or a process pinned to
+    one CPU, runs serially and starts no thread.  No thread outlives the call.
+    Once a block fails no thread starts another, and the lowest failing
+    block is rerun one replication at a time to name the replication.
+
+    ``threads`` is not read: the helper depends on the block count and the
+    CPUs alone.  It stays while callers pass it.
     """
     n_methods = len(config.methods)
     mses = np.empty((n_methods, config.replications))
@@ -103,31 +123,61 @@ def run_benchmark(config: ExperimentConfig, threads: int = 1) -> BenchResult:
         block = _block_pass(
             _spectra(_observations(cell, reps)), cell.kernel, config.alpha, rows, rngs
         )
-        # row b*m + i of the pass is replication reps[b] under method i
-        sq = np.subtract(block.estimates, f_true)
-        sq *= sq
+        # rows b*m .. b*m + m-1 of the pass are replication reps[b] under each method;
+        # scored one replication at a time, so the squares never span the whole stack
+        for b, rep in enumerate(reps):
+            sq = np.subtract(block.estimates[b * n_methods : (b + 1) * n_methods], f_true)
+            sq *= sq
+            mses[:, rep] = sq.mean(axis=1)
         cols, shape = slice(reps[0], reps[-1] + 1), (len(reps), n_methods)
-        mses[:, cols] = sq.mean(axis=1).reshape(shape).T
         levels[:, cols] = block.levels.reshape(shape).T
         kept[:, cols] = block.kept.reshape(shape).T
 
-    for start in range(0, config.replications, BLOCK):
-        reps = range(start, min(start + BLOCK, config.replications))
+    lock, stopped = threading.Lock(), False
+    blocks = (range(start, min(start + BLOCK, config.replications))
+              for start in range(0, config.replications, BLOCK))
+    failures: dict[int, tuple[range, Exception]] = {}  # by the failed block's first replication
+
+    def work() -> None:
+        """Run the next block until none is left or one has failed, on any thread."""
+        while True:
+            with lock:
+                reps = None if stopped or failures else next(blocks, None)
+            if reps is None:
+                return
+            try:
+                run_block(reps)
+            except Exception as exc:
+                with lock:
+                    failures[reps.start] = (reps, exc)
+
+    if config.replications <= BLOCK or _cpus() < 2:
+        work()
+    else:
+        helper = threading.Thread(target=work, name="lrdwaved-blocks")
+        helper.start()
         try:
-            run_block(reps)
-        except Exception as exc:
-            # the rows of a pass are independent, so the replication that
-            # failed fails again alone: rerun the block one by one to name it
-            for rep in reps:
-                try:
-                    run_block(range(rep, rep + 1))
-                except Exception as alone:
-                    raise RuntimeError(
-                        f"replication {rep} (seed {config.seed}) failed: {alone}"
-                    ) from alone
-            raise RuntimeError(
-                f"replications {reps[0]}-{reps[-1]} (seed {config.seed}) failed: {exc}"
-            ) from exc
+            work()
+        finally:
+            with lock:  # an interrupted caller lets the helper finish only the block it holds
+                stopped = True
+            helper.join()
+
+    if failures:
+        # every block below a failed one has run to its end, so the lowest failure
+        # is the one a serial run meets first; the rows of a pass are independent,
+        # so the replication that failed fails again alone: rerun it one by one
+        reps, exc = failures[min(failures)]
+        for rep in reps:
+            try:
+                run_block(range(rep, rep + 1))
+            except Exception as alone:
+                raise RuntimeError(
+                    f"replication {rep} (seed {config.seed}) failed: {alone}"
+                ) from alone
+        raise RuntimeError(
+            f"replications {reps[0]}-{reps[-1]} (seed {config.seed}) failed: {exc}"
+        ) from exc
 
     means, mean_kept = mses.mean(axis=1), kept.mean(axis=1)
     ses = np.zeros(n_methods)

@@ -8,7 +8,8 @@ JSON report the same provenance as a block; the hash covers every flag the
 command parsed, the seed resolved and input files by their bytes, except
 --out and --threads, which change no output byte.  Each command declares
 only the flags it reads, except --threads on benchmark and rates: it is
-checked (at least 1) but not read, since replications run serially.  The
+checked (at least 1) but not read, since a cell of more than 8 replications
+already runs its blocks on two threads when the process may use two CPUs.  The
 model flags set ExperimentConfig's fields and default to them, as do
 benchmark's --methods, --smoothing, --replications and noise's --n, --kind.
 """
@@ -170,6 +171,14 @@ def _add_smoothing_flags(parser: argparse.ArgumentParser) -> None:
 def _check_threads(threads: int) -> None:
     if threads < 1:
         raise ValidationError(f"--threads must be at least 1, got {threads}")
+
+
+def _add_threads_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--threads", type=int, default=1,
+        help="not read: a cell of more than 8 replications runs on two threads "
+        "when two CPUs are free (>= 1)",
+    )
 
 
 def _add_seed_and_out(parser: argparse.ArgumentParser) -> None:
@@ -506,9 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default=",".join(_DEFAULTS["methods"]))
     p.add_argument("--smoothing", default=",".join(_DEFAULTS["smoothing"]))
     p.add_argument("--replications", type=int, default=_DEFAULTS["replications"])
-    p.add_argument(
-        "--threads", type=int, default=1, help="not read: replications run serially (>= 1)"
-    )
+    _add_threads_flag(p)
     _add_seed_and_out(p)
     p.set_defaults(func=cmd_benchmark)
 
@@ -523,9 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_smoothing_flags(p)
     p.add_argument("--n-grid", default="1024,2048,4096,8192,16384")
     p.add_argument("--replications", type=int, default=32)
-    p.add_argument(
-        "--threads", type=int, default=1, help="not read: replications run serially (>= 1)"
-    )
+    _add_threads_flag(p)
     _add_seed_and_out(p)
     p.set_defaults(func=cmd_rates)
 

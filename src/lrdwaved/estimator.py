@@ -19,7 +19,14 @@ from . import meyer
 from .covariance import KernelSpec
 from .finescale import _fine_levels
 from .meyer import WaveletCoefficients
-from .thresholds import DEFAULT_COARSE_LEVEL, ThresholdPolicy, _method_alpha, _tau, c_n
+from .thresholds import (
+    DEFAULT_COARSE_LEVEL,
+    ThresholdPolicy,
+    _check_smoothing,
+    _method_alpha,
+    _tau,
+    c_n,
+)
 
 __all__ = [
     "DeconvolutionProblem",
@@ -148,7 +155,8 @@ def _deconvolve(
 
 
 # validated kernel coefficients keyed by the kernel's value and the level: a cell's blocks
-# gather and check each band once; one kernel at n=4096 fills 9 entries (scale 3, levels 3-10)
+# gather and check each band once (on a cold cache a cell's two block threads may both
+# compute an entry); one kernel at n=4096 fills 9 entries (scale 3, levels 3-10)
 @lru_cache(maxsize=64)
 def _kernel_band(kernel: KernelSpec, j: int, scale: bool = False) -> np.ndarray:
     """Read-only kernel coefficients over level j's scale or detail band; raises if any vanishes."""
@@ -285,9 +293,9 @@ def _block_pass(
     n = spectra.shape[-1]
     sigma_hats = _sigma_hats(spectra)
     alphas = [_method_alpha(method, alpha) for method, _ in methods]
+    for _, smoothing in methods:
+        _check_smoothing(smoothing)
     smoothings = np.array([smoothing for _, smoothing in methods])
-    if np.any(smoothings <= 0):
-        raise ValueError(f"smoothing constant must be positive, got {smoothings.min()}")
     m = len(methods)
     problem_of, method_of = np.divmod(np.arange(len(spectra) * m), m)
     sigmas = sigma_hats[problem_of]

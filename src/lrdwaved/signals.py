@@ -9,6 +9,7 @@ SNR/MSE values are comparable across grid sizes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -156,6 +157,12 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.signal.lower() not in SIGNAL_NAMES:
             raise ValueError(f"unknown signal {self.signal!r}")
+        for name in ("n", "replications"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.n < 32 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 32, got {self.n}")
         if not 0.0 < self.alpha <= 1.0:
@@ -198,6 +205,8 @@ def resolve_smoothing(spec: str | float, alpha: float) -> float:
                 value = float(spec)
             except ValueError:
                 raise ValueError(f"unknown smoothing spec {spec!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"smoothing must be finite, got {value}")
     if value <= 0:
         raise ValueError(f"smoothing must be positive, got {value}")
     return value

@@ -84,8 +84,9 @@ def build_policy(
     ``n`` must be the kernel's grid length.  ``variance_table`` is not read;
     it goes with ``VarianceTable``.
     """
-    if smoothing <= 0:
-        raise ValueError(f"smoothing constant must be positive, got {smoothing}")
+    _check_smoothing(smoothing)
+    if not (math.isfinite(sigma_hat) and sigma_hat > 0):
+        raise ValueError(f"noise scale estimate must be finite and positive, got {sigma_hat}")
     if n != kernel.n:
         raise ValueError(f"grid length n={n} disagrees with the kernel's length {kernel.n}")
     _check_levels(n, j0, j1)
@@ -93,6 +94,14 @@ def build_policy(
     factor = sigma_hat * c_n(n, assumed)
     lambdas = {j: smoothing * _tau(method, j, kernel, assumed) * factor for j in range(j0, j1 + 1)}
     return ThresholdPolicy(method, smoothing, sigma_hat, assumed, n, lambdas)
+
+
+def _check_smoothing(smoothing: float) -> None:
+    """Raise unless a smoothing constant is finite and positive."""
+    if not math.isfinite(smoothing):
+        raise ValueError(f"smoothing constant must be finite, got {smoothing}")
+    if smoothing <= 0:
+        raise ValueError(f"smoothing constant must be positive, got {smoothing}")
 
 
 def _method_alpha(method: str, alpha: float) -> float:

@@ -1,5 +1,8 @@
 import hashlib
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -281,59 +284,63 @@ class TestRunBenchmark:
     def test_one_analysis_per_band_per_block(self, monkeypatch):
         # the replications and default methods of a block share one analysis
         # of Y_hat / K_hat, up to the largest fine level among them, and one
-        # analysis of the raw data for sigma_hat (counted apart)
+        # analysis of the raw data for sigma_hat (counted apart); the two
+        # blocks may run on two threads, so each call is keyed to its block
+        # by its stack height (8 or 4 problems) and each block's calls keep
+        # their order
         from lrdwaved import meyer
 
-        calls, sigma_calls, inside_sigma = [], [], []
+        calls, sigma_calls, inside_sigma = {8: [], 4: []}, [], set()
         real_analyze, real_detail = meyer._analyze, meyer._detail_from_spectrum
 
         def counting(values, plan, what):
-            if not inside_sigma:
-                calls.append((what, plan.level))
+            if threading.get_ident() not in inside_sigma:
+                calls[len(values)].append((what, plan.level))
             return real_analyze(values, plan, what)
 
         def sigma_detail(spectrum, j, n):
-            inside_sigma.append(j)
+            inside_sigma.add(threading.get_ident())
             sigma_calls.append(np.shape(spectrum))
             try:
                 return real_detail(spectrum, j, n)
             finally:
-                inside_sigma.pop()
+                inside_sigma.discard(threading.get_ident())
 
         monkeypatch.setattr(meyer, "_analyze", counting)
         monkeypatch.setattr(meyer, "_detail_from_spectrum", sigma_detail)
         config = ExperimentConfig("cusp", n=1024, alpha=0.4, snr_db=30.0, replications=12, seed=3)
         result = run_benchmark(config)
         assert config.methods == ("iid", "lrd", "lrd")
-        assert sigma_calls == [(8, 1024), (4, 1024)]
-        expected = []
-        for block in (range(0, 8), range(8, 12)):
+        assert sorted(sigma_calls) == [(4, 1024), (8, 1024)]
+        for height, block in ((8, range(0, 8)), (4, range(8, 12))):
             top = max(int(m.fine_levels[rep]) for m in result.methods for rep in block)
-            expected += [("scale", 3)] + [("detail", j) for j in range(3, top + 1)]
-        assert calls == expected
+            expected = [("scale", 3)] + [("detail", j) for j in range(3, top + 1)]
+            assert calls[height] == expected
 
     def test_one_synthesis_per_block(self, monkeypatch):
         # every (replication, method) row of a block is synthesized by one
         # meyer._synthesize call, each row at its own fine level: the call's
         # stacks reach the block's top level, and no row holds a nonzero
-        # coefficient above its own level
+        # coefficient above its own level; the two blocks may run on two
+        # threads, so each call is keyed to its block by its rows (24 or 12)
         from lrdwaved import meyer
 
-        calls = []
+        calls = {}
         real = meyer._synthesize
 
         def counting(scale, detail, n):
             # each row's last level with a nonzero coefficient (j0 = 3 if none)
             last = [max([3] + [j for j, values in detail.items() if values[r].any()])
                     for r in range(scale.shape[0])]
-            calls.append((max(detail), last))
+            calls.setdefault(scale.shape[0], []).append((max(detail), last))
             return real(scale, detail, n)
 
         monkeypatch.setattr(meyer, "_synthesize", counting)
         config = ExperimentConfig("cusp", n=1024, alpha=0.4, snr_db=30.0, replications=12, seed=3)
         result = run_benchmark(config)
-        assert [len(last) for _, last in calls] == [8 * 3, 4 * 3]
-        for (top, last), block in zip(calls, (range(0, 8), range(8, 12))):
+        assert sorted((rows, len(made)) for rows, made in calls.items()) == [(12, 1), (24, 1)]
+        for rows, block in ((8 * 3, range(0, 8)), (4 * 3, range(8, 12))):
+            (top, last), = calls[rows]
             levels = [int(m.fine_levels[rep]) for rep in block for m in result.methods]
             assert top == max(levels)
             assert all(j <= level for j, level in zip(last, levels))
@@ -405,8 +412,11 @@ class TestRunBenchmark:
         # one block of 8 replications at n=4096 holds a few (8, n)-sized
         # arrays (observations, spectra, sigma analysis; the spectra are
         # freed before synthesis) and the block's one (24, n) complex
-        # synthesis spectrum, a traced peak of about 2.5 MB; a pass over all
-        # 64 replications at once would need several times that
+        # synthesis spectrum, a traced peak of about 2.4 MiB on one thread;
+        # on two CPUs two blocks are in flight, and with the realness check
+        # in 4-row chunks and the errors scored one replication at a time
+        # the peak reads 3.1-3.6 MiB; a pass over all 64 replications at
+        # once would need several times that
         import tracemalloc
 
         config = ExperimentConfig("cusp", n=4096, alpha=1.0, snr_db=20.0, replications=64, seed=1)
@@ -418,6 +428,129 @@ class TestRunBenchmark:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("replications, cpus, helpers", [
+        (8, {0, 1}, 0),  # one block
+        (36, {0}, 0),  # a process pinned to one CPU
+        (36, {0, 1}, 1),
+        (36, None, 0),  # no affinity call: os.cpu_count() gives 1
+    ])
+    def test_helper_thread_only_for_several_blocks_on_several_cpus(
+        self, monkeypatch, replications, cpus, helpers
+    ):
+        started = []
+
+        class Counting(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(threading, "Thread", Counting)
+        run_benchmark(small_config(replications=replications))
+        assert len(started) == helpers
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_two_threads_give_the_serial_bytes(self, monkeypatch):
+        # 20 runs of a 5-block cell (the last block short) on two threads,
+        # with a short switch interval to interleave them, equal each other
+        # and run_estimator on generate_dataset(config, rep) bit for bit
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        config = small_config(replications=36, methods=("iid", "lrd", "lrd"),
+                              smoothing=("sqrt6", "sqrtalpha", "sqrt2alpha"))
+
+        def outputs(result):
+            return b"".join(m.mses.tobytes() + m.fine_levels.tobytes() for m in result.methods)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runs = {outputs(run_benchmark(config)) for _ in range(20)}
+        finally:
+            sys.setswitchinterval(interval)
+        result = run_benchmark(config)
+        assert runs == {outputs(result)}
+        for rep in range(config.replications):
+            problem, f_true = generate_dataset(config, rep)
+            for i, (method, spec) in enumerate(zip(config.methods, config.smoothing)):
+                alpha = config.alpha if method == "lrd" else 1.0
+                report = run_estimator(
+                    problem, method, resolve_smoothing(spec, alpha),
+                    rng=derive_rng(config.seed, rep, i),
+                )
+                mse = float(np.mean((report.estimate - f_true) ** 2))
+                assert result.methods[i].mses[rep] == mse
+                assert result.methods[i].fine_levels[rep] == report.fine_level_used
+
+    @pytest.mark.parametrize("on", ["caller", "helper", "both"])
+    @pytest.mark.parametrize("alone", [False, True], ids=["block", "replication"])
+    def test_failing_block_stops_the_cell_on_either_thread(self, monkeypatch, on, alone):
+        # the first block a thread takes fails as a stack; with alone, its
+        # second replication also fails when rerun by itself.  No block starts
+        # after the first failure but one the other thread may already hold,
+        # and the error names the lowest failed block's range or replication,
+        # as a serial run would.  With both, each thread waits until the other
+        # holds a block, so two blocks fail
+        import lrdwaved.bench as bench_module
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        caller, real = threading.current_thread(), bench_module._observations
+        stacks, failed = [], {}  # thread -> (its failed block, stacks started by then)
+        both_hold_a_block = threading.Barrier(2, timeout=10)
+
+        def observations(cell, reps):
+            thread = "caller" if threading.current_thread() is caller else "helper"
+            if len(reps) > 1:
+                stacks.append(reps)
+                if on in (thread, "both") and thread not in failed:
+                    failed[thread] = (reps, len(stacks))
+                    if on == "both":
+                        both_hold_a_block.wait()
+                    raise ValueError("injected failure")
+            elif alone and any(reps.start == block.start + 1 for block, _ in failed.values()):
+                raise ValueError("injected failure")
+            return real(cell, reps)
+
+        monkeypatch.setattr(bench_module, "_observations", observations)
+        with pytest.raises(RuntimeError) as info:
+            run_benchmark(small_config(replications=80))
+        lowest = min(block.start for block, _ in failed.values())
+        assert len(failed) == (2 if on == "both" else 1)
+        if alone:
+            expected = f"replication {lowest + 1} (seed 3) failed: injected failure"
+        else:
+            expected = f"replications {lowest}-{lowest + 7} (seed 3) failed: injected failure"
+        assert info.value.args == (expected,)
+        assert isinstance(info.value.__cause__, ValueError)
+        assert len(stacks) - min(started for _, started in failed.values()) <= 1
+        assert len(stacks) < 10
+
+    def test_interrupted_caller_joins_the_helper(self, monkeypatch):
+        # the helper finishes the block it holds, starts at most the one it
+        # may take before the interrupt reaches the loop, and is joined before
+        # the interrupt leaves run_benchmark
+        import lrdwaved.bench as bench_module
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        caller, real = threading.current_thread(), bench_module._observations
+        helper_blocks, interrupted_after = [], []
+
+        def observations(cell, reps):
+            if threading.current_thread() is caller:
+                interrupted_after.append(len(helper_blocks))
+                raise KeyboardInterrupt
+            helper_blocks.append(reps)
+            return real(cell, reps)
+
+        monkeypatch.setattr(bench_module, "_observations", observations)
+        with pytest.raises(KeyboardInterrupt):
+            run_benchmark(small_config(replications=80))
+        assert len(helper_blocks) - interrupted_after[0] <= 1
+        assert [t for t in threading.enumerate() if t.name == "lrdwaved-blocks"] == []
 
     def test_waved_tau_once_per_level_per_call(self, monkeypatch):
         # the IID method's classical tau_j is computed once per cell and level,

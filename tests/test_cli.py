@@ -314,6 +314,24 @@ class TestBenchmarkCommand:
             assert f"error: {message}" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("spec", ["nan", "inf", "-inf"])
+    def test_non_finite_smoothing_is_validation_error(self, tmp_path, capsys, spec):
+        # a NaN smoothing once wrote an IID row from keep-everything thresholds
+        out = tmp_path / "bench"
+        code = run_cli(["benchmark", "--signal", "cusp", "--n", 256,
+                        f"--smoothing={spec},sqrtalpha,sqrt2alpha", "--replications", 2,
+                        "--seed", 1, "--out", out])
+        assert code == 3
+        assert (f"error: --smoothing: smoothing must be finite, got {float(spec)}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+        code = run_cli(["rates", "--signal", "cusp", "--n-grid", "64,128", f"--xi={spec}",
+                        "--replications", 2, "--seed", 1, "--out", out])
+        assert code == 3
+        message = f"error: --xi: smoothing must be finite, got {float(spec)}"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_n_is_validation_error(self, tmp_path, capsys):
         code = run_cli(["rates", "--signal", "cusp", "--n-grid", "256,256,512",
                         "--replications", 2, "--seed", 1, "--out", tmp_path])

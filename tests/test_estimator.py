@@ -45,13 +45,18 @@ class TestProblemValidation:
          "alpha must lie in (0, 1], got 1.5"),
         (lambda: run_estimator(noise_problem(), "lrd", 0.0),
          "smoothing constant must be positive, got 0.0"),
+        (lambda: run_estimator(noise_problem(), "lrd", float("nan")),
+         "smoothing constant must be finite, got nan"),
+        (lambda: run_estimator(noise_problem(), "iid", float("inf")),
+         "smoothing constant must be finite, got inf"),
         (lambda: deconvolve_coefficients(noise_problem(), 5, 4), "need j0 <= j1, got (5, 4)"),
         (lambda: run_estimator(noise_problem(), "lrd", 1.0, j1_override=5),
          "fine level j1=5 too large for n=64: need j1 <= log2(n)-2 "
          "so all band frequencies stay below the Nyquist range"),
         (lambda: run_estimator(noise_problem(), "lrd", 1.0, j1_override=2),
          "need j0 <= j1, got (3, 2)"),
-    ], ids=["problem-alpha", "run-estimator-smoothing", "deconvolve-j0-above-j1",
+    ], ids=["problem-alpha", "run-estimator-smoothing", "run-estimator-nan-smoothing",
+            "run-estimator-inf-smoothing", "deconvolve-j0-above-j1",
             "j1-override-too-fine", "j1-override-below-j0"])
     def test_public_input_check_message(self, call, message):
         with pytest.raises(ValueError) as info:

@@ -206,6 +206,32 @@ class TestGenerateDataset:
             ExperimentConfig("cusp", n=256, replications=2, seed=seed)
         assert ExperimentConfig("cusp", seed=2**64 - 1).seed == 2**64 - 1
 
+    @pytest.mark.parametrize("field, value", [
+        ("replications", 2.5), ("replications", 2.0), ("n", 64.0), ("n", "64"),
+    ])
+    def test_non_integer_count_names_its_field(self, field, value):
+        # refused when the config is built, not by a bare TypeError later
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig("cusp", **{"n": 64, "replications": 2, field: value})
+        assert info.value.args == (f"{field} must be an integer, got {value!r}",)
+        assert ExperimentConfig("cusp", n=np.int64(64), replications=np.int32(2)).n == 64
+
+    @pytest.mark.parametrize("spec, message", [
+        ("nan", "smoothing must be finite, got nan"),
+        ("inf", "smoothing must be finite, got inf"),
+        ("-inf", "smoothing must be finite, got -inf"),
+        (float("nan"), "smoothing must be finite, got nan"),
+        ("0", "smoothing must be positive, got 0.0"),
+    ])
+    def test_non_finite_smoothing_rejected(self, spec, message):
+        # a NaN threshold would keep every coefficient and an infinite one none
+        with pytest.raises(ValueError) as info:
+            resolve_smoothing(spec, 0.6)
+        assert info.value.args == (message,)
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig("cusp", n=64, methods=("lrd",), smoothing=(spec,))
+        assert info.value.args == (message,)
+
     def test_unknown_noise_kind_rejected(self):
         # refused when the config is built, with NoiseModel's own message
         with pytest.raises(ValueError) as info:

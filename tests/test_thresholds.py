@@ -128,6 +128,22 @@ class TestBuildPolicy:
             build_policy("lrd", gamma_kernel(1024), 4096, 0.6, 1.0, 1.0, 3, 5)
         assert info.value.args == ("grid length n=4096 disagrees with the kernel's length 1024",)
 
+    @pytest.mark.parametrize("sigma_hat, smoothing, message", [
+        (-1.0, 1.0, "noise scale estimate must be finite and positive, got -1.0"),
+        (0.0, 1.0, "noise scale estimate must be finite and positive, got 0.0"),
+        (math.nan, 1.0, "noise scale estimate must be finite and positive, got nan"),
+        (math.inf, 1.0, "noise scale estimate must be finite and positive, got inf"),
+        (1.0, math.nan, "smoothing constant must be finite, got nan"),
+        (1.0, math.inf, "smoothing constant must be finite, got inf"),
+        (1.0, -1.0, "smoothing constant must be positive, got -1.0"),
+    ])
+    def test_non_finite_or_non_positive_scale_rejected(self, sigma_hat, smoothing, message):
+        # each would give negative, NaN (keep everything) or infinite (kill
+        # everything) thresholds; the smoothing is checked first
+        with pytest.raises(ValueError) as info:
+            build_policy("lrd", gamma_kernel(256), 256, 0.6, sigma_hat, smoothing, 3, 5)
+        assert info.value.args == (message,)
+
     def test_positivity_and_validation(self):
         n = 256
         with pytest.raises(ValueError):
