@@ -199,11 +199,10 @@ def _real_part(values: np.ndarray, what: str) -> np.ndarray:
 def _row_abs_max(rows: np.ndarray) -> np.ndarray:
     """max |z| over each row of a 2-d stack, ``_REAL_CHUNK`` values at a time."""
     step = max(1, _REAL_CHUNK // rows.shape[-1])
-    if len(rows) <= step:
-        return np.abs(rows).max(axis=-1)
-    return np.concatenate(
-        [np.abs(rows[i : i + step]).max(axis=-1) for i in range(0, len(rows), step)]
-    )
+    out = np.empty(len(rows))
+    for i in range(0, len(rows), step):
+        np.abs(rows[i : i + step]).max(axis=-1, out=out[i : i + step])
+    return out
 
 
 def _band_fold(values: np.ndarray, residues: np.ndarray, width: int) -> np.ndarray:

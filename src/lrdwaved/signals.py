@@ -18,7 +18,7 @@ import numpy as np
 from .covariance import KernelSpec
 from .estimator import DeconvolutionProblem
 from .noise import NOISE_KINDS, NoiseModel, _stream_words
-from .thresholds import DEFAULT_SMOOTHING, _method_alpha
+from .thresholds import DEFAULT_SMOOTHING, _check_smoothing, _method_alpha
 
 __all__ = [
     "SIGNAL_NAMES",
@@ -205,10 +205,7 @@ def resolve_smoothing(spec: str | float, alpha: float) -> float:
                 value = float(spec)
             except ValueError:
                 raise ValueError(f"unknown smoothing spec {spec!r}") from None
-    if not math.isfinite(value):
-        raise ValueError(f"smoothing must be finite, got {value}")
-    if value <= 0:
-        raise ValueError(f"smoothing must be positive, got {value}")
+    _check_smoothing(value, "smoothing")
     return value
 
 

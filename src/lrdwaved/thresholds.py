@@ -96,12 +96,12 @@ def build_policy(
     return ThresholdPolicy(method, smoothing, sigma_hat, assumed, n, lambdas)
 
 
-def _check_smoothing(smoothing: float) -> None:
-    """Raise unless a smoothing constant is finite and positive."""
+def _check_smoothing(smoothing: float, what: str = "smoothing constant") -> None:
+    """Raise unless a smoothing value is finite and positive; ``what`` names it in the message."""
     if not math.isfinite(smoothing):
-        raise ValueError(f"smoothing constant must be finite, got {smoothing}")
+        raise ValueError(f"{what} must be finite, got {smoothing}")
     if smoothing <= 0:
-        raise ValueError(f"smoothing constant must be positive, got {smoothing}")
+        raise ValueError(f"{what} must be positive, got {smoothing}")
 
 
 def _method_alpha(method: str, alpha: float) -> float:

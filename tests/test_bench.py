@@ -408,7 +408,7 @@ class TestRunBenchmark:
         # rows of one replication stop at different fine levels
         assert split
 
-    def test_traced_peak_holds_one_block(self):
+    def test_traced_peak_holds_one_block(self, monkeypatch):
         # one block of 8 replications at n=4096 holds a few (8, n)-sized
         # arrays (observations, spectra, sigma analysis; the spectra are
         # freed before synthesis) and the block's one (24, n) complex
@@ -416,9 +416,11 @@ class TestRunBenchmark:
         # on two CPUs two blocks are in flight, and with the realness check
         # in 4-row chunks and the errors scored one replication at a time
         # the peak reads 3.1-3.6 MiB; a pass over all 64 replications at
-        # once would need several times that
+        # once would need several times that; the process is given two CPUs
+        # so the helper runs whatever the host
         import tracemalloc
 
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         config = ExperimentConfig("cusp", n=4096, alpha=1.0, snr_db=20.0, replications=64, seed=1)
         run_benchmark(config)  # spectral plans and cutoffs are cached before tracing
         tracemalloc.start()
