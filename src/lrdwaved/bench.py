@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import mmap
 import os
+import signal
 import threading
 from dataclasses import dataclass, field
 
@@ -73,11 +75,61 @@ BLOCK = 8
 
 
 def _cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform has one."""
+    """CPUs this process may run on: its affinity mask, or 1 on a platform without one."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:
-        return os.cpu_count() or 1
+        return 1
+
+
+def _share_blocks(run_block, blocks: list[range], claimed: np.ndarray, done: np.ndarray) -> None:
+    """Run ``blocks`` on this process and one forked helper, marking each finished one done.
+
+    Both processes claim the next block from the shared counter ``claimed[0]``
+    under one lock; a process whose block fails sets the counter past the
+    last block, so neither starts another.  The helper leaves only through
+    ``os._exit``: it never returns into the caller's stack nor flushes its
+    stdio.  It is reaped before this returns or raises; an interrupted or
+    failing caller kills it first.  A block that failed, that no one reached
+    or that a dead helper held is left undone; so is every block when the
+    fork itself fails.
+    """
+    # imported here, on the first multi-block cell: at the top it adds ~13 ms to every start-up
+    from multiprocessing import get_context
+
+    lock = get_context("fork").Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                k = int(claimed[0])
+                claimed[0] = k + 1
+            if k >= len(blocks):
+                return
+            try:
+                run_block(blocks[k])
+            except Exception:
+                with lock:
+                    claimed[0] = len(blocks)
+                return
+            done[k] = True  # only after the block's columns are written
+
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: every block is left to the caller
+        return
+    if pid == 0:
+        try:
+            work()
+        finally:
+            os._exit(0)
+    try:
+        work()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)  # a helper that has already exited ignores it
+        raise
+    finally:
+        os.waitpid(pid, 0)
 
 
 def run_benchmark(config: ExperimentConfig, threads: int = 1) -> BenchResult:
@@ -92,23 +144,42 @@ def run_benchmark(config: ExperimentConfig, threads: int = 1) -> BenchResult:
     stack, row b the dataset ``generate_dataset(config, rep)`` of its
     replication.
 
-    A cell of two or more blocks, in a process that may use two or more
-    CPUs, runs its blocks on the calling thread and one helper thread: both
-    take the next block from one iterator, and a block reads only its own
-    streams and writes only its own columns, so every output byte is the
-    serial run's.  The overlap comes from the FFTs, Philox fills and array
-    loops, which release the GIL.  A one-block cell, or a process pinned to
-    one CPU, runs serially and starts no thread.  No thread outlives the call.
-    Once a block fails no thread starts another, and the lowest failing
-    block is rerun one replication at a time to name the replication.
+    A cell of two or more blocks runs its blocks on the calling process and
+    one helper forked for this call, when the process may use two or more
+    CPUs and runs no other Python thread (forking beside a live thread can
+    deadlock the helper).  The results, a done flag per block and the
+    next-block counter live in one shared anonymous mapping; a block reads
+    only its own streams and writes only its own columns, so every output
+    byte is the serial run's.  Otherwise the cell runs serially on the
+    caller: a one-block cell, a process pinned to one CPU, a platform
+    without an affinity call, or a process with another thread alive.  The
+    helper is reaped before the call returns or raises.  Once a block
+    fails neither process starts another; the caller then runs every block
+    not marked done, in block order, and a failing block is rerun one
+    replication at a time to name the replication, so the error is the
+    one a serial run meets first.
 
-    ``threads`` is not read: the helper depends on the block count and the
-    CPUs alone.  It stays while callers pass it.
+    ``threads`` is not read: the helper depends on the block count, the CPUs
+    and the live threads alone.  It stays while callers pass it.
     """
     n_methods = len(config.methods)
-    mses = np.empty((n_methods, config.replications))
-    levels = np.empty((n_methods, config.replications), dtype=int)
-    kept = np.empty((n_methods, config.replications))
+    blocks = [range(start, min(start + BLOCK, config.replications))
+              for start in range(0, config.replications, BLOCK)]
+    forked = len(blocks) > 1 and _cpus() >= 2 and threading.active_count() == 1
+    if forked:
+        # mses, levels, kept, the next-block counter and one done flag per block
+        count = n_methods * config.replications
+        shared = mmap.mmap(-1, 3 * 8 * count + 8 + len(blocks))
+        mses, levels, kept = (
+            np.frombuffer(shared, dtype, count, 8 * count * k).reshape(n_methods, -1)
+            for k, dtype in enumerate((np.float64, np.int64, np.float64))
+        )
+        claimed = np.frombuffer(shared, np.int64, 1, 3 * 8 * count)
+        done = np.frombuffer(shared, np.bool_, len(blocks), 3 * 8 * count + 8)
+    else:
+        mses = np.empty((n_methods, config.replications))
+        levels = np.empty((n_methods, config.replications), dtype=int)
+        kept = np.empty((n_methods, config.replications))
 
     cell = _clean_cell(config)
     f_true = cell.f_true
@@ -133,51 +204,26 @@ def run_benchmark(config: ExperimentConfig, threads: int = 1) -> BenchResult:
         levels[:, cols] = block.levels.reshape(shape).T
         kept[:, cols] = block.kept.reshape(shape).T
 
-    lock, stopped = threading.Lock(), False
-    blocks = (range(start, min(start + BLOCK, config.replications))
-              for start in range(0, config.replications, BLOCK))
-    failures: dict[int, tuple[range, Exception]] = {}  # by the failed block's first replication
-
-    def work() -> None:
-        """Run the next block until none is left or one has failed, on any thread."""
-        while True:
-            with lock:
-                reps = None if stopped or failures else next(blocks, None)
-            if reps is None:
-                return
-            try:
-                run_block(reps)
-            except Exception as exc:
-                with lock:
-                    failures[reps.start] = (reps, exc)
-
-    if config.replications <= BLOCK or _cpus() < 2:
-        work()
-    else:
-        helper = threading.Thread(target=work, name="lrdwaved-blocks")
-        helper.start()
+    if forked:
+        _share_blocks(run_block, blocks, claimed, done)
+    for k, reps in enumerate(blocks):
+        if forked and done[k]:
+            continue
+        # the rows of a pass are independent, so a replication that failed
+        # fails again alone: a failed block is rerun one replication at a time
         try:
-            work()
-        finally:
-            with lock:  # an interrupted caller lets the helper finish only the block it holds
-                stopped = True
-            helper.join()
-
-    if failures:
-        # every block below a failed one has run to its end, so the lowest failure
-        # is the one a serial run meets first; the rows of a pass are independent,
-        # so the replication that failed fails again alone: rerun it one by one
-        reps, exc = failures[min(failures)]
-        for rep in reps:
-            try:
-                run_block(range(rep, rep + 1))
-            except Exception as alone:
-                raise RuntimeError(
-                    f"replication {rep} (seed {config.seed}) failed: {alone}"
-                ) from alone
-        raise RuntimeError(
-            f"replications {reps[0]}-{reps[-1]} (seed {config.seed}) failed: {exc}"
-        ) from exc
+            run_block(reps)
+        except Exception as exc:
+            for rep in reps:
+                try:
+                    run_block(range(rep, rep + 1))
+                except Exception as alone:
+                    raise RuntimeError(
+                        f"replication {rep} (seed {config.seed}) failed: {alone}"
+                    ) from alone
+            raise RuntimeError(
+                f"replications {reps[0]}-{reps[-1]} (seed {config.seed}) failed: {exc}"
+            ) from exc
 
     means, mean_kept = mses.mean(axis=1), kept.mean(axis=1)
     ses = np.zeros(n_methods)

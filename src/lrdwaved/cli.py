@@ -9,7 +9,8 @@ command parsed, the seed resolved and input files by their bytes, except
 --out and --threads, which change no output byte.  Each command declares
 only the flags it reads, except --threads on benchmark and rates: it is
 checked (at least 1) but not read, since a cell of more than 8 replications
-already runs its blocks on two threads when the process may use two CPUs.  The
+already runs its blocks on the calling process and one forked helper process
+when the process may use two CPUs and runs no other thread.  The
 model flags set ExperimentConfig's fields and default to them, as do
 benchmark's --methods, --smoothing, --replications and noise's --n, --kind.
 """
@@ -176,7 +177,7 @@ def _check_threads(threads: int) -> None:
 def _add_threads_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--threads", type=int, default=1,
-        help="not read: a cell of more than 8 replications runs on two threads "
+        help="not read: a cell of more than 8 replications runs on two processes "
         "when two CPUs are free (>= 1)",
     )
 

@@ -155,8 +155,8 @@ def _deconvolve(
 
 
 # validated kernel coefficients keyed by the kernel's value and the level: a cell's blocks
-# gather and check each band once (on a cold cache a cell's two block threads may both
-# compute an entry); one kernel at n=4096 fills 9 entries (scale 3, levels 3-10)
+# gather and check each band once (on a cold cache a cell's forked helper computes its
+# own entries, which leave with it); one kernel at n=4096 fills 9 entries (scale 3, levels 3-10)
 @lru_cache(maxsize=64)
 def _kernel_band(kernel: KernelSpec, j: int, scale: bool = False) -> np.ndarray:
     """Read-only kernel coefficients over level j's scale or detail band; raises if any vanishes."""

@@ -157,7 +157,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.signal.lower() not in SIGNAL_NAMES:
             raise ValueError(f"unknown signal {self.signal!r}")
-        for name in ("n", "replications"):
+        for name in ("n", "replications", "seed"):
             value = getattr(self, name)
             try:
                 operator.index(value)

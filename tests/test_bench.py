@@ -1,8 +1,10 @@
 import hashlib
 import math
+import mmap
 import os
-import sys
+import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +17,11 @@ from lrdwaved.bench import (
 from lrdwaved.estimator import run_estimator
 from lrdwaved.noise import derive_rng
 from lrdwaved.signals import ExperimentConfig, generate_dataset, resolve_smoothing
+
+
+def shared_ints(count):
+    """count int64 zeros in an anonymous shared mapping: a forked helper's writes show here."""
+    return np.frombuffer(mmap.mmap(-1, 8 * count), np.int64)
 
 
 def small_config(**overrides):
@@ -284,28 +291,29 @@ class TestRunBenchmark:
     def test_one_analysis_per_band_per_block(self, monkeypatch):
         # the replications and default methods of a block share one analysis
         # of Y_hat / K_hat, up to the largest fine level among them, and one
-        # analysis of the raw data for sigma_hat (counted apart); the two
-        # blocks may run on two threads, so each call is keyed to its block
-        # by its stack height (8 or 4 problems) and each block's calls keep
-        # their order
+        # analysis of the raw data for sigma_hat (counted apart); each call
+        # is keyed to its block by its stack height (8 or 4 problems) and
+        # each block's calls keep their order.  The calls are counted in this
+        # process, so it is pinned to one CPU and runs both blocks itself
         from lrdwaved import meyer
 
-        calls, sigma_calls, inside_sigma = {8: [], 4: []}, [], set()
+        calls, sigma_calls, inside_sigma = {8: [], 4: []}, [], []
         real_analyze, real_detail = meyer._analyze, meyer._detail_from_spectrum
 
         def counting(values, plan, what):
-            if threading.get_ident() not in inside_sigma:
+            if not inside_sigma:
                 calls[len(values)].append((what, plan.level))
             return real_analyze(values, plan, what)
 
         def sigma_detail(spectrum, j, n):
-            inside_sigma.add(threading.get_ident())
+            inside_sigma.append(j)
             sigma_calls.append(np.shape(spectrum))
             try:
                 return real_detail(spectrum, j, n)
             finally:
-                inside_sigma.discard(threading.get_ident())
+                inside_sigma.pop()
 
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(meyer, "_analyze", counting)
         monkeypatch.setattr(meyer, "_detail_from_spectrum", sigma_detail)
         config = ExperimentConfig("cusp", n=1024, alpha=0.4, snr_db=30.0, replications=12, seed=3)
@@ -321,8 +329,9 @@ class TestRunBenchmark:
         # every (replication, method) row of a block is synthesized by one
         # meyer._synthesize call, each row at its own fine level: the call's
         # stacks reach the block's top level, and no row holds a nonzero
-        # coefficient above its own level; the two blocks may run on two
-        # threads, so each call is keyed to its block by its rows (24 or 12)
+        # coefficient above its own level; each call is keyed to its block by
+        # its rows (24 or 12).  The calls are counted in this process, so it
+        # is pinned to one CPU and runs both blocks itself
         from lrdwaved import meyer
 
         calls = {}
@@ -335,6 +344,7 @@ class TestRunBenchmark:
             calls.setdefault(scale.shape[0], []).append((max(detail), last))
             return real(scale, detail, n)
 
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(meyer, "_synthesize", counting)
         config = ExperimentConfig("cusp", n=1024, alpha=0.4, snr_db=30.0, replications=12, seed=3)
         result = run_benchmark(config)
@@ -412,12 +422,11 @@ class TestRunBenchmark:
         # one block of 8 replications at n=4096 holds a few (8, n)-sized
         # arrays (observations, spectra, sigma analysis; the spectra are
         # freed before synthesis) and the block's one (24, n) complex
-        # synthesis spectrum, a traced peak of about 2.4 MiB on one thread;
-        # on two CPUs two blocks are in flight, and with the realness check
-        # in 4-row chunks and the errors scored one replication at a time
-        # the peak reads 3.1-3.6 MiB; a pass over all 64 replications at
-        # once would need several times that; the process is given two CPUs
-        # so the helper runs whatever the host
+        # synthesis spectrum, a traced peak of about 2.4 MiB; a pass over all
+        # 64 replications at once would need several times that.  The process
+        # is given two CPUs, so a helper is forked whatever the host, and
+        # tracemalloc traces the caller's blocks only: the helper's memory is
+        # its own process's
         import tracemalloc
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -431,51 +440,102 @@ class TestRunBenchmark:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    @staticmethod
+    def _count_forks(monkeypatch):
+        # the helpers forked in this process, by pid, (pid, status) per reap
+        # and the monotonic ns after each reap
+        forks, reaps, reaped_at = [], [], []
+        real_fork, real_waitpid = os.fork, os.waitpid
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        def waitpid(pid, options):
+            reaped = real_waitpid(pid, options)
+            reaps.append(reaped)
+            reaped_at.append(time.monotonic_ns())
+            return reaped
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        return forks, reaps, reaped_at
+
+    @staticmethod
+    def _outputs(result):
+        return b"".join(m.mses.tobytes() + m.fine_levels.tobytes() for m in result.methods)
+
+    def _serial_outputs(self, monkeypatch, config):
+        with monkeypatch.context() as pinned:
+            pinned.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            return self._outputs(run_benchmark(config))
+
     @pytest.mark.parametrize("replications, cpus, helpers", [
         (8, {0, 1}, 0),  # one block
         (36, {0}, 0),  # a process pinned to one CPU
         (36, {0, 1}, 1),
-        (36, None, 0),  # no affinity call: os.cpu_count() gives 1
+        (36, None, 0),  # no affinity call: serial, whatever os.cpu_count() says
     ])
     def test_helper_thread_only_for_several_blocks_on_several_cpus(
         self, monkeypatch, replications, cpus, helpers
     ):
-        started = []
-
-        class Counting(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
+        # the helper is a forked process; the name is kept from when it was a thread
+        config = small_config(replications=replications)
+        serial = self._serial_outputs(monkeypatch, config)
         if cpus is None:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
         else:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        monkeypatch.setattr(threading, "Thread", Counting)
-        run_benchmark(small_config(replications=replications))
-        assert len(started) == helpers
-        assert not any(thread.is_alive() for thread in started)
+        forks, reaps, _ = self._count_forks(monkeypatch)
+        result = run_benchmark(config)
+        assert len(forks) == helpers
+        assert reaps == [(pid, 0) for pid in forks]
+        assert self._outputs(result) == serial
 
-    def test_two_threads_give_the_serial_bytes(self, monkeypatch):
-        # 20 runs of a 5-block cell (the last block short) on two threads,
-        # with a short switch interval to interleave them, equal each other
-        # and run_estimator on generate_dataset(config, rep) bit for bit
+    def test_no_fork_while_another_thread_is_alive(self, monkeypatch):
+        # forking beside a live Python thread can deadlock the helper, so the
+        # cell runs serially on the caller
+        config = small_config(replications=36)
+        serial = self._serial_outputs(monkeypatch, config)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        forks, _, _ = self._count_forks(monkeypatch)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            result = run_benchmark(config)
+        finally:
+            release.set()
+            other.join()
+        assert forks == []
+        assert self._outputs(result) == serial
+
+    def test_forked_helper_gives_the_serial_bytes(self, monkeypatch):
+        # 20 runs of a 5-block cell (the last block short) on two processes
+        # equal each other and run_estimator on generate_dataset(config, rep)
+        # bit for bit; the helper ran some of the blocks
+        import lrdwaved.bench as bench_module
+
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         config = small_config(replications=36, methods=("iid", "lrd", "lrd"),
                               smoothing=("sqrt6", "sqrtalpha", "sqrt2alpha"))
+        caller, real = os.getpid(), bench_module._observations
+        helper_blocks = shared_ints(1)
 
-        def outputs(result):
-            return b"".join(m.mses.tobytes() + m.fine_levels.tobytes() for m in result.methods)
+        def observations(cell, reps):
+            if os.getpid() != caller:
+                helper_blocks[0] += 1
+            return real(cell, reps)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            runs = {outputs(run_benchmark(config)) for _ in range(20)}
-        finally:
-            sys.setswitchinterval(interval)
+        monkeypatch.setattr(bench_module, "_observations", observations)
+        forks, _, _ = self._count_forks(monkeypatch)
+        runs = {self._outputs(run_benchmark(config)) for _ in range(20)}
+        assert len(forks) == 20 and helper_blocks[0] > 0
         result = run_benchmark(config)
-        assert runs == {outputs(result)}
+        assert runs == {self._outputs(result)}
         for rep in range(config.replications):
             problem, f_true = generate_dataset(config, rep)
             for i, (method, spec) in enumerate(zip(config.methods, config.smoothing)):
@@ -491,68 +551,151 @@ class TestRunBenchmark:
     @pytest.mark.parametrize("on", ["caller", "helper", "both"])
     @pytest.mark.parametrize("alone", [False, True], ids=["block", "replication"])
     def test_failing_block_stops_the_cell_on_either_thread(self, monkeypatch, on, alone):
-        # the first block a thread takes fails as a stack; with alone, its
-        # second replication also fails when rerun by itself.  No block starts
-        # after the first failure but one the other thread may already hold,
-        # and the error names the lowest failed block's range or replication,
-        # as a serial run would.  With both, each thread waits until the other
-        # holds a block, so two blocks fail
+        # each process records the first block it takes in shared memory and
+        # waits until the other holds one too; the first block of the named
+        # process (or of both) then fails as a stack wherever it runs, and
+        # with alone its second replication also fails when rerun by itself.
+        # No block starts after the first failure but one the other process
+        # may already hold, the caller reruns what was not done, and the
+        # error names the lowest failed block's range or replication, as a
+        # serial run would (the helper is a forked process; the name is kept
+        # from when it was a thread)
         import lrdwaved.bench as bench_module
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        caller, real = threading.current_thread(), bench_module._observations
-        stacks, failed = [], {}  # thread -> (its failed block, stacks started by then)
-        both_hold_a_block = threading.Barrier(2, timeout=10)
+        caller, real = os.getpid(), bench_module._observations
+        failing = {"caller": [0], "helper": [1], "both": [0, 1]}[on]
+        first = shared_ints(2)  # per process (caller, helper): its first block's start + 1
+        failed_at = shared_ints(1)  # monotonic ns of the first failure
+        starts = shared_ints(2 * 32).reshape(2, 32)  # per process: count, then start times
+
+        def fail():
+            if not failed_at[0]:
+                failed_at[0] = time.monotonic_ns()
+            raise ValueError("injected failure")
 
         def observations(cell, reps):
-            thread = "caller" if threading.current_thread() is caller else "helper"
+            me = int(os.getpid() != caller)
             if len(reps) > 1:
-                stacks.append(reps)
-                if on in (thread, "both") and thread not in failed:
-                    failed[thread] = (reps, len(stacks))
-                    if on == "both":
-                        both_hold_a_block.wait()
-                    raise ValueError("injected failure")
-            elif alone and any(reps.start == block.start + 1 for block, _ in failed.values()):
-                raise ValueError("injected failure")
+                starts[me, 0] += 1
+                starts[me, starts[me, 0]] = time.monotonic_ns()
+                if not first[me]:
+                    first[me] = reps.start + 1
+                    deadline = time.monotonic() + 10
+                    while not first.all() and time.monotonic() < deadline:
+                        time.sleep(1e-3)
+                if reps.start + 1 in first[failing]:
+                    fail()
+            elif alone and reps.start in first[failing]:  # block start + 1
+                fail()
             return real(cell, reps)
 
         monkeypatch.setattr(bench_module, "_observations", observations)
+        forks, reaps, reaped_at = self._count_forks(monkeypatch)
         with pytest.raises(RuntimeError) as info:
             run_benchmark(small_config(replications=80))
-        lowest = min(block.start for block, _ in failed.values())
-        assert len(failed) == (2 if on == "both" else 1)
+        assert len(forks) == 1 and reaps == [(forks[0], 0)]
+        assert first.all()
+        lowest = int(first[failing].min()) - 1
         if alone:
             expected = f"replication {lowest + 1} (seed 3) failed: injected failure"
         else:
             expected = f"replications {lowest}-{lowest + 7} (seed 3) failed: injected failure"
         assert info.value.args == (expected,)
         assert isinstance(info.value.__cause__, ValueError)
-        assert len(stacks) - min(started for _, started in failed.values()) <= 1
-        assert len(stacks) < 10
+        # the caller's reruns after the reap are not counted
+        shared_phase = [t for me in (0, 1) for t in starts[me, 1 : starts[me, 0] + 1]
+                        if t < reaped_at[0]]
+        assert len([t for t in shared_phase if t > failed_at[0]]) <= 1
+        assert starts[:, 0].sum() < 10
 
     def test_interrupted_caller_joins_the_helper(self, monkeypatch):
-        # the helper finishes the block it holds, starts at most the one it
-        # may take before the interrupt reaches the loop, and is joined before
-        # the interrupt leaves run_benchmark
+        # the caller is interrupted while the helper holds a block it would
+        # hold for a minute: the helper process is killed and reaped (joined)
+        # before the interrupt leaves run_benchmark
         import lrdwaved.bench as bench_module
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        caller, real = threading.current_thread(), bench_module._observations
-        helper_blocks, interrupted_after = [], []
+        caller, real = os.getpid(), bench_module._observations
+        helper_blocks = shared_ints(1)
 
         def observations(cell, reps):
-            if threading.current_thread() is caller:
-                interrupted_after.append(len(helper_blocks))
+            if os.getpid() == caller:
+                deadline = time.monotonic() + 10
+                while not helper_blocks[0] and time.monotonic() < deadline:
+                    time.sleep(1e-3)
                 raise KeyboardInterrupt
-            helper_blocks.append(reps)
+            helper_blocks[0] += 1
+            if helper_blocks[0] == 1:
+                time.sleep(60)
             return real(cell, reps)
 
         monkeypatch.setattr(bench_module, "_observations", observations)
+        forks, reaps, _ = self._count_forks(monkeypatch)
+        began = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             run_benchmark(small_config(replications=80))
-        assert len(helper_blocks) - interrupted_after[0] <= 1
-        assert [t for t in threading.enumerate() if t.name == "lrdwaved-blocks"] == []
+        assert time.monotonic() - began < 30
+        assert helper_blocks[0] == 1
+        (pid, status), = reaps
+        assert pid == forks[0]
+        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+
+    def test_dead_helper_gives_the_serial_bytes(self, monkeypatch):
+        # the helper finishes one block, then exits with status 1 in the
+        # middle of the cell, at the start of its second block, while the
+        # caller still holds its first; the caller runs what was not done
+        import lrdwaved.bench as bench_module
+
+        config = small_config(replications=36)
+        serial = self._serial_outputs(monkeypatch, config)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        caller, real = os.getpid(), bench_module._observations
+        helper_blocks = shared_ints(1)
+
+        def observations(cell, reps):
+            if os.getpid() == caller:
+                deadline = time.monotonic() + 10
+                while helper_blocks[0] < 2 and time.monotonic() < deadline:
+                    time.sleep(1e-3)
+            else:
+                helper_blocks[0] += 1
+                if helper_blocks[0] == 2:
+                    os._exit(1)
+            return real(cell, reps)
+
+        monkeypatch.setattr(bench_module, "_observations", observations)
+        forks, reaps, _ = self._count_forks(monkeypatch)
+        result = run_benchmark(config)
+        assert helper_blocks[0] == 2
+        assert reaps == [(forks[0], 1 << 8)]  # exit status 1
+        assert self._outputs(result) == serial
+
+    def test_failed_fork_runs_the_cell_serially(self, monkeypatch):
+        # a fork refused for want of processes or memory leaves every block
+        # to the caller
+        config = small_config(replications=36)
+        serial = self._serial_outputs(monkeypatch, config)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+        def fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert self._outputs(run_benchmark(config)) == serial
+
+    def test_fork_after_openblas_threads_gives_the_serial_bytes(self, monkeypatch):
+        # lstsq starts the BLAS library's own threads, which a fork does not
+        # copy; the helper still runs its blocks and gives the serial bytes
+        config = small_config(replications=36)
+        serial = self._serial_outputs(monkeypatch, config)
+        a = np.arange(300 * 200, dtype=float).reshape(300, 200) % 7.0
+        np.linalg.lstsq(a, a[:, 0], rcond=None)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        forks, reaps, _ = self._count_forks(monkeypatch)
+        result = run_benchmark(config)
+        assert len(forks) == 1 and reaps == [(forks[0], 0)]
+        assert self._outputs(result) == serial
 
     def test_waved_tau_once_per_level_per_call(self, monkeypatch):
         # the IID method's classical tau_j is computed once per cell and level,

@@ -198,11 +198,11 @@ class TestGenerateDataset:
             ExperimentConfig(signal="cusp", methods=("iid",), smoothing=("sqrt6", "sqrt6"))
 
     @pytest.mark.parametrize(
-        "seed, error", [(-1, ValueError), (2**64, ValueError), (1.5, TypeError)]
+        "seed, error", [(-1, ValueError), (2**64, ValueError), (1.5, ValueError)]
     )
     def test_seed_outside_the_stream_domain_rejected(self, seed, error):
         # the config is refused when built, not when its first block runs
-        with pytest.raises(error, match="seed must be an integer|cannot be interpreted"):
+        with pytest.raises(error, match="seed must be an integer"):
             ExperimentConfig("cusp", n=256, replications=2, seed=seed)
         assert ExperimentConfig("cusp", seed=2**64 - 1).seed == 2**64 - 1
 
