@@ -83,7 +83,7 @@ def _cpus() -> int:
 
 
 def _share_blocks(run_block, blocks: list[range], claimed: np.ndarray, done: np.ndarray) -> None:
-    """Run ``blocks`` on this process and one forked helper, marking each finished one done.
+    """Run ``blocks`` on this process and one child helper, marking each finished one done.
 
     Both processes claim the next block from the shared counter ``claimed[0]``
     under one lock; a process whose block fails sets the counter past the
@@ -125,11 +125,11 @@ def _share_blocks(run_block, blocks: list[range], claimed: np.ndarray, done: np.
             os._exit(0)
     try:
         work()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)  # a helper that has already exited ignores it
-        raise
-    finally:
         os.waitpid(pid, 0)
+    except BaseException:  # the helper is not reaped yet: even an interrupted wait lands here
+        os.kill(pid, signal.SIGKILL)  # a helper that has already exited ignores it
+        os.waitpid(pid, 0)
+        raise
 
 
 def run_benchmark(config: ExperimentConfig, threads: int = 1) -> BenchResult:
@@ -144,20 +144,20 @@ def run_benchmark(config: ExperimentConfig, threads: int = 1) -> BenchResult:
     stack, row b the dataset ``generate_dataset(config, rep)`` of its
     replication.
 
-    A cell of two or more blocks runs its blocks on the calling process and
-    one helper forked for this call, when the process may use two or more
-    CPUs and runs no other Python thread (forking beside a live thread can
-    deadlock the helper).  The results, a done flag per block and the
-    next-block counter live in one shared anonymous mapping; a block reads
-    only its own streams and writes only its own columns, so every output
-    byte is the serial run's.  Otherwise the cell runs serially on the
-    caller: a one-block cell, a process pinned to one CPU, a platform
-    without an affinity call, or a process with another thread alive.  The
-    helper is reaped before the call returns or raises.  Once a block
-    fails neither process starts another; the caller then runs every block
-    not marked done, in block order, and a failing block is rerun one
-    replication at a time to name the replication, so the error is the
-    one a serial run meets first.
+    Every cell keeps its results, the next-block counter and a done flag
+    per block in one anonymous mapping.  A cell of two or more blocks runs
+    its blocks on the calling process and one helper it forks for this call,
+    which shares that mapping, when the process may use two or more CPUs
+    and runs no other Python thread (forking beside a live thread can
+    deadlock the helper); a block reads only its own streams and writes
+    only its own columns, so every output byte is the serial run's.
+    Otherwise the cell runs serially on the caller: a one-block cell, a
+    process pinned to one CPU, a platform without an affinity call, or a
+    process with another thread alive.  The helper is reaped before the
+    call returns or raises.  Once a block fails neither process starts
+    another; the caller then runs every block not marked done, in block
+    order, and a failing block is rerun one replication at a time to name
+    the replication, so the error is the one a serial run meets first.
 
     ``threads`` is not read: the helper depends on the block count, the CPUs
     and the live threads alone.  It stays while callers pass it.
@@ -165,21 +165,15 @@ def run_benchmark(config: ExperimentConfig, threads: int = 1) -> BenchResult:
     n_methods = len(config.methods)
     blocks = [range(start, min(start + BLOCK, config.replications))
               for start in range(0, config.replications, BLOCK)]
-    forked = len(blocks) > 1 and _cpus() >= 2 and threading.active_count() == 1
-    if forked:
-        # mses, levels, kept, the next-block counter and one done flag per block
-        count = n_methods * config.replications
-        shared = mmap.mmap(-1, 3 * 8 * count + 8 + len(blocks))
-        mses, levels, kept = (
-            np.frombuffer(shared, dtype, count, 8 * count * k).reshape(n_methods, -1)
-            for k, dtype in enumerate((np.float64, np.int64, np.float64))
-        )
-        claimed = np.frombuffer(shared, np.int64, 1, 3 * 8 * count)
-        done = np.frombuffer(shared, np.bool_, len(blocks), 3 * 8 * count + 8)
-    else:
-        mses = np.empty((n_methods, config.replications))
-        levels = np.empty((n_methods, config.replications), dtype=int)
-        kept = np.empty((n_methods, config.replications))
+    # mses, levels, kept, the next-block counter and one done flag per block
+    count = n_methods * config.replications
+    shared = mmap.mmap(-1, 3 * 8 * count + 8 + len(blocks))
+    mses, levels, kept = (
+        np.frombuffer(shared, dtype, count, 8 * count * k).reshape(n_methods, -1)
+        for k, dtype in enumerate((np.float64, np.int64, np.float64))
+    )
+    claimed = np.frombuffer(shared, np.int64, 1, 3 * 8 * count)
+    done = np.frombuffer(shared, np.bool_, len(blocks), 3 * 8 * count + 8)
 
     cell = _clean_cell(config)
     f_true = cell.f_true
@@ -194,20 +188,18 @@ def run_benchmark(config: ExperimentConfig, threads: int = 1) -> BenchResult:
         block = _block_pass(
             _spectra(_observations(cell, reps)), cell.kernel, config.alpha, rows, rngs
         )
-        # rows b*m .. b*m + m-1 of the pass are replication reps[b] under each method;
-        # scored one replication at a time, so the squares never span the whole stack
-        for b, rep in enumerate(reps):
-            sq = np.subtract(block.estimates[b * n_methods : (b + 1) * n_methods], f_true)
-            sq *= sq
-            mses[:, rep] = sq.mean(axis=1)
+        # rows b*m .. b*m + m-1 of the pass are replication reps[b] under each method
+        sq = np.subtract(block.estimates, f_true)
+        sq *= sq
         cols, shape = slice(reps[0], reps[-1] + 1), (len(reps), n_methods)
+        mses[:, cols] = sq.mean(axis=1).reshape(shape).T
         levels[:, cols] = block.levels.reshape(shape).T
         kept[:, cols] = block.kept.reshape(shape).T
 
-    if forked:
+    if len(blocks) > 1 and _cpus() >= 2 and threading.active_count() == 1:
         _share_blocks(run_block, blocks, claimed, done)
     for k, reps in enumerate(blocks):
-        if forked and done[k]:
+        if done[k]:
             continue
         # the rows of a pass are independent, so a replication that failed
         # fails again alone: a failed block is rerun one replication at a time

@@ -9,7 +9,7 @@ command parsed, the seed resolved and input files by their bytes, except
 --out and --threads, which change no output byte.  Each command declares
 only the flags it reads, except --threads on benchmark and rates: it is
 checked (at least 1) but not read, since a cell of more than 8 replications
-already runs its blocks on the calling process and one forked helper process
+already runs its blocks on the calling process and one helper process
 when the process may use two CPUs and runs no other thread.  The
 model flags set ExperimentConfig's fields and default to them, as do
 benchmark's --methods, --smoothing, --replications and noise's --n, --kind.
@@ -273,6 +273,11 @@ def _read_kernel_file(path: Path, n: int) -> KernelSpec:
     if not np.all(whole):
         bad = float(ell[np.argmin(whole)])
         raise ValidationError(f"kernel table {path}: ell={bad!r} is not an integer")
+    # beyond int64 the cast below would give INT64_MIN, frequency 0, with only a warning
+    huge = np.abs(ell) >= 2.0**63
+    if np.any(huge):
+        bad = float(ell[np.argmax(huge)])
+        raise ValidationError(f"kernel table {path}: ell={bad!r} is out of range")
     idx = ell.astype(int) % n
     counts = np.bincount(idx, minlength=n)
     if np.any(counts > 1):

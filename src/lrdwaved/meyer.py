@@ -173,20 +173,15 @@ def _check_grid(n: int, j1: int) -> None:
         )
 
 
-# the realness check's np.abs temporaries hold at most this many values, 4 rows at n=4096:
-# a synthesized (24, 4096) stack is checked in chunks, not through a stack-sized temporary
-_REAL_CHUNK = 2**14
-
-
 def _real_part(values: np.ndarray, what: str) -> np.ndarray:
     """Real part of ``values``; a row's imaginary residual must be within 1e-9 * max(|z|, 1)."""
     rows = values.reshape(-1, values.shape[-1])
-    imag = _row_abs_max(rows.imag)
+    imag = np.abs(rows.imag).max(axis=-1)
     # every row's bound below is at least 1e-9, so rows within it pass at
     # once (a NaN row does not)
     if (imag <= 1e-9).all():
         return values.real
-    bad = imag > 1e-9 * np.maximum(_row_abs_max(rows), 1.0)
+    bad = imag > 1e-9 * np.maximum(np.abs(rows).max(axis=-1), 1.0)
     if bad.any():
         i = int(bad.argmax())
         where = f" (row {i})" if values.ndim > 1 else ""
@@ -194,15 +189,6 @@ def _real_part(values: np.ndarray, what: str) -> np.ndarray:
             f"{what}{where} should be real; residual imaginary part {imag[i]:.3e}"
         )
     return values.real
-
-
-def _row_abs_max(rows: np.ndarray) -> np.ndarray:
-    """max |z| over each row of a 2-d stack, ``_REAL_CHUNK`` values at a time."""
-    step = max(1, _REAL_CHUNK // rows.shape[-1])
-    out = np.empty(len(rows))
-    for i in range(0, len(rows), step):
-        np.abs(rows[i : i + step]).max(axis=-1, out=out[i : i + step])
-    return out
 
 
 def _band_fold(values: np.ndarray, residues: np.ndarray, width: int) -> np.ndarray:

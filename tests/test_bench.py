@@ -422,11 +422,12 @@ class TestRunBenchmark:
         # one block of 8 replications at n=4096 holds a few (8, n)-sized
         # arrays (observations, spectra, sigma analysis; the spectra are
         # freed before synthesis) and the block's one (24, n) complex
-        # synthesis spectrum, a traced peak of about 2.4 MiB; a pass over all
-        # 64 replications at once would need several times that.  The process
-        # is given two CPUs, so a helper is forked whatever the host, and
-        # tracemalloc traces the caller's blocks only: the helper's memory is
-        # its own process's
+        # synthesis spectrum with the realness check's (24, n) float
+        # temporary beside it, a traced peak of 2.36 MiB (the highest of 30
+        # calls); a pass over all 64 replications at once would need several
+        # times that.  The process is given two CPUs, so a helper is forked
+        # whatever the host, and tracemalloc traces the caller's blocks only:
+        # the helper's memory is its own process's
         import tracemalloc
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -478,10 +479,9 @@ class TestRunBenchmark:
         (36, {0, 1}, 1),
         (36, None, 0),  # no affinity call: serial, whatever os.cpu_count() says
     ])
-    def test_helper_thread_only_for_several_blocks_on_several_cpus(
+    def test_helper_forked_only_for_several_blocks_on_several_cpus(
         self, monkeypatch, replications, cpus, helpers
     ):
-        # the helper is a forked process; the name is kept from when it was a thread
         config = small_config(replications=replications)
         serial = self._serial_outputs(monkeypatch, config)
         if cpus is None:
@@ -550,7 +550,7 @@ class TestRunBenchmark:
 
     @pytest.mark.parametrize("on", ["caller", "helper", "both"])
     @pytest.mark.parametrize("alone", [False, True], ids=["block", "replication"])
-    def test_failing_block_stops_the_cell_on_either_thread(self, monkeypatch, on, alone):
+    def test_failing_block_stops_the_cell_on_either_process(self, monkeypatch, on, alone):
         # each process records the first block it takes in shared memory and
         # waits until the other holds one too; the first block of the named
         # process (or of both) then fails as a stack wherever it runs, and
@@ -558,8 +558,7 @@ class TestRunBenchmark:
         # No block starts after the first failure but one the other process
         # may already hold, the caller reruns what was not done, and the
         # error names the lowest failed block's range or replication, as a
-        # serial run would (the helper is a forked process; the name is kept
-        # from when it was a thread)
+        # serial run would
         import lrdwaved.bench as bench_module
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -640,6 +639,27 @@ class TestRunBenchmark:
         (pid, status), = reaps
         assert pid == forks[0]
         assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+
+    def test_interrupted_final_wait_kills_and_reaps_the_helper(self, monkeypatch):
+        # an interrupt raised inside the caller's wait for a finished cell's
+        # helper leaves run_benchmark, and the helper is killed and reaped
+        # by a second wait first
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        real_waitpid, calls = os.waitpid, []
+
+        def waitpid(pid, options):
+            calls.append(pid)
+            if len(calls) == 1:
+                raise KeyboardInterrupt
+            return real_waitpid(pid, options)
+
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        with pytest.raises(KeyboardInterrupt):
+            run_benchmark(small_config(replications=80))
+        monkeypatch.undo()
+        assert len(calls) == 2 and calls[0] == calls[1] > 0
+        with pytest.raises(ChildProcessError):  # no longer a child: reaped
+            os.waitpid(calls[0], os.WNOHANG)
 
     def test_dead_helper_gives_the_serial_bytes(self, monkeypatch):
         # the helper finishes one block, then exits with status 1 in the

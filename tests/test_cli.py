@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -214,6 +215,15 @@ class TestEstimate:
         code = self._estimate_with(tmp_path, self._kernel_file(tmp_path, ells))
         assert code == 3
         assert "ell=1.5 is not an integer" in capsys.readouterr().err
+
+    def test_kernel_file_out_of_range_ell_rejected(self, tmp_path, capsys):
+        # frequency 0 left out and a 1e30 row added: the row must not be read
+        # as frequency 0
+        ells = [e for e in range(-511, 512) if e] + [1e30]
+        code = self._estimate_with(tmp_path, self._kernel_file(tmp_path, ells))
+        assert code == 3
+        assert "ell=1e+30 is out of range" in capsys.readouterr().err
+        assert not (tmp_path / "kf").exists()
 
     def test_kernel_file_duplicate_frequency_rejected(self, tmp_path, capsys):
         # 1029 wraps onto 5 mod 1024; the last row must not silently win
@@ -525,11 +535,17 @@ class TestRatesCommand:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
+        # the child imports the package the tests import, installed or not
+        import lrdwaved
+
+        src = str(Path(lrdwaved.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "lrdwaved.cli", "noise", "--n", "16",
              "--seed", "1", "--out", str(tmp_path)],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
 
