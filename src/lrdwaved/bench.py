@@ -82,54 +82,65 @@ def _cpus() -> int:
         return 1
 
 
-def _share_blocks(run_block, blocks: list[range], claimed: np.ndarray, done: np.ndarray) -> None:
+def _share_blocks(run_block, blocks: list[range], done: np.ndarray) -> None:
     """Run ``blocks`` on this process and one child helper, marking each finished one done.
 
-    Both processes claim the next block from the shared counter ``claimed[0]``
-    under one lock; a process whose block fails sets the counter past the
-    last block, so neither starts another.  The helper leaves only through
-    ``os._exit``: it never returns into the caller's stack nor flushes its
-    stdio.  It is reaped before this returns or raises; an interrupted or
+    The next block's index is the one 8-byte message in a pipe the two
+    processes share.  A process claims block k by reading it, which leaves
+    the other waiting on an empty pipe, and writes back k + 1; a process
+    whose block fails takes the message and writes ``len(blocks)``, so
+    neither starts another.  The write back sits in a ``finally`` and falls
+    back to an index past the last block, so no exception leaves the pipe
+    empty.  The helper leaves only through ``os._exit``: it never returns
+    into the caller's stack nor flushes its stdio.  It is reaped, and both
+    pipe ends closed, before this returns or raises; an interrupted or
     failing caller kills it first.  A block that failed, that no one reached
     or that a dead helper held is left undone; so is every block when the
-    fork itself fails.
+    pipe or the fork cannot be made.
     """
-    # imported here, on the first multi-block cell: at the top it adds ~13 ms to every start-up
-    from multiprocessing import get_context
+    try:
+        fd_in, fd_out = os.pipe()
+    except OSError:  # no descriptor to spare: every block is left to the caller
+        return
 
-    lock = get_context("fork").Lock()
+    def claim(stop: bool = False) -> int:
+        k = len(blocks)
+        try:
+            k = int.from_bytes(os.read(fd_in, 8), "little")
+        finally:
+            os.write(fd_out, (len(blocks) if stop else k + 1).to_bytes(8, "little"))
+        return k
 
     def work() -> None:
-        while True:
-            with lock:
-                k = int(claimed[0])
-                claimed[0] = k + 1
-            if k >= len(blocks):
-                return
+        while (k := claim()) < len(blocks):
             try:
                 run_block(blocks[k])
             except Exception:
-                with lock:
-                    claimed[0] = len(blocks)
+                claim(stop=True)
                 return
             done[k] = True  # only after the block's columns are written
 
     try:
-        pid = os.fork()
-    except OSError:  # no process to spare: every block is left to the caller
-        return
-    if pid == 0:
+        os.write(fd_out, (0).to_bytes(8, "little"))
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: every block is left to the caller
+            return
+        if pid == 0:
+            try:
+                work()
+            finally:
+                os._exit(0)
         try:
             work()
-        finally:
-            os._exit(0)
-    try:
-        work()
-        os.waitpid(pid, 0)
-    except BaseException:  # the helper is not reaped yet: even an interrupted wait lands here
-        os.kill(pid, signal.SIGKILL)  # a helper that has already exited ignores it
-        os.waitpid(pid, 0)
-        raise
+            os.waitpid(pid, 0)
+        except BaseException:  # the helper is not reaped yet: even an interrupted wait lands here
+            os.kill(pid, signal.SIGKILL)  # a helper that has already exited ignores it
+            os.waitpid(pid, 0)
+            raise
+    finally:
+        os.close(fd_in)
+        os.close(fd_out)
 
 
 def run_benchmark(config: ExperimentConfig, threads: int = 1) -> BenchResult:
@@ -144,13 +155,14 @@ def run_benchmark(config: ExperimentConfig, threads: int = 1) -> BenchResult:
     stack, row b the dataset ``generate_dataset(config, rep)`` of its
     replication.
 
-    Every cell keeps its results, the next-block counter and a done flag
-    per block in one anonymous mapping.  A cell of two or more blocks runs
-    its blocks on the calling process and one helper it forks for this call,
-    which shares that mapping, when the process may use two or more CPUs
-    and runs no other Python thread (forking beside a live thread can
-    deadlock the helper); a block reads only its own streams and writes
-    only its own columns, so every output byte is the serial run's.
+    Every cell keeps its results and a done flag per block in one anonymous
+    mapping.  A cell of two or more blocks runs its blocks on the calling
+    process and one helper it forks for this call, which shares that mapping
+    and claims blocks from a counter held in one pipe (see ``_share_blocks``),
+    when the process may use two or more CPUs and runs no other Python
+    thread (forking beside a live thread can deadlock the helper); a block
+    reads only its own streams and writes only its own columns, so every
+    output byte is the serial run's.
     Otherwise the cell runs serially on the caller: a one-block cell, a
     process pinned to one CPU, a platform without an affinity call, or a
     process with another thread alive.  The helper is reaped before the
@@ -165,15 +177,14 @@ def run_benchmark(config: ExperimentConfig, threads: int = 1) -> BenchResult:
     n_methods = len(config.methods)
     blocks = [range(start, min(start + BLOCK, config.replications))
               for start in range(0, config.replications, BLOCK)]
-    # mses, levels, kept, the next-block counter and one done flag per block
+    # mses, levels, kept and one done flag per block
     count = n_methods * config.replications
-    shared = mmap.mmap(-1, 3 * 8 * count + 8 + len(blocks))
+    shared = mmap.mmap(-1, 3 * 8 * count + len(blocks))
     mses, levels, kept = (
         np.frombuffer(shared, dtype, count, 8 * count * k).reshape(n_methods, -1)
         for k, dtype in enumerate((np.float64, np.int64, np.float64))
     )
-    claimed = np.frombuffer(shared, np.int64, 1, 3 * 8 * count)
-    done = np.frombuffer(shared, np.bool_, len(blocks), 3 * 8 * count + 8)
+    done = np.frombuffer(shared, np.bool_, len(blocks), 3 * 8 * count)
 
     cell = _clean_cell(config)
     f_true = cell.f_true
@@ -197,7 +208,7 @@ def run_benchmark(config: ExperimentConfig, threads: int = 1) -> BenchResult:
         kept[:, cols] = block.kept.reshape(shape).T
 
     if len(blocks) > 1 and _cpus() >= 2 and threading.active_count() == 1:
-        _share_blocks(run_block, blocks, claimed, done)
+        _share_blocks(run_block, blocks, done)
     for k, reps in enumerate(blocks):
         if done[k]:
             continue

@@ -1,10 +1,14 @@
+import errno
 import hashlib
 import math
 import mmap
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -703,6 +707,101 @@ class TestRunBenchmark:
 
         monkeypatch.setattr(os, "fork", fork)
         assert self._outputs(run_benchmark(config)) == serial
+
+    def test_failed_pipe_runs_the_cell_serially(self, monkeypatch):
+        # a pipe refused for want of descriptors leaves every block to the
+        # caller, as a refused fork does, and no helper is forked
+        config = small_config(replications=36)
+        serial = self._serial_outputs(monkeypatch, config)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+        def pipe():
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        monkeypatch.setattr(os, "pipe", pipe)
+        forks, _, _ = self._count_forks(monkeypatch)
+        result = run_benchmark(config)
+        assert forks == []
+        assert self._outputs(result) == serial
+
+    def test_each_block_runs_once_across_both_processes(self, monkeypatch):
+        # 20 clean runs of a 5-block cell: every block starts once per run,
+        # on one process or the other, and the helper starts some of them
+        import lrdwaved.bench as bench_module
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        caller, real = os.getpid(), bench_module._observations
+        starts = shared_ints(2 * 5).reshape(2, 5)  # per process (caller, helper), per block
+
+        def observations(cell, reps):
+            starts[int(os.getpid() != caller), reps.start // bench_module.BLOCK] += 1
+            return real(cell, reps)
+
+        monkeypatch.setattr(bench_module, "_observations", observations)
+        forks, _, _ = self._count_forks(monkeypatch)
+        for _ in range(20):
+            run_benchmark(small_config(replications=36))
+        assert len(forks) == 20
+        assert starts.sum(axis=0).tolist() == [20] * 5
+        assert starts[1].sum() > 0
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_no_descriptor_outlives_a_forked_cell(self, monkeypatch):
+        # the open descriptors are the same before and after a clean forked
+        # cell, one with a failing block and one whose caller is interrupted
+        import lrdwaved.bench as bench_module
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        caller, real = os.getpid(), bench_module._observations
+        forks, _, _ = self._count_forks(monkeypatch)
+
+        def failing(cell, reps):
+            if reps.start == 8:
+                raise ValueError("injected failure")
+            return real(cell, reps)
+
+        def interrupted(cell, reps):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            return real(cell, reps)
+
+        for observations, raised in [(real, None), (failing, RuntimeError),
+                                     (interrupted, KeyboardInterrupt)]:
+            monkeypatch.setattr(bench_module, "_observations", observations)
+            before = sorted(os.listdir("/proc/self/fd"))
+            if raised is None:
+                run_benchmark(small_config(replications=36))
+            else:
+                with pytest.raises(raised):
+                    run_benchmark(small_config(replications=36))
+            assert sorted(os.listdir("/proc/self/fd")) == before
+        assert len(forks) == 3
+
+    def test_forked_cell_imports_no_multiprocessing(self):
+        # a fresh interpreter given two CPUs forks a helper for a 36-replication
+        # cell and never imports multiprocessing, whose import stays resident
+        import lrdwaved
+
+        src = str(Path(lrdwaved.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        script = "\n".join([
+            "import os, sys",
+            "os.sched_getaffinity = lambda pid: {0, 1}",
+            "forks, real_fork = [], os.fork",
+            "def fork():",
+            "    pid = real_fork()",
+            "    forks.append(pid)",
+            "    return pid",
+            "os.fork = fork",
+            "from lrdwaved.bench import run_benchmark",
+            "from lrdwaved.signals import ExperimentConfig",
+            "run_benchmark(ExperimentConfig('cusp', n=1024, alpha=0.6, replications=36, seed=3))",
+            "print(len(forks), 'multiprocessing' in sys.modules)",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1", "False"]
 
     def test_fork_after_openblas_threads_gives_the_serial_bytes(self, monkeypatch):
         # lstsq starts the BLAS library's own threads, which a fork does not
