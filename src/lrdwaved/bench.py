@@ -14,8 +14,8 @@ import numpy as np
 from .estimator import _block_pass
 from .meyer import _spectra
 from .noise import derive_rng
-from .signals import ExperimentConfig, _clean_cell, _observations, resolve_smoothing
-from .thresholds import DEFAULT_SMOOTHING, _method_alpha
+from .signals import ExperimentConfig, _clean_cell, _observations
+from .thresholds import DEFAULT_SMOOTHING, _method_alpha, resolve_smoothing
 
 __all__ = [
     "MethodResult",

@@ -40,9 +40,8 @@ from .signals import (
     _clean_cell,
     _noisy_problem,
     gamma_kernel,
-    resolve_smoothing,
 )
-from .thresholds import DEFAULT_COARSE_LEVEL, DEFAULT_SMOOTHING, _method_alpha
+from .thresholds import DEFAULT_COARSE_LEVEL, DEFAULT_SMOOTHING, _method_alpha, resolve_smoothing
 
 ENV_SEED = "LRDWAVED_SEED"
 # flags that name an input file; provenance records the file's bytes, not its path
@@ -501,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="run the estimator on a dataset CSV")
     p.add_argument("input", help="dataset CSV with columns t,y[,f_true,...]")
-    p.add_argument("--method", choices=("iid", "lrd"), default="iid")
+    p.add_argument("--method", choices=tuple(DEFAULT_SMOOTHING), default="iid")
     _add_model_flags(p, omit=("--signal", "--n", "--snr", "--noise-kind"))
     p.set_defaults(nu=None, kernel_scale=None)  # None marks a flag not given
     p.add_argument(
@@ -532,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rates", help="rate-of-convergence experiment")
     _add_model_flags(p, omit=("--n", "--kernel-scale"))
-    p.add_argument("--method", choices=("iid", "lrd"), default="lrd")
+    p.add_argument("--method", choices=tuple(DEFAULT_SMOOTHING), default="lrd")
     _add_smoothing_flags(p)
     p.add_argument("--n-grid", default="1024,2048,4096,8192,16384")
     p.add_argument("--replications", type=int, default=32)

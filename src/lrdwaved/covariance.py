@@ -87,7 +87,7 @@ class KernelSpec:
     def _band_coefficients(self, plan, band: str) -> np.ndarray:
         """Kernel coefficients over ``plan``'s band; raises, naming ``band``, if any vanishes."""
         coeffs = self.fourier[plan.index]
-        dead = np.abs(coeffs) == 0.0
+        dead = np.abs(coeffs) < np.finfo(float).tiny  # a subnormal |K_hat| overflows 1/K_hat
         if np.any(dead):
             ell = int(plan.frequencies[np.argmax(dead)])
             raise ValueError(f"kernel Fourier coefficient vanishes at frequency {ell} ({band})")

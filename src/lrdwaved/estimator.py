@@ -23,9 +23,8 @@ from .thresholds import (
     DEFAULT_COARSE_LEVEL,
     ThresholdPolicy,
     _check_smoothing,
+    _lambda,
     _method_alpha,
-    _tau,
-    c_n,
 )
 
 __all__ = [
@@ -283,10 +282,10 @@ def _block_pass(
     The stopping rule scans every row together, and Y_hat / K_hat is
     analysed once per level; the pass then drops ``spectra``, so a stack
     passed with no other reference is freed before synthesis.  Each level up
-    to the largest fine level is thresholded as one stack of all rows at
-    ``build_policy``'s lambda = smoothing * tau(j) * (sigma_hat * c_n), one
-    vector product with tau read only for methods with a row at j; a row
-    above its own fine level gets lambda = +inf and coefficients set to 0.
+    to the largest fine level is thresholded as one stack of all rows; each
+    method's rows at level j take one ``thresholds._lambda`` call, so tau is
+    read only for methods with a row at j, and a row above its own fine
+    level gets lambda = +inf and coefficients set to 0.
     One ``meyer._synthesize`` call gives every row's samples, a view of a
     (B*m, n) spectrum that no later pass reuses.
     """
@@ -295,7 +294,6 @@ def _block_pass(
     alphas = [_method_alpha(method, alpha) for method, _ in methods]
     for _, smoothing in methods:
         _check_smoothing(smoothing)
-    smoothings = np.array([smoothing for _, smoothing in methods])
     m = len(methods)
     problem_of, method_of = np.divmod(np.arange(len(spectra) * m), m)
     sigmas = sigma_hats[problem_of]
@@ -310,15 +308,13 @@ def _block_pass(
 
     scale, raw = _deconvolve(spectra, kernel, j0, int(levels.max()))
     del spectra
-    c_ns = np.array([c_n(n, a) for a in alphas])
-    factors = sigmas * c_ns[method_of]
     detail, lambdas, counts = {}, {}, {}
     for j, coeffs in raw.items():
         above = levels < j
-        taus = np.zeros(m)
-        for i in set(method_of[~above].tolist()):
-            taus[i] = _tau(methods[i][0], j, kernel, alphas[i])
-        lambdas[j] = np.where(above, np.inf, smoothings[method_of] * taus[method_of] * factors)
+        lambdas[j] = np.full(problem_of.size, np.inf)
+        for i, (method, smoothing) in enumerate(methods):
+            if (rows := (method_of == i) & ~above).any():
+                lambdas[j][rows] = _lambda(method, smoothing, j, kernel, alpha, sigmas[rows])
         detail[j] = _threshold_rows(coeffs[problem_of], lambdas[j])
         detail[j][above] = 0.0
         counts[j] = np.count_nonzero(detail[j], axis=1)

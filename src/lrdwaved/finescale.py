@@ -154,8 +154,9 @@ def _channel(kernel, noise_alpha: float, sigma_hats, rngs, lo: int, hi: int) -> 
     A None stream leaves its row noiseless.
     """
     sigma_hats = np.asarray(sigma_hats, dtype=float)
-    if np.any(sigma_hats <= 0):
-        raise ValueError(f"sigma_hat must be positive, got {sigma_hats.min()}")
+    bad = ~(np.isfinite(sigma_hats) & (sigma_hats > 0))
+    if bad.any():
+        raise ValueError(f"sigma_hat must be positive and finite, got {sigma_hats[bad][0]}")
     # one buffer, updated in place: temporaries of its size cost more than the arithmetic
     out = np.zeros((len(rngs), hi - lo), dtype=complex)
     for row, rng in zip(out, rngs):

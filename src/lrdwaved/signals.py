@@ -18,7 +18,7 @@ import numpy as np
 from .covariance import KernelSpec
 from .estimator import DeconvolutionProblem
 from .noise import NOISE_KINDS, NoiseModel, _stream_words
-from .thresholds import DEFAULT_SMOOTHING, _check_smoothing, _method_alpha
+from .thresholds import DEFAULT_SMOOTHING, _method_alpha, resolve_smoothing
 
 __all__ = [
     "SIGNAL_NAMES",
@@ -186,27 +186,6 @@ class ExperimentConfig:
         """Every field by name, tuples as lists."""
         values = {f.name: getattr(self, f.name) for f in fields(self)}
         return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
-
-
-def resolve_smoothing(spec: str | float, alpha: float) -> float:
-    """Map a smoothing spec ("sqrt6", "sqrtalpha", "sqrt2alpha" or a number)."""
-    if isinstance(spec, (int, float)):
-        value = float(spec)
-    else:
-        key = spec.lower()
-        if key == "sqrt6":
-            value = math.sqrt(6.0)
-        elif key == "sqrtalpha":
-            value = math.sqrt(alpha)
-        elif key == "sqrt2alpha":
-            value = math.sqrt(2.0 * alpha)
-        else:
-            try:
-                value = float(spec)
-            except ValueError:
-                raise ValueError(f"unknown smoothing spec {spec!r}") from None
-    _check_smoothing(value, "smoothing")
-    return value
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Per-level hard thresholds and the theoretical fine resolution level.
+"""Per-level hard thresholds, their smoothing specs and the theoretical fine resolution level.
 
 Both methods share the shape lambda_j = smoothing * tau_j * c_n with natural
 logarithms throughout:
@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 DEFAULT_COARSE_LEVEL = 3
-# each method's default smoothing spec, eta for IID and xi for LRD (the CLI's --eta and --xi)
+# each method's default smoothing spec, eta for IID and xi for LRD; its keys name the methods
 DEFAULT_SMOOTHING = {"iid": "sqrt6", "lrd": "sqrt2alpha"}
 
 
@@ -90,10 +90,15 @@ def build_policy(
     if n != kernel.n:
         raise ValueError(f"grid length n={n} disagrees with the kernel's length {kernel.n}")
     _check_levels(n, j0, j1)
-    assumed = _method_alpha(method, alpha)
-    factor = sigma_hat * c_n(n, assumed)
-    lambdas = {j: smoothing * _tau(method, j, kernel, assumed) * factor for j in range(j0, j1 + 1)}
-    return ThresholdPolicy(method, smoothing, sigma_hat, assumed, n, lambdas)
+    levels = range(j0, j1 + 1)
+    lambdas = {j: _lambda(method, smoothing, j, kernel, alpha, sigma_hat) for j in levels}
+    return ThresholdPolicy(method, smoothing, sigma_hat, _method_alpha(method, alpha), n, lambdas)
+
+
+def _lambda(method: str, smoothing: float, j: int, kernel: KernelSpec, alpha: float, sigma_hats):
+    """lambda_j = smoothing * tau_j * (sigma_hat * c_n) at the method's alpha; one per sigma_hat."""
+    a = _method_alpha(method, alpha)
+    return smoothing * _tau(method, j, kernel, a) * (sigma_hats * c_n(kernel.n, a))
 
 
 def _check_smoothing(smoothing: float, what: str = "smoothing constant") -> None:
@@ -104,10 +109,31 @@ def _check_smoothing(smoothing: float, what: str = "smoothing constant") -> None
         raise ValueError(f"{what} must be positive, got {smoothing}")
 
 
+def resolve_smoothing(spec: str | float, alpha: float) -> float:
+    """Map a smoothing spec ("sqrt6", "sqrtalpha", "sqrt2alpha" or a number)."""
+    if isinstance(spec, (int, float)):
+        value = float(spec)
+    else:
+        key = spec.lower()
+        if key == "sqrt6":
+            value = math.sqrt(6.0)
+        elif key == "sqrtalpha":
+            value = math.sqrt(alpha)
+        elif key == "sqrt2alpha":
+            value = math.sqrt(2.0 * alpha)
+        else:
+            try:
+                value = float(spec)
+            except ValueError:
+                raise ValueError(f"unknown smoothing spec {spec!r}") from None
+    _check_smoothing(value, "smoothing")
+    return value
+
+
 def _method_alpha(method: str, alpha: float) -> float:
     """The dependence level ``method`` assumes on data at ``alpha``: alpha for LRD, 1 for IID."""
-    if method not in ("lrd", "iid"):
-        raise ValueError(f"unknown method {method!r}; choose from ('iid', 'lrd')")
+    if method not in DEFAULT_SMOOTHING:
+        raise ValueError(f"unknown method {method!r}; choose from {tuple(DEFAULT_SMOOTHING)}")
     return alpha if method == "lrd" else 1.0
 
 

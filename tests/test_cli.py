@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -239,6 +240,25 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert "leaves frequency 41 unset" in err
         assert not (tmp_path / "kf" / "estimate.csv").exists()
+
+    def test_kernel_file_subnormal_coefficient_rejected(self, tmp_path, capsys):
+        # K_hat[+-20] = 1e-320 would overflow Y_hat / K_hat: exit 0 with every f_hat NaN
+        from lrdwaved.signals import gamma_kernel
+
+        run_cli(["simulate", "--signal", "cusp", "--n", 1024, "--alpha", 0.6, "--seed", 0,
+                 "--out", tmp_path])
+        fourier = gamma_kernel(1024).fourier.copy()
+        fourier[[20, -20]] = 1e-320
+        ells = range(-511, 512)
+        rows = [f"{ell},{float(c.real)!r},{float(c.imag)!r}" for ell, c in zip(ells, fourier[ells])]
+        (tmp_path / "kernel.csv").write_text("\n".join(["ell,re,im"] + rows) + "\n")
+        code = run_cli(["estimate", tmp_path / "dataset.csv", "--kernel-file",
+                        tmp_path / "kernel.csv", "--method", "iid", "--alpha", 0.6,
+                        "--j1", 5, "--out", tmp_path / "kf"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert re.search(r"kernel Fourier coefficient vanishes at frequency -?20 ", err), err
+        assert not (tmp_path / "kf").exists()
 
     def test_kernel_file_explicit_zero_rows_allowed(self, tmp_path):
         kfile = self._kernel_file(tmp_path, range(-512, 512), zero_beyond=300)

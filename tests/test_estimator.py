@@ -16,7 +16,7 @@ from lrdwaved.estimator import (
 )
 from lrdwaved.meyer import WaveletCoefficients, forward_transform, inverse_transform
 from lrdwaved.noise import derive_rng
-from lrdwaved.signals import blur, gamma_kernel, make_signal
+from lrdwaved.signals import ExperimentConfig, blur, gamma_kernel, generate_dataset, make_signal
 from lrdwaved.thresholds import ThresholdPolicy
 
 
@@ -190,6 +190,16 @@ class TestDeconvolveCoefficients:
             )
             with pytest.raises(ValueError, match=rf"frequency {ell} \({band}\)"):
                 deconvolve_coefficients(problem, 3, 5)
+
+    def test_subnormal_kernel_coefficient_named(self):
+        # |K_hat| = 1e-320 is not zero but overflows Y_hat / K_hat to inf, which the
+        # analysis turns into NaN coefficients: it is refused as vanishing
+        problem, _ = generate_dataset(ExperimentConfig("cusp", n=1024, alpha=0.6))
+        fourier = problem.kernel.fourier.copy()
+        fourier[[20, -20]] = 1e-320
+        problem = DeconvolutionProblem(problem.observations, KernelSpec(fourier), alpha=0.6)
+        with pytest.raises(ValueError, match=r"vanishes at frequency -?20 \(level 4\)"):
+            deconvolve_coefficients(problem, 3, 5)
 
     def test_kernel_bands_gathered_once_per_kernel_value(self, monkeypatch):
         # the validated band coefficients are cached by (kernel value, level) and

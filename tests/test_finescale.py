@@ -132,6 +132,23 @@ class TestKernelChannel:
         with pytest.raises(ValueError, match="sigma_hat must be positive"):
             _channel(gamma_kernel(256), 0.5, [0.3, -1.0], [None, None], 0, 127)
 
+    @pytest.mark.parametrize("sigma_hat", [math.nan, math.inf])
+    def test_non_finite_sigma_refused_by_kernel_channel(self, sigma_hat):
+        # a NaN sigma_hat would give an all-NaN channel
+        with pytest.raises(ValueError, match="sigma_hat must be positive"):
+            kernel_channel(gamma_kernel(1024), 0.6, sigma_hat, None)
+
+    def test_non_finite_sigma_refused_by_fine_level_details(self):
+        # a NaN channel never crosses its cutoff, so the stop would saturate silently
+        problem, _ = generate_dataset(ExperimentConfig("cusp", n=1024, alpha=0.6))
+        with pytest.raises(ValueError, match="sigma_hat must be positive"):
+            fine_level_details(problem, 0.6, sigma_hat=math.nan, rng=derive_rng(1))
+
+    def test_non_finite_sigma_refused_by_lemma_bracket(self):
+        # a NaN channel would give the saturated bracket (511, 511)
+        with pytest.raises(ValueError, match="sigma_hat must be positive"):
+            lemma_bracket(gamma_kernel(1024), 0.6, math.nan, 1024**-0.5)
+
     def test_stacked_rows_equal_one_row_channels(self):
         # rows of several problems, each divided by its own sigma_hat
         n, alpha = 512, 0.6

@@ -1,3 +1,4 @@
+import argparse
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from lrdwaved.covariance import KernelSpec, VarianceTable
 from lrdwaved.signals import gamma_kernel
 from lrdwaved.thresholds import (
+    DEFAULT_SMOOTHING,
     ThresholdPolicy,
     build_policy,
     c_n,
@@ -153,3 +155,31 @@ class TestBuildPolicy:
         with pytest.raises(ValueError):
             build_policy("ridge", identity_kernel(n), n, 1.0, 1.0, 1.0, 3, 5)
 
+
+class TestMethodList:
+    def test_cli_method_choices_are_the_method_list(self):
+        from lrdwaved.cli import build_parser
+
+        subparsers = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        for command in ("estimate", "rates"):
+            (method,) = [a for a in subparsers.choices[command]._actions if a.dest == "method"]
+            assert tuple(method.choices) == tuple(DEFAULT_SMOOTHING)
+
+    def test_unknown_method_gets_one_message(self):
+        from lrdwaved.estimator import DeconvolutionProblem, run_estimator
+        from lrdwaved.signals import ExperimentConfig
+
+        n = 256
+        problem = DeconvolutionProblem(np.random.default_rng(2).standard_normal(n),
+                                       gamma_kernel(n), alpha=0.6)
+        message = f"unknown method 'bogus'; choose from {tuple(DEFAULT_SMOOTHING)}"
+        for refuse in (
+            lambda: ExperimentConfig("cusp", n=n, methods=("bogus",), smoothing=("1",)),
+            lambda: build_policy("bogus", gamma_kernel(n), n, 0.6, 1.0, 1.0, 3, 5),
+            lambda: run_estimator(problem, "bogus", 1.0),
+        ):
+            with pytest.raises(ValueError) as info:
+                refuse()
+            assert info.value.args == (message,)
