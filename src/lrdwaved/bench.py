@@ -15,7 +15,7 @@ from .estimator import _block_pass
 from .meyer import _spectra
 from .noise import derive_rng
 from .signals import ExperimentConfig, _clean_cell, _observations
-from .thresholds import DEFAULT_SMOOTHING, _method_alpha, resolve_smoothing
+from .thresholds import DEFAULT_SMOOTHING, _check_alpha, _method_alpha, resolve_smoothing
 
 __all__ = [
     "MethodResult",
@@ -85,43 +85,43 @@ def _cpus() -> int:
 def _share_blocks(run_block, blocks: list[range], done: np.ndarray) -> None:
     """Run ``blocks`` on this process and one child helper, marking each finished one done.
 
-    The next block's index is the one 8-byte message in a pipe the two
-    processes share.  A process claims block k by reading it, which leaves
-    the other waiting on an empty pipe, and writes back k + 1; a process
-    whose block fails takes the message and writes ``len(blocks)``, so
-    neither starts another.  The write back sits in a ``finally`` and falls
-    back to an index past the last block, so no exception leaves the pipe
-    empty.  The helper leaves only through ``os._exit``: it never returns
-    into the caller's stack nor flushes its stdio.  It is reaped, and both
-    pipe ends closed, before this returns or raises; an interrupted or
-    failing caller kills it first.  A block that failed, that no one reached
-    or that a dead helper held is left undone; so is every block when the
-    pipe or the fork cannot be made.
+    The block indices wait in a pipe as a queue of 4-byte messages, written
+    with one non-blocking write and the write end closed before the fork, so
+    after it no process writes to the pipe.  A process claims a block by
+    reading one message; a shorter read means the queue is empty, and with
+    no writer left that read never blocks, even when the other process died
+    holding an index.  A process whose block fails reads every message left,
+    so neither starts another.  The helper leaves only through
+    ``os._exit``: it never returns into the caller's stack nor flushes its
+    stdio.  It is reaped, and the pipe closed, before this returns or raises;
+    an interrupted or failing caller kills it first.  A block that failed,
+    that no one reached, that a dead helper held or that the pipe could not
+    hold is left undone; so is every block when the pipe, its fill or the
+    fork cannot be made.
     """
     try:
         fd_in, fd_out = os.pipe()
     except OSError:  # no descriptor to spare: every block is left to the caller
         return
 
-    def claim(stop: bool = False) -> int:
-        k = len(blocks)
-        try:
-            k = int.from_bytes(os.read(fd_in, 8), "little")
-        finally:
-            os.write(fd_out, (len(blocks) if stop else k + 1).to_bytes(8, "little"))
-        return k
-
     def work() -> None:
-        while (k := claim()) < len(blocks):
+        while len(index := os.read(fd_in, 4)) == 4:
+            k = int.from_bytes(index, "little")
             try:
                 run_block(blocks[k])
             except Exception:
-                claim(stop=True)
+                os.read(fd_in, 4 * len(blocks))  # empty the queue
                 return
             done[k] = True  # only after the block's columns are written
 
     try:
-        os.write(fd_out, (0).to_bytes(8, "little"))
+        try:
+            os.set_blocking(fd_out, False)  # a full pipe takes a prefix, never waits
+            os.write(fd_out, np.arange(len(blocks), dtype="<u4").tobytes())
+        except OSError:  # every block is left to the caller
+            return
+        finally:
+            os.close(fd_out)
         try:
             pid = os.fork()
         except OSError:  # no process to spare: every block is left to the caller
@@ -140,7 +140,6 @@ def _share_blocks(run_block, blocks: list[range], done: np.ndarray) -> None:
             raise
     finally:
         os.close(fd_in)
-        os.close(fd_out)
 
 
 def run_benchmark(config: ExperimentConfig, threads: int = 1) -> BenchResult:
@@ -157,12 +156,12 @@ def run_benchmark(config: ExperimentConfig, threads: int = 1) -> BenchResult:
 
     Every cell keeps its results and a done flag per block in one anonymous
     mapping.  A cell of two or more blocks runs its blocks on the calling
-    process and one helper it forks for this call, which shares that mapping
-    and claims blocks from a counter held in one pipe (see ``_share_blocks``),
-    when the process may use two or more CPUs and runs no other Python
-    thread (forking beside a live thread can deadlock the helper); a block
-    reads only its own streams and writes only its own columns, so every
-    output byte is the serial run's.
+    process and one helper it forks for this call, which shares that mapping,
+    when the process may use two or more CPUs and runs no other Python thread
+    (forking beside a live thread can deadlock the helper).  Both processes
+    claim blocks from one queue of block indices, filled before the fork
+    (see ``_share_blocks``); a block reads only its own streams and writes
+    only its own columns, so every output byte is the serial run's.
     Otherwise the cell runs serially on the caller: a one-block cell, a
     process pinned to one CPU, a platform without an affinity call, or a
     process with another thread alive.  The helper is reaped before the
@@ -250,8 +249,7 @@ def rate_exponent(s: float, p: float, nu: float, alpha: float, pi: float) -> flo
         raise ValueError(f"loss exponent p must exceed 1, got {p}")
     if pi < 1:
         raise ValueError(f"Besov integrability pi must be >= 1, got {pi}")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    _check_alpha(alpha)
     if nu < 0:
         raise ValueError(f"nu must be nonnegative, got {nu}")
     lower = 1.0 / pi - nu - alpha / 2.0

@@ -22,6 +22,7 @@ from .meyer import WaveletCoefficients
 from .thresholds import (
     DEFAULT_COARSE_LEVEL,
     ThresholdPolicy,
+    _check_alpha,
     _check_smoothing,
     _lambda,
     _method_alpha,
@@ -61,8 +62,7 @@ class DeconvolutionProblem:
             raise ValueError("observations must be finite (found NaN or inf)")
         if y.shape[0] != self.kernel.n:
             raise ValueError("observation grid and kernel grid disagree")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        _check_alpha(self.alpha)
 
     @property
     def n(self) -> int:
@@ -136,7 +136,8 @@ def _deconvolve(
     """``deconvolve_coefficients`` of every row of a (B, n) stack of spectra.
 
     Returns the (B, 2^j0) scale stack and a (B, 2^j) detail stack per level;
-    each band is analysed once for the whole stack.
+    each band is analysed once for the whole stack.  Raises ValueError, naming
+    the level, if any coefficient is not finite (Y_hat / K_hat can overflow).
     """
     n = spectra.shape[-1]
     meyer._check_levels(n, j0, j1)
@@ -146,11 +147,19 @@ def _deconvolve(
 
     # Y_hat / K_hat is needed on the bands only
     scale = meyer._analyze(np.take(spectra, plan.index, axis=-1) / scale_kernel, plan, "scale")
+    _check_finite(scale, f"scale level {j0}")
     detail = {}
     for j, coeffs in detail_kernel.items():
         band = meyer._detail_plan(j, n)
         detail[j] = meyer._analyze(np.take(spectra, band.index, axis=-1) / coeffs, band, "detail")
+        _check_finite(detail[j], f"detail level {j}")
     return scale, detail
+
+
+def _check_finite(coeffs: np.ndarray, where: str) -> None:
+    """Raise unless every deconvolved coefficient at ``where`` is finite."""
+    if not np.isfinite(coeffs).all():
+        raise ValueError(f"deconvolved coefficients at {where} are not finite")
 
 
 # validated kernel coefficients keyed by the kernel's value and the level: a cell's blocks
@@ -282,10 +291,11 @@ def _block_pass(
     The stopping rule scans every row together, and Y_hat / K_hat is
     analysed once per level; the pass then drops ``spectra``, so a stack
     passed with no other reference is freed before synthesis.  Each level up
-    to the largest fine level is thresholded as one stack of all rows; each
-    method's rows at level j take one ``thresholds._lambda`` call, so tau is
-    read only for methods with a row at j, and a row above its own fine
-    level gets lambda = +inf and coefficients set to 0.
+    to the largest fine level is thresholded as one stack of all rows; a
+    method with a row at level j takes one ``thresholds._lambda`` call over
+    every dataset's sigma_hat, so tau is read only for methods with a row at
+    j, and a row above its own fine level gets lambda = +inf, which zeroes
+    its coefficients (``_deconvolve`` has checked that they are finite).
     One ``meyer._synthesize`` call gives every row's samples, a view of a
     (B*m, n) spectrum that no later pass reuses.
     """
@@ -312,11 +322,11 @@ def _block_pass(
     for j, coeffs in raw.items():
         above = levels < j
         lambdas[j] = np.full(problem_of.size, np.inf)
-        for i, (method, smoothing) in enumerate(methods):
-            if (rows := (method_of == i) & ~above).any():
-                lambdas[j][rows] = _lambda(method, smoothing, j, kernel, alpha, sigmas[rows])
+        for i, (method, smoothing) in enumerate(methods):  # method i is column i of (B, m)
+            if not above[i::m].all():
+                lambdas[j][i::m] = _lambda(method, smoothing, j, kernel, alpha, sigma_hats)
+        lambdas[j][above] = np.inf  # zeroes every (finite) coefficient of the row
         detail[j] = _threshold_rows(coeffs[problem_of], lambdas[j])
-        detail[j][above] = 0.0
         counts[j] = np.count_nonzero(detail[j], axis=1)
     del raw
     kept = sum(counts.values())

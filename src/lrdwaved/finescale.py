@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .covariance import z_var
-from .thresholds import DEFAULT_COARSE_LEVEL, fine_level_theoretical
+from .thresholds import DEFAULT_COARSE_LEVEL, _check_alpha, fine_level_theoretical
 
 __all__ = [
     "OPERATIONAL_LOG_POWER",
@@ -72,6 +72,7 @@ _FIRST_WIDTH = 128
 @lru_cache(maxsize=32)
 def _cutoffs(n_freq: int, alpha: float, epsilon: float, log_power: float) -> np.ndarray:
     """Read-only cutoff(l) for l = 1..n_freq, cached by value."""
+    _check_alpha(alpha)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     ells = np.arange(1, n_freq + 1, dtype=float)

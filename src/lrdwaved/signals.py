@@ -18,7 +18,7 @@ import numpy as np
 from .covariance import KernelSpec
 from .estimator import DeconvolutionProblem
 from .noise import NOISE_KINDS, NoiseModel, _stream_words
-from .thresholds import DEFAULT_SMOOTHING, _method_alpha, resolve_smoothing
+from .thresholds import DEFAULT_SMOOTHING, _check_alpha, _method_alpha, resolve_smoothing
 
 __all__ = [
     "SIGNAL_NAMES",
@@ -165,8 +165,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.n < 32 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 32, got {self.n}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        _check_alpha(self.alpha)
         _check_kernel_flags(self.nu, self.kernel_scale)
         if not math.isfinite(self.snr_db):
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")

@@ -31,10 +31,17 @@ DEFAULT_COARSE_LEVEL = 3
 DEFAULT_SMOOTHING = {"iid": "sqrt6", "lrd": "sqrt2alpha"}
 
 
+def _check_alpha(alpha: float) -> None:
+    """Raise unless the dependence level lies in (0, 1]; NaN does not."""
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+
+
 def c_n(n: int, alpha: float) -> float:
     """Sample-size factor sqrt(n^-alpha log n), natural log."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    _check_alpha(alpha)
     return math.sqrt(n ** (-alpha) * math.log(n))
 
 
@@ -42,8 +49,7 @@ def fine_level_theoretical(n: int, alpha: float, nu: float) -> int:
     """j1 with 2^j1 = (n^alpha / log n)^(1/(alpha + 2 nu)), floored."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    _check_alpha(alpha)
     if nu < 0.0:
         raise ValueError(f"nu must be nonnegative, got {nu}")
     value = (n**alpha / math.log(n)) ** (1.0 / (alpha + 2.0 * nu))

@@ -724,6 +724,103 @@ class TestRunBenchmark:
         assert forks == []
         assert self._outputs(result) == serial
 
+    def test_short_fill_leaves_the_rest_to_the_caller(self, monkeypatch):
+        # a pipe that takes only the first 2 of 5 block indices: the two
+        # processes share blocks 0 and 1, and the caller runs blocks 2-4
+        # after the helper is reaped; every block runs once
+        import lrdwaved.bench as bench_module
+
+        config = small_config(replications=36)
+        serial = self._serial_outputs(monkeypatch, config)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        caller, real = os.getpid(), bench_module._observations
+        starts = shared_ints(2 * 5).reshape(2, 5)  # per process (caller, helper), per block
+        real_write, writes = os.write, []
+
+        def write(fd, data):
+            writes.append(len(data))
+            return real_write(fd, data[:8])
+
+        def observations(cell, reps):
+            starts[int(os.getpid() != caller), reps.start // bench_module.BLOCK] += 1
+            return real(cell, reps)
+
+        monkeypatch.setattr(os, "write", write)
+        monkeypatch.setattr(bench_module, "_observations", observations)
+        forks, reaps, _ = self._count_forks(monkeypatch)
+        result = run_benchmark(config)
+        assert writes == [4 * 5]
+        assert len(forks) == 1 and reaps == [(forks[0], 0)]
+        assert starts.sum(axis=0).tolist() == [1] * 5
+        assert starts[1, 2:].sum() == 0
+        assert self._outputs(result) == serial
+
+    def test_failed_fill_runs_the_cell_serially(self, monkeypatch):
+        # a fill refused by the pipe leaves every block to the caller, as a
+        # refused pipe does, and no helper is forked
+        config = small_config(replications=36)
+        serial = self._serial_outputs(monkeypatch, config)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+        def write(fd, data):
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "write", write)
+        forks, _, _ = self._count_forks(monkeypatch)
+        result = run_benchmark(config)
+        assert forks == []
+        assert self._outputs(result) == serial
+
+    def test_helper_killed_holding_a_block_gives_the_serial_bytes(self):
+        # a fresh interpreter given two CPUs: the helper claims block 0 and
+        # is SIGKILLed right after its read returns, before running it; the
+        # caller, which waits for that claim, runs blocks 1-4, reaps the
+        # helper and reruns block 0.  The cell finishes with the serial MSEs
+        # and leaves no child behind
+        import lrdwaved
+
+        src = str(Path(lrdwaved.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        script = "\n".join([
+            "import mmap, os, signal, time",
+            "import numpy as np",
+            "from lrdwaved.bench import run_benchmark",
+            "from lrdwaved.signals import ExperimentConfig",
+            "config = ExperimentConfig('cusp', n=1024, alpha=0.6, replications=36, seed=3)",
+            "os.sched_getaffinity = lambda pid: {0}",
+            "serial = [m.mses.tobytes() for m in run_benchmark(config).methods]",
+            "os.sched_getaffinity = lambda pid: {0, 1}",
+            "taken = np.frombuffer(mmap.mmap(-1, 8), np.int64)  # the helper's index + 1",
+            "caller, real_read, real_waitpid, reaps = os.getpid(), os.read, os.waitpid, []",
+            "def read(fd, count):",
+            "    if os.getpid() == caller:",
+            "        deadline = time.monotonic() + 10",
+            "        while not taken[0] and time.monotonic() < deadline:",
+            "            time.sleep(1e-3)",
+            "        return real_read(fd, count)",
+            "    data = real_read(fd, count)",
+            "    taken[0] = int.from_bytes(data, 'little') + 1",
+            "    os.kill(os.getpid(), signal.SIGKILL)",
+            "def waitpid(pid, options):",
+            "    reaps.append(real_waitpid(pid, options))",
+            "    return reaps[-1]",
+            "os.read, os.waitpid = read, waitpid",
+            "result = run_benchmark(config)",
+            "(_, status), = reaps",
+            "try:",
+            "    os.waitpid(-1, os.WNOHANG)",
+            "    children = True",
+            "except ChildProcessError:",
+            "    children = False",
+            "killed = os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL",
+            "print(int(taken[0]) - 1, killed, children,",
+            "      [m.mses.tobytes() for m in result.methods] == serial)",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "True", "False", "True"]
+
     def test_each_block_runs_once_across_both_processes(self, monkeypatch):
         # 20 clean runs of a 5-block cell: every block starts once per run,
         # on one process or the other, and the helper starts some of them

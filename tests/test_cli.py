@@ -260,6 +260,29 @@ class TestEstimate:
         assert re.search(r"kernel Fourier coefficient vanishes at frequency -?20 ", err), err
         assert not (tmp_path / "kf").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the input
+    def test_overflowing_observations_rejected(self, tmp_path, capsys):
+        # y scaled by 3e305 is finite, and so is its sigma_hat (2.79e304), but its
+        # spectrum overflows at frequency 0: exit 0 with every f_hat NaN
+        run_cli(["simulate", "--signal", "cusp", "--n", 1024, "--alpha", 0.6, "--seed", 0,
+                 "--out", tmp_path])
+        dataset = tmp_path / "dataset.csv"
+        lines = dataset.read_text().splitlines()
+        head = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        col = lines[head].split(",").index("y")
+        for i in range(head + 1, len(lines)):
+            row = lines[i].split(",")
+            row[col] = repr(float(row[col]) * 3e305)
+            lines[i] = ",".join(row)
+        dataset.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "est"
+        code = run_cli(["estimate", dataset, "--method", "iid", "--alpha", 0.6, "--j1", 5,
+                        "--out", out])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error: deconvolved coefficients at scale level 3 are not finite" in err
+        assert not out.exists()
+
     def test_kernel_file_explicit_zero_rows_allowed(self, tmp_path):
         kfile = self._kernel_file(tmp_path, range(-512, 512), zero_beyond=300)
         assert self._estimate_with(tmp_path, kfile) == 0

@@ -599,6 +599,23 @@ class TestRunEstimator:
             report = run_estimator(problem, method, 1.0, rng=derive_rng(8, 1))
             assert np.all(np.isfinite(report.estimate))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the input
+    @pytest.mark.parametrize("y_scale, k_hat_20, where", [
+        (3e305, None, "scale level 3"),  # Y_hat overflows at frequency 0
+        (1e20, 1e-300, "detail level 4"),  # Y_hat / K_hat overflows at frequency 20
+    ])
+    def test_non_finite_coefficients_named_by_level(self, y_scale, k_hat_20, where):
+        # finite observations and a finite sigma_hat, yet every f_hat would be NaN
+        problem, _ = generate_dataset(ExperimentConfig("cusp", n=1024, alpha=0.6, seed=0))
+        fourier = problem.kernel.fourier.copy()
+        if k_hat_20 is not None:
+            fourier[[20, -20]] = k_hat_20
+        problem = DeconvolutionProblem(
+            problem.observations * y_scale, KernelSpec(fourier), alpha=0.6
+        )
+        with pytest.raises(ValueError, match=f"deconvolved coefficients at {where} are not"):
+            run_estimator(problem, "iid", math.sqrt(6.0), j1_override=5)
+
     def test_unknown_method(self):
         problem, _ = self._problem()
         with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ from lrdwaved.finescale import (
 )
 from lrdwaved.noise import derive_rng
 from lrdwaved.signals import ExperimentConfig, gamma_kernel, generate_dataset
+from lrdwaved.thresholds import c_n
 
 
 class TestStoppingTime:
@@ -290,3 +291,16 @@ class TestEstimateFineLevel:
         level, stopping = fine_level_details(problem, 0.6, rng=derive_rng(67, 0))
         assert isinstance(stopping, StoppingResult)
         assert level == min(max(stopping.j_hat, 3), 8)
+
+    @pytest.mark.parametrize("alpha", [math.nan, 0.0, 1.7, -1.0])
+    def test_alpha_outside_its_domain_refused(self, alpha):
+        # unchecked, fine_level_details gives a saturated stop at NaN and
+        # levels 3 / 5 / 3 at the others, and c_n(1024, nan) is NaN
+        problem, _ = generate_dataset(ExperimentConfig("cusp", n=1024, alpha=0.6))
+        message = r"alpha must lie in \(0, 1\], got "
+        with pytest.raises(ValueError, match=message):
+            fine_level_details(problem, alpha, rng=derive_rng(1))
+        with pytest.raises(ValueError, match=message):
+            c_n(1024, alpha)
+        with pytest.raises(ValueError, match=message):
+            stopping_time(np.ones(10), alpha, 0.01)
