@@ -13,9 +13,9 @@ import numpy as np
 
 from .estimator import _block_pass
 from .meyer import _spectra
-from .noise import derive_rng
+from .noise import _check_alpha, derive_rng
 from .signals import ExperimentConfig, _clean_cell, _observations
-from .thresholds import DEFAULT_SMOOTHING, _check_alpha, _method_alpha, resolve_smoothing
+from .thresholds import DEFAULT_SMOOTHING, _check_nu, _method_alpha, resolve_smoothing
 
 __all__ = [
     "MethodResult",
@@ -245,16 +245,19 @@ def rate_exponent(s: float, p: float, nu: float, alpha: float, pi: float) -> flo
     Dense branch when s >= (2 nu + alpha)(p / (2 pi) - 1/2); the sparse
     branch additionally requires p > 2 / (2 nu + alpha) to be well defined.
     """
-    if p <= 1:
+    # each comparison is written so that NaN fails it
+    if not p > 1:
         raise ValueError(f"loss exponent p must exceed 1, got {p}")
-    if pi < 1:
+    if not pi >= 1:
         raise ValueError(f"Besov integrability pi must be >= 1, got {pi}")
     _check_alpha(alpha)
-    if nu < 0:
-        raise ValueError(f"nu must be nonnegative, got {nu}")
+    _check_nu(nu)
     lower = 1.0 / pi - nu - alpha / 2.0
-    if s <= lower:
+    if not s > lower:
         raise ValueError(f"need smoothness s > 1/pi - nu - alpha/2 = {lower:.4g}, got {s}")
+    for name, value in (("s", s), ("p", p), ("pi", pi)):
+        if math.isinf(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
     boundary = (2.0 * nu + alpha) * (p / (2.0 * pi) - 0.5)
     if s >= boundary:

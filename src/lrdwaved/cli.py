@@ -32,11 +32,11 @@ from .bench import run_benchmark, run_rate_experiment
 from .covariance import KernelSpec
 from .estimator import DeconvolutionProblem, run_estimator
 from .finescale import fine_level_details
+from .meyer import _check_length
 from .noise import NOISE_KINDS, NoiseModel, _stream_words, derive_rng
 from .signals import (
     SIGNAL_NAMES,
     ExperimentConfig,
-    _check_kernel_flags,
     _clean_cell,
     _noisy_problem,
     gamma_kernel,
@@ -127,12 +127,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _check_n(n: int, flag: str = "--n") -> int:
-    if n < 32 or (n & (n - 1)) != 0:
-        raise ValidationError(f"{flag} must be a power of two >= 32, got {n}")
-    return n
-
-
 def _parse_grid(text: str, flag: str, name: str, kind) -> list:
     """The comma-separated entries of ``flag`` as ``kind``: at least one, none repeated."""
     tokens = [token for token in text.split(",") if token]
@@ -216,7 +210,7 @@ def _experiment_config(
     args, seed: int, methods: tuple, smoothing: tuple, replications: int = 1, **model
 ) -> ExperimentConfig:
     """The model flags (``model`` overrides them), the seed and the command's methods."""
-    _check_n(args.n)
+    _check_length(args.n, "--n")
     model = {**_model(args), **model, "replications": replications, "seed": seed}
     return ExperimentConfig(methods=methods, smoothing=smoothing, **model)
 
@@ -309,18 +303,17 @@ def cmd_estimate(args) -> int:
             setattr(args, name, _DEFAULTS[_FIELD_OF[name]])
         elif args.kernel_file is not None:
             raise ValidationError(f"--{name.replace('_', '-')} does not apply with --kernel-file")
-    _check_kernel_flags(args.nu, args.kernel_scale)
     table = _read_dataset(Path(args.input))
     for col in ("t", "y"):
         if col not in table:
             raise ValidationError(f"dataset {args.input} needs at least columns t,y")
     y = table["y"]
-    n = _check_n(y.shape[0], "dataset length")
+    _check_length(len(y), "dataset length")
 
     if args.kernel_file is not None:
-        kernel = _read_kernel_file(Path(args.kernel_file), n)
+        kernel = _read_kernel_file(Path(args.kernel_file), len(y))
     else:
-        kernel = gamma_kernel(n, shape=args.nu, scale=args.kernel_scale)
+        kernel = gamma_kernel(len(y), shape=args.nu, scale=args.kernel_scale)
     problem = DeconvolutionProblem(observations=y, kernel=kernel, alpha=args.alpha)
 
     _, smoothing = _method_smoothing(args, _method_alpha(args.method, problem.alpha))
@@ -431,7 +424,7 @@ def cmd_table(args) -> int:
 def cmd_rates(args) -> int:
     n_grid = _parse_grid(args.n_grid, "--n-grid", "n", int)
     for n in n_grid:
-        _check_n(n, "--n-grid entry")
+        _check_length(n, "--n-grid entry")
     # grid entry i runs at seed + i
     seed = _resolve_seed(args, runs=len(n_grid))
     _check_threads(args.threads)

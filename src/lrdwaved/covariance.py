@@ -31,6 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .meyer import _band_bounds, _band_fold, _detail_plan, psi_hat
+from .noise import _check_alpha
 
 __all__ = [
     "KernelSpec",
@@ -134,8 +135,7 @@ def tau_level(j: int, kernel: KernelSpec, alpha: float) -> float:
     differ by multiples of 2^j (at level j-1 the contributing members differ
     by exactly 2^j), so tau does not depend on k.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    _check_alpha(alpha)
     hurst = 1.0 - alpha / 2.0
     coeffs = kernel.validate_band(j)
     plan = _detail_plan(j, kernel.n)

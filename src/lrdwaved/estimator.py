@@ -19,11 +19,11 @@ from . import meyer
 from .covariance import KernelSpec
 from .finescale import _fine_levels
 from .meyer import WaveletCoefficients
+from .noise import _check_alpha
 from .thresholds import (
     DEFAULT_COARSE_LEVEL,
     ThresholdPolicy,
-    _check_alpha,
-    _check_smoothing,
+    _check_positive,
     _lambda,
     _method_alpha,
 )
@@ -56,8 +56,9 @@ class DeconvolutionProblem:
         y = np.array(self.observations, dtype=float)
         y.setflags(write=False)
         object.__setattr__(self, "observations", y)
-        if y.ndim != 1 or y.shape[0] < 32 or (y.shape[0] & (y.shape[0] - 1)) != 0:
-            raise ValueError("observations must be a 1-d array of power-of-two length >= 32")
+        if y.ndim != 1:
+            raise ValueError(f"observations must be a 1-d array, got {y.ndim} dimensions")
+        meyer._check_length(y.shape[0], "observation length")
         if not np.all(np.isfinite(y)):
             raise ValueError("observations must be finite (found NaN or inf)")
         if y.shape[0] != self.kernel.n:
@@ -92,8 +93,9 @@ class DeconvolutionProblem:
 def _sigma_hats(spectra: np.ndarray) -> np.ndarray:
     """``sigma_hat`` of every row of a (B, n) stack of spectra: one analysis, row-wise MAD."""
     n = spectra.shape[-1]
-    coeffs = meyer._detail_from_spectrum(spectra, int(math.log2(n)) - 2, n)
-    mad = np.where(np.isfinite(coeffs).all(axis=-1), _mad(coeffs), np.nan)  # NaN if non-finite
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed row gets NaN, refused below
+        coeffs = meyer._detail_from_spectrum(spectra, int(math.log2(n)) - 2, n)
+        mad = np.where(np.isfinite(coeffs).all(axis=-1), _mad(coeffs), np.nan)
     sigma_hats = mad / MAD_TO_SIGMA * math.sqrt(n)
     bad = np.flatnonzero(~(np.isfinite(sigma_hats) & (sigma_hats > 0.0)))
     if bad.size:
@@ -145,14 +147,16 @@ def _deconvolve(
     scale_kernel = _kernel_band(kernel, j0, scale=True)
     detail_kernel = {j: _kernel_band(kernel, j) for j in range(j0, j1 + 1)}
 
-    # Y_hat / K_hat is needed on the bands only
-    scale = meyer._analyze(np.take(spectra, plan.index, axis=-1) / scale_kernel, plan, "scale")
-    _check_finite(scale, f"scale level {j0}")
-    detail = {}
-    for j, coeffs in detail_kernel.items():
-        band = meyer._detail_plan(j, n)
-        detail[j] = meyer._analyze(np.take(spectra, band.index, axis=-1) / coeffs, band, "detail")
-        _check_finite(detail[j], f"detail level {j}")
+    # Y_hat / K_hat is needed on the bands only; what overflows there, _check_finite refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = meyer._analyze(np.take(spectra, plan.index, axis=-1) / scale_kernel, plan, "scale")
+        _check_finite(scale, f"scale level {j0}")
+        detail = {}
+        for j, coeffs in detail_kernel.items():
+            band = meyer._detail_plan(j, n)
+            quotient = np.take(spectra, band.index, axis=-1) / coeffs
+            detail[j] = meyer._analyze(quotient, band, "detail")
+            _check_finite(detail[j], f"detail level {j}")
     return scale, detail
 
 
@@ -303,7 +307,7 @@ def _block_pass(
     sigma_hats = _sigma_hats(spectra)
     alphas = [_method_alpha(method, alpha) for method, _ in methods]
     for _, smoothing in methods:
-        _check_smoothing(smoothing)
+        _check_positive(smoothing, "smoothing constant")
     m = len(methods)
     problem_of, method_of = np.divmod(np.arange(len(spectra) * m), m)
     sigmas = sigma_hats[problem_of]

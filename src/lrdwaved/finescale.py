@@ -34,7 +34,8 @@ from functools import lru_cache
 import numpy as np
 
 from .covariance import z_var
-from .thresholds import DEFAULT_COARSE_LEVEL, _check_alpha, fine_level_theoretical
+from .noise import _check_alpha
+from .thresholds import DEFAULT_COARSE_LEVEL, fine_level_theoretical
 
 __all__ = [
     "OPERATIONAL_LOG_POWER",
@@ -75,6 +76,8 @@ def _cutoffs(n_freq: int, alpha: float, epsilon: float, log_power: float) -> np.
     _check_alpha(alpha)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if not math.isfinite(log_power):
+        raise ValueError(f"log_power must be finite, got {log_power}")
     ells = np.arange(1, n_freq + 1, dtype=float)
     log_term = -2.0 * math.log(epsilon)
     out = ells ** (alpha / 2.0) * epsilon**alpha * log_term**log_power

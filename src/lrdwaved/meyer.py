@@ -163,6 +163,12 @@ def _check_levels(n: int, j0: int, j1: int) -> None:
     _check_grid(n, j1)
 
 
+def _check_length(n: int, what: str) -> None:
+    """Raise unless a data grid's length ``n`` is a power of two >= 32; ``what`` names it."""
+    if n < 32 or (n & (n - 1)) != 0:
+        raise ValueError(f"{what} must be a power of two >= 32, got {n}")
+
+
 def _check_grid(n: int, j1: int) -> None:
     if n < 2 or (n & (n - 1)) != 0:
         raise ValueError(f"grid length must be a power of two, got {n}")
@@ -265,9 +271,12 @@ def _spectra(rows) -> np.ndarray:
     """y_tilde = fft(y) / n of each row of a (rows, n) real stack, bit for bit as for real input.
 
     The forward norm scales by 1/n inside the transform; n is a power of two, so exactly.
+    A row near the float limit overflows to inf or NaN without a numpy warning; the
+    estimator's finite checks on sigma_hat and the deconvolved coefficients refuse it.
     """
     out = np.array(rows, dtype=complex)  # fft casts real input in small chunks, at twice its cost
-    return np.fft.fft(out, axis=-1, out=out, norm="forward")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.fft.fft(out, axis=-1, out=out, norm="forward")
 
 
 def _detail_from_spectrum(spectrum: np.ndarray, j: int, n: int) -> np.ndarray:

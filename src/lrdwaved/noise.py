@@ -86,6 +86,12 @@ def _philox_types():
     return Generator, Philox, FixedKey
 
 
+def _check_alpha(alpha: float) -> None:
+    """Raise unless the dependence level lies in (0, 1]; NaN does not."""
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Dependence level, generator kind and seed for one noise process."""
@@ -95,8 +101,7 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        _check_alpha(self.alpha)
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
 

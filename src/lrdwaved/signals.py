@@ -17,8 +17,9 @@ import numpy as np
 
 from .covariance import KernelSpec
 from .estimator import DeconvolutionProblem
-from .noise import NOISE_KINDS, NoiseModel, _stream_words
-from .thresholds import DEFAULT_SMOOTHING, _check_alpha, _method_alpha, resolve_smoothing
+from .meyer import _check_length
+from .noise import NOISE_KINDS, NoiseModel, _check_alpha, _stream_words
+from .thresholds import DEFAULT_SMOOTHING, _check_positive, _method_alpha, resolve_smoothing
 
 __all__ = [
     "SIGNAL_NAMES",
@@ -101,10 +102,7 @@ def gamma_kernel(n: int, shape: float = 0.7, scale: float = 0.25) -> KernelSpec:
     The density is sampled at cell midpoints (the density is singular at zero
     for shape < 1) and normalized to unit sum, so K_hat[0] = 1 exactly.
     """
-    if not 0.0 < shape <= 1.0:
-        raise ValueError(f"shape must lie in (0, 1], got {shape}")
-    if scale <= 0.0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    _check_kernel_flags(shape, scale)
     mid = (np.arange(n) + 0.5) / n
     weights = _gamma_pdf(mid, shape, scale)
     weights /= weights.sum()
@@ -131,11 +129,10 @@ def calibrate_sigma(blurred: np.ndarray, snr_db: float) -> float:
 
 
 def _check_kernel_flags(nu: float, kernel_scale: float) -> None:
-    """``gamma_kernel``'s shape and scale checks, naming them ``nu`` and ``kernel_scale``."""
+    """Raise unless a Gamma kernel's shape ``nu`` lies in (0, 1] and its scale is finite and > 0."""
     if not 0.0 < nu <= 1.0:
         raise ValueError(f"nu must lie in (0, 1], got {nu}")
-    if not kernel_scale > 0.0:
-        raise ValueError(f"kernel_scale must be positive, got {kernel_scale}")
+    _check_positive(kernel_scale, "kernel_scale")
 
 
 @dataclass(frozen=True)
@@ -163,8 +160,7 @@ class ExperimentConfig:
                 operator.index(value)
             except TypeError:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
-        if self.n < 32 or (self.n & (self.n - 1)) != 0:
-            raise ValueError(f"n must be a power of two >= 32, got {self.n}")
+        _check_length(self.n, "n")
         _check_alpha(self.alpha)
         _check_kernel_flags(self.nu, self.kernel_scale)
         if not math.isfinite(self.snr_db):

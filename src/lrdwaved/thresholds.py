@@ -18,6 +18,7 @@ from functools import lru_cache
 
 from .covariance import KernelSpec, VarianceTable, tau_level, waved_tau_level
 from .meyer import _check_levels
+from .noise import _check_alpha
 
 __all__ = [
     "ThresholdPolicy",
@@ -29,12 +30,6 @@ __all__ = [
 DEFAULT_COARSE_LEVEL = 3
 # each method's default smoothing spec, eta for IID and xi for LRD; its keys name the methods
 DEFAULT_SMOOTHING = {"iid": "sqrt6", "lrd": "sqrt2alpha"}
-
-
-def _check_alpha(alpha: float) -> None:
-    """Raise unless the dependence level lies in (0, 1]; NaN does not."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
 
 
 def c_n(n: int, alpha: float) -> float:
@@ -50,10 +45,17 @@ def fine_level_theoretical(n: int, alpha: float, nu: float) -> int:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     _check_alpha(alpha)
-    if nu < 0.0:
-        raise ValueError(f"nu must be nonnegative, got {nu}")
+    _check_nu(nu)
     value = (n**alpha / math.log(n)) ** (1.0 / (alpha + 2.0 * nu))
     return int(math.floor(math.log2(value)))
+
+
+def _check_nu(nu: float) -> None:
+    """Raise unless the degree of ill-posedness nu is finite and nonnegative; NaN is not."""
+    if not nu >= 0.0:
+        raise ValueError(f"nu must be nonnegative, got {nu}")
+    if math.isinf(nu):
+        raise ValueError(f"nu must be finite, got {nu}")
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,7 @@ def build_policy(
     ``n`` must be the kernel's grid length.  ``variance_table`` is not read;
     it goes with ``VarianceTable``.
     """
-    _check_smoothing(smoothing)
+    _check_positive(smoothing, "smoothing constant")
     if not (math.isfinite(sigma_hat) and sigma_hat > 0):
         raise ValueError(f"noise scale estimate must be finite and positive, got {sigma_hat}")
     if n != kernel.n:
@@ -107,12 +109,12 @@ def _lambda(method: str, smoothing: float, j: int, kernel: KernelSpec, alpha: fl
     return smoothing * _tau(method, j, kernel, a) * (sigma_hats * c_n(kernel.n, a))
 
 
-def _check_smoothing(smoothing: float, what: str = "smoothing constant") -> None:
-    """Raise unless a smoothing value is finite and positive; ``what`` names it in the message."""
-    if not math.isfinite(smoothing):
-        raise ValueError(f"{what} must be finite, got {smoothing}")
-    if smoothing <= 0:
-        raise ValueError(f"{what} must be positive, got {smoothing}")
+def _check_positive(value: float, what: str) -> None:
+    """Raise unless ``value`` is finite and positive; ``what`` names it in the message."""
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value}")
+    if value <= 0:
+        raise ValueError(f"{what} must be positive, got {value}")
 
 
 def resolve_smoothing(spec: str | float, alpha: float) -> float:
@@ -132,7 +134,7 @@ def resolve_smoothing(spec: str | float, alpha: float) -> float:
                 value = float(spec)
             except ValueError:
                 raise ValueError(f"unknown smoothing spec {spec!r}") from None
-    _check_smoothing(value, "smoothing")
+    _check_positive(value, "smoothing")
     return value
 
 
