@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 import mmap
 import os
@@ -82,6 +83,21 @@ def _cpus() -> int:
         return 1
 
 
+def _other_cpus() -> set[int]:
+    """CPUs this process may use other than the one the calling thread runs on now.
+
+    The current CPU is field 39 of ``/proc/thread-self/stat``, counted after
+    the command name's closing parenthesis, since the name may hold spaces.
+    Empty when the stat file cannot be read or parsed.
+    """
+    try:
+        with open("/proc/thread-self/stat", "rb") as stat:
+            cpu = int(stat.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return set()
+    return os.sched_getaffinity(0) - {cpu}
+
+
 def _share_blocks(run_block, blocks: list[range], done: np.ndarray) -> None:
     """Run ``blocks`` on this process and one child helper, marking each finished one done.
 
@@ -93,11 +109,15 @@ def _share_blocks(run_block, blocks: list[range], done: np.ndarray) -> None:
     holding an index.  A process whose block fails reads every message left,
     so neither starts another.  The helper leaves only through
     ``os._exit``: it never returns into the caller's stack nor flushes its
-    stdio.  It is reaped, and the pipe closed, before this returns or raises;
-    an interrupted or failing caller kills it first.  A block that failed,
-    that no one reached, that a dead helper held or that the pipe could not
-    hold is left undone; so is every block when the pipe, its fill or the
-    fork cannot be made.
+    stdio.  It first moves itself off the CPU the caller ran on at the fork
+    (``_other_cpus``), so the scheduler cannot keep both processes on one
+    core for the whole call; the caller's own affinity is never changed, and
+    a move the system refuses, or a CPU that cannot be read, leaves the
+    helper where the fork put it.  It is reaped, and the pipe closed, before
+    this returns or raises; an interrupted or failing caller kills it first.
+    A block that failed, that no one reached, that a dead helper held or
+    that the pipe could not hold is left undone; so is every block when the
+    pipe, its fill or the fork cannot be made.
     """
     try:
         fd_in, fd_out = os.pipe()
@@ -122,12 +142,16 @@ def _share_blocks(run_block, blocks: list[range], done: np.ndarray) -> None:
             return
         finally:
             os.close(fd_out)
+        others = _other_cpus()
         try:
             pid = os.fork()
         except OSError:  # no process to spare: every block is left to the caller
             return
         if pid == 0:
             try:
+                if others:
+                    with contextlib.suppress(OSError):
+                        os.sched_setaffinity(0, others)
                 work()
             finally:
                 os._exit(0)
@@ -161,7 +185,10 @@ def run_benchmark(config: ExperimentConfig, threads: int = 1) -> BenchResult:
     (forking beside a live thread can deadlock the helper).  Both processes
     claim blocks from one queue of block indices, filled before the fork
     (see ``_share_blocks``); a block reads only its own streams and writes
-    only its own columns, so every output byte is the serial run's.
+    only its own columns, so every output byte is the serial run's.  The
+    helper moves itself off the CPU the caller ran on at the fork, so the
+    scheduler cannot keep both on one core; the caller's affinity is not
+    changed.
     Otherwise the cell runs serially on the caller: a one-block cell, a
     process pinned to one CPU, a platform without an affinity call, or a
     process with another thread alive.  The helper is reaped before the

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .meyer import _band_bounds, _band_fold, _detail_plan, psi_hat
-from .noise import _check_alpha
+from .noise import _check_alpha, _check_hurst
 
 __all__ = [
     "KernelSpec",
@@ -97,8 +97,7 @@ class KernelSpec:
 
 def fbm_spectral_constant(hurst: float) -> float:
     """C_H = Gamma(2H+1) sin(pi H) (2 pi)^(1-2H); equals 1 at H = 1/2."""
-    if not 0.5 <= hurst < 1.0:
-        raise ValueError(f"Hurst index must lie in [1/2, 1), got {hurst}")
+    _check_hurst(hurst)
     return math.gamma(2.0 * hurst + 1.0) * math.sin(math.pi * hurst) * (2.0 * math.pi) ** (
         1.0 - 2.0 * hurst
     )

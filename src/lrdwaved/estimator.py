@@ -147,23 +147,17 @@ def _deconvolve(
     scale_kernel = _kernel_band(kernel, j0, scale=True)
     detail_kernel = {j: _kernel_band(kernel, j) for j in range(j0, j1 + 1)}
 
-    # Y_hat / K_hat is needed on the bands only; what overflows there, _check_finite refuses
+    # Y_hat / K_hat is needed on the bands only; what overflows there, the finite checks refuse
     with np.errstate(over="ignore", invalid="ignore"):
         scale = meyer._analyze(np.take(spectra, plan.index, axis=-1) / scale_kernel, plan, "scale")
-        _check_finite(scale, f"scale level {j0}")
+        meyer._check_finite(scale, f"deconvolved coefficients at scale level {j0}")
         detail = {}
         for j, coeffs in detail_kernel.items():
             band = meyer._detail_plan(j, n)
             quotient = np.take(spectra, band.index, axis=-1) / coeffs
             detail[j] = meyer._analyze(quotient, band, "detail")
-            _check_finite(detail[j], f"detail level {j}")
+            meyer._check_finite(detail[j], f"deconvolved coefficients at detail level {j}")
     return scale, detail
-
-
-def _check_finite(coeffs: np.ndarray, where: str) -> None:
-    """Raise unless every deconvolved coefficient at ``where`` is finite."""
-    if not np.isfinite(coeffs).all():
-        raise ValueError(f"deconvolved coefficients at {where} are not finite")
 
 
 # validated kernel coefficients keyed by the kernel's value and the level: a cell's blocks

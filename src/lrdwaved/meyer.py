@@ -293,10 +293,23 @@ def forward_transform(signal: np.ndarray, j0: int, j1: int) -> WaveletCoefficien
     signal = np.asarray(signal, dtype=float)
     n = signal.shape[0]
     _check_levels(n, j0, j1)
+    _check_finite(signal, "signal values")
     spectrum, plan = _spectra(signal[np.newaxis])[0], _scale_plan(j0, n)
-    scale = _analyze(np.take(spectrum, plan.index, axis=-1), plan, "scale")
-    detail = {j: _detail_from_spectrum(spectrum, j, n) for j in range(j0, j1 + 1)}
+    # a finite signal near the float limit can overflow here; the checks refuse it
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = _analyze(np.take(spectrum, plan.index, axis=-1), plan, "scale")
+        _check_finite(scale, f"scale coefficients at level {j0}")
+        detail = {}
+        for j in range(j0, j1 + 1):
+            detail[j] = _detail_from_spectrum(spectrum, j, n)
+            _check_finite(detail[j], f"detail coefficients at level {j}")
     return WaveletCoefficients(j0=j0, j1=j1, n=n, scale=scale, detail=detail)
+
+
+def _check_finite(values: np.ndarray, what: str) -> None:
+    """Raise unless every one of ``values``, named by ``what``, is finite."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} are not finite")
 
 
 def _synthesize(scale: np.ndarray, detail: dict, n: int) -> np.ndarray:

@@ -3,9 +3,11 @@
 Two stationary unit-variance generators parameterized by the dependence level
 alpha in (0, 1] (Hurst index H = 1 - alpha/2, memory d = (1 - alpha)/2), both
 exact and O(n log n) from factors cached by (parameter, n): fractional Gaussian
-noise by circulant embedding (Davies-Harte), and FARIMA(0, d, 0) as its
-Durbin-Levinson path, one FFT convolution with the closed-form Cholesky factor.
-alpha = 1 reduces both to i.i.d. standard Gaussians.
+noise by circulant embedding (Davies-Harte), one real inverse FFT of a
+half-spectrum work array, and FARIMA(0, d, 0) as its Durbin-Levinson path, one
+FFT convolution with the closed-form Cholesky factor.  alpha = 1 reduces both
+to i.i.d. standard Gaussians, drawn as one white stream: the two kinds give the
+same bytes there.
 """
 
 from __future__ import annotations
@@ -127,20 +129,25 @@ class NoiseModel:
     def _sample_into(self, out: np.ndarray, *key: int) -> None:
         """``sample(out.size, *key)`` written into ``out``, a contiguous float row."""
         n, rng = out.shape[0], self.rng(*key)
-        if self.kind == "fgn":
+        if self.kind == "fgn" and self.d > 0.0:
             _circulant_sample(_sqrt_embedding_eigenvalues(self.hurst, n), rng, out)
             return
-        rng.standard_normal(out=out)  # the innovations
+        rng.standard_normal(out=out)  # the innovations, or the white noise itself at d = 0
         if self.d > 0.0:
             psi_hat, weights, inv_b = _farima_factor(self.d, n)
             path = np.fft.irfft(psi_hat * np.fft.rfft(weights * out, 2 * n), 2 * n)
             np.multiply(path[:n], inv_b, out=out)
 
 
-def fgn_autocovariance(h, hurst: float):
-    """Autocovariance of unit-variance fractional Gaussian noise at lag h."""
+def _check_hurst(hurst: float) -> None:
+    """Raise unless the Hurst index lies in [1/2, 1); NaN does not."""
     if not 0.5 <= hurst < 1.0:
         raise ValueError(f"Hurst index must lie in [1/2, 1), got {hurst}")
+
+
+def fgn_autocovariance(h, hurst: float):
+    """Autocovariance of unit-variance fractional Gaussian noise at lag h."""
+    _check_hurst(hurst)
     h = np.abs(np.asarray(h, dtype=float))
     out = 0.5 * ((h + 1.0) ** (2 * hurst) - 2.0 * h ** (2 * hurst) + np.abs(h - 1.0) ** (2 * hurst))
     if out.ndim == 0:
@@ -185,20 +192,21 @@ def _circulant_sample(sqrt_eig: np.ndarray, rng: np.random.Generator, out: np.nd
     """First ``out.size`` values of one draw with the embedded circulant covariance, into ``out``.
 
     The stream gives zeta_0, zeta_m, then the real and the imaginary parts of
-    zeta_1..zeta_(m-1); one call draws them all.  The work array is transformed in place.
+    zeta_1..zeta_(m-1); one call draws them all.  The draw is real, so only
+    the m + 1 nonnegative frequencies of its Hermitian spectrum are built,
+    in one work array, and one real inverse FFT of size 2m gives the path.
     """
     size = sqrt_eig.size
     m = size // 2
     draws = rng.standard_normal(2 * m)
-    zeta = np.empty(size, dtype=complex)
+    zeta = np.empty(m + 1, dtype=complex)
     zeta[0], zeta[m] = draws[0], draws[1]
     zeta.real[1:m], zeta.imag[1:m] = draws[2 : m + 1], draws[m + 1 :]
     # numpy divides a complex by sqrt(2) as a multiply by this reciprocal, part by part
     zeta.view(float)[2 : 2 * m] *= 1.0 / np.sqrt(2.0)
-    np.conjugate(zeta[m - 1 : 0 : -1], out=zeta[m + 1 :])
-    np.multiply(sqrt_eig, zeta, out=zeta)
-    np.fft.ifft(zeta, out=zeta)
-    np.multiply(zeta.real[: out.size], np.sqrt(size), out=out)
+    zeta *= sqrt_eig[: m + 1]
+    path = np.fft.irfft(zeta, size, norm="forward")
+    np.divide(path[: out.size], np.sqrt(size), out=out)
 
 
 @lru_cache(maxsize=16)

@@ -182,13 +182,14 @@ class TestRunBenchmark:
     # sha256 of every method's mses (float64) then fine_levels (int64), in
     # method order, recorded when the streams became keyed Philox streams with
     # interleaved channel draws (version 0.2.0); the fGn cell was recorded
-    # later on the same streams.  Fixed-seed outputs must stay byte-identical.
+    # later on the same streams, and re-recorded when the fGn draw became one
+    # half-spectrum real inverse FFT.  Fixed-seed outputs must stay byte-identical.
     @pytest.mark.parametrize(
         "alpha, digest, noise_kind",
         [
             (1.0, "9762c9e1308b1fc129851a9f798bf6523bbe8b09876b2cbd9cf457f0f70858c2", "farima"),
             (0.4, "72ad6bce1669ed10c148bebed0f8da8ed6e54dc53b5407ba67817bd25e67bb7b", "farima"),
-            (0.6, "9b10199d0c4244d0dcaa96ffc6a8afe3a746b7a1d75fc5b1feeec566801ce351", "fgn"),
+            (0.6, "447176487b3e706919eb416716bc959bdef033e347a63d499f253441d3a14ca1", "fgn"),
         ],
     )
     def test_pinned_cusp_outputs(self, alpha, digest, noise_kind):
@@ -722,6 +723,72 @@ class TestRunBenchmark:
         forks, _, _ = self._count_forks(monkeypatch)
         result = run_benchmark(config)
         assert forks == []
+        assert self._outputs(result) == serial
+
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                        reason="needs two CPUs to place the helper on")
+    def test_helper_runs_off_the_callers_cpu(self, monkeypatch):
+        # the caller is pinned to one CPU, so the CPU it forks on is known,
+        # while the cell is told it may use every CPU of the process: the
+        # helper's own affinity, read in the helper, is every CPU but the
+        # caller's, and the caller's affinity is left as it was set
+        import lrdwaved.bench as bench_module
+
+        real_affinity, allowed = os.sched_getaffinity, os.sched_getaffinity(0)
+        cpu = min(allowed)
+        caller, real = os.getpid(), bench_module._observations
+        helper_mask = shared_ints(max(allowed) + 2)  # a flag per CPU, then a done flag
+
+        def observations(cell, reps):
+            if os.getpid() != caller and not helper_mask[-1]:
+                helper_mask[list(real_affinity(0))] = 1
+                helper_mask[-1] = 1
+            deadline = time.monotonic() + 10
+            while not helper_mask[-1] and time.monotonic() < deadline:
+                time.sleep(1e-3)
+            return real(cell, reps)
+
+        monkeypatch.setattr(bench_module, "_observations", observations)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: allowed)
+        os.sched_setaffinity(0, {cpu})
+        try:
+            run_benchmark(small_config(replications=36))
+            assert real_affinity(0) == {cpu}
+        finally:
+            os.sched_setaffinity(0, allowed)
+        assert helper_mask[-1] == 1
+        assert set(np.flatnonzero(helper_mask[:-1]).tolist()) == allowed - {cpu}
+
+    def test_refused_helper_affinity_gives_the_serial_bytes(self, monkeypatch):
+        # the system refuses the helper's move off the caller's CPU: the
+        # helper stays where the fork put it, still runs blocks, and the cell
+        # gives the serial bytes
+        import lrdwaved.bench as bench_module
+
+        config = small_config(replications=36)
+        serial = self._serial_outputs(monkeypatch, config)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        caller, real = os.getpid(), bench_module._observations
+        counts = shared_ints(2)  # refused moves, helper blocks
+
+        def refuse(pid, cpus):
+            counts[0] += 1
+            raise PermissionError(errno.EPERM, "Operation not permitted")
+
+        def observations(cell, reps):
+            if os.getpid() != caller:
+                counts[1] += 1
+            deadline = time.monotonic() + 10
+            while not counts[1] and time.monotonic() < deadline:
+                time.sleep(1e-3)
+            return real(cell, reps)
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+        monkeypatch.setattr(bench_module, "_observations", observations)
+        forks, reaps, _ = self._count_forks(monkeypatch)
+        result = run_benchmark(config)
+        assert len(forks) == 1 and reaps == [(forks[0], 0)]
+        assert counts[0] == 1 and counts[1] > 0
         assert self._outputs(result) == serial
 
     def test_short_fill_leaves_the_rest_to_the_caller(self, monkeypatch):

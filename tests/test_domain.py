@@ -1,8 +1,8 @@
 """Each input-domain rule raises its one message at every entry point that takes the input.
 
-The rules: a dependence level alpha in (0, 1], a Gamma kernel of shape nu in
-(0, 1] with a finite positive scale, and a grid length that is a power of two
->= 32.  NaN and infinity are refused by name wherever a rule applies.
+The rules: a dependence level alpha in (0, 1], a Hurst index in [1/2, 1), a
+Gamma kernel of shape nu in (0, 1] with a finite positive scale, and a grid
+length that is a power of two >= 32.  NaN and infinity are refused by name wherever a rule applies.
 """
 
 import math
@@ -17,10 +17,10 @@ import pytest
 import lrdwaved
 from lrdwaved.bench import rate_exponent
 from lrdwaved.cli import main
-from lrdwaved.covariance import KernelSpec, tau_level
+from lrdwaved.covariance import KernelSpec, fbm_spectral_constant, tau_level
 from lrdwaved.estimator import DeconvolutionProblem
 from lrdwaved.finescale import lemma_bracket, stopping_time
-from lrdwaved.noise import NoiseModel
+from lrdwaved.noise import NoiseModel, fgn_autocovariance
 from lrdwaved.signals import ExperimentConfig, gamma_kernel
 from lrdwaved.thresholds import c_n, fine_level_theoretical
 
@@ -58,6 +58,19 @@ ALPHA_ENTRY_POINTS = {
 def test_alpha_rule_at_every_entry_point(entry, alpha):
     message = f"alpha must lie in (0, 1], got {alpha}"
     raises_exactly(lambda: ALPHA_ENTRY_POINTS[entry](alpha), message)
+
+
+HURST_ENTRY_POINTS = {
+    "fgn_autocovariance": lambda h: fgn_autocovariance(1, h),
+    "fbm_spectral_constant": fbm_spectral_constant,
+}
+
+
+@pytest.mark.parametrize("entry", HURST_ENTRY_POINTS)
+@pytest.mark.parametrize("hurst", [nan, 0.4, 1.0])
+def test_hurst_rule_at_every_entry_point(entry, hurst):
+    message = f"Hurst index must lie in [1/2, 1), got {hurst}"
+    raises_exactly(lambda: HURST_ENTRY_POINTS[entry](hurst), message)
 
 
 KERNEL_CASES = [

@@ -156,6 +156,18 @@ class TestTransforms:
             call()
         assert info.value.args == (message,)
 
+    @pytest.mark.parametrize("signal, message", [
+        (np.full(256, np.nan), "signal values are not finite"),
+        (np.r_[np.zeros(255), -np.inf], "signal values are not finite"),
+        # finite samples whose coefficients overflow
+        ((np.sin(np.arange(256)) + 1) * 3e306, "scale coefficients at level 3 are not finite"),
+    ], ids=["nan", "inf", "overflow"])
+    def test_forward_refuses_non_finite(self, signal, message):
+        # one ValueError and no numpy RuntimeWarning, which fails the test
+        with pytest.raises(ValueError) as info:
+            forward_transform(signal, 3, 5)
+        assert info.value.args == (message,)
+
     def test_single_basis_function(self):
         n = 1024
         coeffs = WaveletCoefficients.zeros(3, 7, n)

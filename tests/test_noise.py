@@ -275,6 +275,18 @@ def durbin_levinson_reference(gam, innovations):
     return x / np.sqrt(gam[0])
 
 
+def circulant_reference(sqrt_eig, rng, n):
+    """Reference Davies-Harte draw: the full Hermitian spectrum of size 2m, one complex ifft."""
+    size = sqrt_eig.size
+    m = size // 2
+    draws = rng.standard_normal(2 * m)
+    zeta = np.empty(size, dtype=complex)
+    zeta[0], zeta[m] = draws[0], draws[1]
+    zeta[1:m] = (draws[2 : m + 1] + 1j * draws[m + 1 :]) / np.sqrt(2.0)
+    zeta[m + 1 :] = np.conj(zeta[m - 1 : 0 : -1])
+    return np.fft.ifft(sqrt_eig * zeta).real[:n] * np.sqrt(size)
+
+
 def correlation_matrix(kind, alpha, n):
     m = NoiseModel(alpha=alpha, kind=kind)
     if kind == "farima":
@@ -312,6 +324,22 @@ class TestExactness:
         atol = 64 * max(n, 16) * np.finfo(float).eps
         np.testing.assert_allclose(m.sample(n, 0, 2), expected, rtol=0, atol=atol)
 
+    @pytest.mark.parametrize("alpha", [0.9, 0.6, 0.2, 0.05])
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 1000, 4096, 16384])
+    def test_fgn_matches_full_spectrum_draw(self, alpha, n):
+        # the same normals in the same order, so the same path; float64 roundoff only
+        m = NoiseModel(alpha=alpha, kind="fgn", seed=31)
+        expected = circulant_reference(_sqrt_embedding_eigenvalues(m.hurst, n), m.rng(0, 5), n)
+        atol = 64 * max(n, 16) * np.finfo(float).eps
+        np.testing.assert_allclose(m.sample(n, 0, 5), expected, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("n", [1, 3, 4096])
+    def test_white_noise_is_one_stream_for_both_kinds(self, n):
+        # at alpha = 1 both kinds are i.i.d. N(0, 1) and draw it from the same stream
+        fgn = NoiseModel(alpha=1.0, kind="fgn", seed=37).sample(n, 2, 6)
+        farima = NoiseModel(alpha=1.0, kind="farima", seed=37).sample(n, 2, 6)
+        assert fgn.tobytes() == farima.tobytes()
+
     @pytest.mark.parametrize("kind, alpha", [("farima", 0.2), ("farima", 0.6), ("fgn", 0.2)])
     def test_dense_cholesky_whitening(self, kind, alpha):
         # L^-1 x is i.i.d. N(0, 1) when x has the Toeplitz correlation L L^T
@@ -347,14 +375,16 @@ class TestExactness:
 class TestStreamPins:
     # sha256 of the float64 bytes for NoiseModel(seed=2024) and key (0, 1); the
     # fGn and i.i.d. FARIMA streams feed the white-noise and fGn benchmark cells.
-    # Recorded when derive_rng became a keyed Philox stream (version 0.2.0)
+    # Recorded when derive_rng became a keyed Philox stream (version 0.2.0); the
+    # fGn pins were re-recorded when the fGn draw became one half-spectrum real
+    # inverse FFT and alpha = 1 one white stream for both kinds
     PINS = {
-        ("fgn", 1.0, 3): "13e8561ff252c428953f6653564a4fc5f529e370dc8443bf6cefb0b8499f2e02",
-        ("fgn", 1.0, 4096): "56bc2474f764e7c1489d7d77e8ce90c4b21261627a905cb0c687e2074ea9352d",
-        ("fgn", 0.6, 3): "1d8e54c07be32bc9262ec316050ce55cb1092608b03a988e2abdd6d1ee71f40b",
-        ("fgn", 0.6, 4096): "c663be24151790a5a11f8883123e0cfd9d0a7bae6a5a0763cc0afe79ed1d0f5b",
-        ("fgn", 0.2, 3): "4cacf248e7b62b9e7064db0171950030d423fdcbdde3a2395f515e0624f305f9",
-        ("fgn", 0.2, 4096): "514f984e7a9543571cdcf8602cfe9a57620a706975020572cea59dab25cb1b86",
+        ("fgn", 1.0, 3): "d5f9b1df93407fc39e4dccc304157e29a07edd1c23bd4504b3082e8a6ab03cf5",
+        ("fgn", 1.0, 4096): "753e603a5acb5d8689b82a82d3947382fe1870cceb2d54eaeb922cd9ac166254",
+        ("fgn", 0.6, 3): "b840b54482583995773dd618ecc37269d33a70b5aa71548bf175ad4c4ddfc255",
+        ("fgn", 0.6, 4096): "7ddff722ec977e5f708832462717713c85bc4daa820b2d0b5be8a1b0fcd4e075",
+        ("fgn", 0.2, 3): "1200a14e559fd559571d22fc7fb23f738caa9b7b8f48ff02cf7673bfab13e6ea",
+        ("fgn", 0.2, 4096): "4cda3a321a9500e4782dc0dec4a1e93642b165450d5490253498d1af1f25a3ed",
         ("farima", 1.0, 3): "d5f9b1df93407fc39e4dccc304157e29a07edd1c23bd4504b3082e8a6ab03cf5",
         ("farima", 1.0, 4096): "753e603a5acb5d8689b82a82d3947382fe1870cceb2d54eaeb922cd9ac166254",
     }
