@@ -16,7 +16,8 @@ from .estimator import _block_pass
 from .meyer import _spectra
 from .noise import _check_alpha, derive_rng
 from .signals import ExperimentConfig, _clean_cell, _observations
-from .thresholds import DEFAULT_SMOOTHING, _check_nu, _method_alpha, resolve_smoothing
+from .thresholds import DEFAULT_SMOOTHING, _check_nu, _check_number, _method_alpha
+from .thresholds import resolve_smoothing
 
 __all__ = [
     "MethodResult",
@@ -283,8 +284,7 @@ def rate_exponent(s: float, p: float, nu: float, alpha: float, pi: float) -> flo
     if not s > lower:
         raise ValueError(f"need smoothness s > 1/pi - nu - alpha/2 = {lower:.4g}, got {s}")
     for name, value in (("s", s), ("p", p), ("pi", pi)):
-        if math.isinf(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+        _check_number(value, name)
 
     boundary = (2.0 * nu + alpha) * (p / (2.0 * pi) - 0.5)
     if s >= boundary:

@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .meyer import _band_bounds, _band_fold, _detail_plan, psi_hat
+from .meyer import _band_fold, _check_finite, _check_grid, _detail_plan, psi_hat
 from .noise import _check_alpha, _check_hurst
 
 __all__ = [
@@ -58,8 +58,7 @@ class KernelSpec:
         fourier = np.array(self.fourier)
         fourier.setflags(write=False)
         object.__setattr__(self, "fourier", fourier)
-        if not np.all(np.isfinite(fourier)):
-            raise ValueError("kernel Fourier coefficients must be finite (found NaN or inf)")
+        _check_finite(fourier, "kernel Fourier coefficients")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KernelSpec):
@@ -78,11 +77,8 @@ class KernelSpec:
         return self.fourier.shape[0]
 
     def validate_band(self, j: int) -> np.ndarray:
-        """Kernel coefficients over band_set(j); raises if any vanishes."""
-        if _band_bounds(j)[1] >= self.n // 2:
-            raise ValueError(
-                f"band of level {j} exceeds representable frequencies for n={self.n}"
-            )
+        """Kernel coefficients over band_set(j); raises if j exceeds the grid or any vanishes."""
+        _check_grid(self.n, j)
         return self._band_coefficients(_detail_plan(j, self.n), f"level {j}")
 
     def _band_coefficients(self, plan, band: str) -> np.ndarray:

@@ -24,6 +24,7 @@ from .thresholds import (
     DEFAULT_COARSE_LEVEL,
     ThresholdPolicy,
     _check_positive,
+    _check_sigma_hats,
     _lambda,
     _method_alpha,
 )
@@ -59,8 +60,7 @@ class DeconvolutionProblem:
         if y.ndim != 1:
             raise ValueError(f"observations must be a 1-d array, got {y.ndim} dimensions")
         meyer._check_length(y.shape[0], "observation length")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("observations must be finite (found NaN or inf)")
+        meyer._check_finite(y, "observations")
         if y.shape[0] != self.kernel.n:
             raise ValueError("observation grid and kernel grid disagree")
         _check_alpha(self.alpha)
@@ -96,13 +96,7 @@ def _sigma_hats(spectra: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed row gets NaN, refused below
         coeffs = meyer._detail_from_spectrum(spectra, int(math.log2(n)) - 2, n)
         mad = np.where(np.isfinite(coeffs).all(axis=-1), _mad(coeffs), np.nan)
-    sigma_hats = mad / MAD_TO_SIGMA * math.sqrt(n)
-    bad = np.flatnonzero(~(np.isfinite(sigma_hats) & (sigma_hats > 0.0)))
-    if bad.size:
-        raise ValueError(
-            f"noise scale estimate must be finite and positive, got {float(sigma_hats[bad[0]])}"
-        )
-    return sigma_hats
+    return _check_sigma_hats(mad / MAD_TO_SIGMA * math.sqrt(n))
 
 
 def _mad(x: np.ndarray) -> np.ndarray:

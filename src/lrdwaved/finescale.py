@@ -35,7 +35,8 @@ import numpy as np
 
 from .covariance import z_var
 from .noise import _check_alpha
-from .thresholds import DEFAULT_COARSE_LEVEL, fine_level_theoretical
+from .thresholds import DEFAULT_COARSE_LEVEL, _check_number, _check_sigma_hats
+from .thresholds import fine_level_theoretical
 
 __all__ = [
     "OPERATIONAL_LOG_POWER",
@@ -76,8 +77,7 @@ def _cutoffs(n_freq: int, alpha: float, epsilon: float, log_power: float) -> np.
     _check_alpha(alpha)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if not math.isfinite(log_power):
-        raise ValueError(f"log_power must be finite, got {log_power}")
+    _check_number(log_power, "log_power")
     ells = np.arange(1, n_freq + 1, dtype=float)
     log_term = -2.0 * math.log(epsilon)
     out = ells ** (alpha / 2.0) * epsilon**alpha * log_term**log_power
@@ -157,10 +157,7 @@ def _channel(kernel, noise_alpha: float, sigma_hats, rngs, lo: int, hi: int) -> 
     a row built range by range from one stream equals its one-piece form.
     A None stream leaves its row noiseless.
     """
-    sigma_hats = np.asarray(sigma_hats, dtype=float)
-    bad = ~(np.isfinite(sigma_hats) & (sigma_hats > 0))
-    if bad.any():
-        raise ValueError(f"sigma_hat must be positive and finite, got {sigma_hats[bad][0]}")
+    sigma_hats = _check_sigma_hats(sigma_hats)
     # one buffer, updated in place: temporaries of its size cost more than the arithmetic
     out = np.zeros((len(rngs), hi - lo), dtype=complex)
     for row, rng in zip(out, rngs):

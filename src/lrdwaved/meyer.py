@@ -89,17 +89,12 @@ def psi_hat(omega):
     return out
 
 
-def _band_bounds(j: int) -> tuple[int, int]:
-    # 2^j is never divisible by 3, so ceil(2^j/3) = 2^j//3 + 1.
-    return 2**j // 3 + 1, 2 ** (j + 2) // 3
-
-
 def band_set(j: int) -> np.ndarray:
     """Frequencies {±a : ceil(2^j/3) <= a <= floor(2^(j+2)/3)}; size 2^(j+1)."""
     if j < 0:
         raise ValueError(f"detail level must be nonnegative, got {j}")
-    lo, hi = _band_bounds(j)
-    pos = np.arange(lo, hi + 1, dtype=int)
+    # 2^j is never divisible by 3, so ceil(2^j/3) = 2^j//3 + 1.
+    pos = np.arange(2**j // 3 + 1, 2 ** (j + 2) // 3 + 1, dtype=int)
     return np.concatenate([-pos[::-1], pos])
 
 
@@ -139,8 +134,7 @@ class WaveletCoefficients:
         for j in range(self.j0, self.j1 + 1):
             if j not in self.detail or self.detail[j].shape != (2**j,):
                 raise ValueError(f"detail level {j} must hold 2^{j} entries")
-        if not self.j0 <= self.j1 < np.log2(self.n):
-            raise ValueError(f"need j0 <= j1 < log2(n), got ({self.j0}, {self.j1}, {self.n})")
+        _check_levels(self.n, self.j0, self.j1)
 
     @classmethod
     def zeros(cls, j0: int, j1: int, n: int) -> "WaveletCoefficients":
@@ -170,6 +164,7 @@ def _check_length(n: int, what: str) -> None:
 
 
 def _check_grid(n: int, j1: int) -> None:
+    """The one level-fits-grid rule: n a power of two and level j1's band below n/2."""
     if n < 2 or (n & (n - 1)) != 0:
         raise ValueError(f"grid length must be a power of two, got {n}")
     if j1 > int(np.log2(n)) - 2:

@@ -17,9 +17,10 @@ import numpy as np
 
 from .covariance import KernelSpec
 from .estimator import DeconvolutionProblem
-from .meyer import _check_length
+from .meyer import _check_finite, _check_length
 from .noise import NOISE_KINDS, NoiseModel, _check_alpha, _stream_words
-from .thresholds import DEFAULT_SMOOTHING, _check_positive, _method_alpha, resolve_smoothing
+from .thresholds import DEFAULT_SMOOTHING, _check_number, _check_positive, _method_alpha
+from .thresholds import resolve_smoothing
 
 __all__ = [
     "SIGNAL_NAMES",
@@ -120,9 +121,11 @@ def blur(signal: np.ndarray, kernel: KernelSpec) -> np.ndarray:
 
 def calibrate_sigma(blurred: np.ndarray, snr_db: float) -> float:
     """Noise scale sigma with SNR = 10 log10(||K*f||^2 / sigma^2)."""
-    if not math.isfinite(snr_db):
-        raise ValueError("snr_db must be finite")
-    level = grid_norm(blurred)
+    _check_number(snr_db, "snr_db")
+    _check_finite(blurred, "blurred signal values")
+    with np.errstate(over="ignore"):  # a finite signal whose norm overflows is refused next
+        level = grid_norm(blurred)
+    _check_number(level, "blurred signal grid norm")
     if level == 0.0:
         raise ValueError("blurred signal is identically zero")
     return level * 10.0 ** (-snr_db / 20.0)
@@ -163,8 +166,7 @@ class ExperimentConfig:
         _check_length(self.n, "n")
         _check_alpha(self.alpha)
         _check_kernel_flags(self.nu, self.kernel_scale)
-        if not math.isfinite(self.snr_db):
-            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
+        _check_number(self.snr_db, "snr_db")
         if self.noise_kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.noise_kind!r}")
         if not self.methods:
@@ -226,8 +228,7 @@ def _observations(cell: _CleanCell, replications) -> np.ndarray:
         cell.noise._sample_into(row, replication)
     y *= cell.noise_scale
     y += cell.blurred
-    if not np.isfinite(y).all():
-        raise ValueError("observations must be finite (found NaN or inf)")
+    _check_finite(y, "observations")
     return y
 
 

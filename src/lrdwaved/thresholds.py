@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .covariance import KernelSpec, VarianceTable, tau_level, waved_tau_level
 from .meyer import _check_levels
 from .noise import _check_alpha
@@ -54,8 +56,7 @@ def _check_nu(nu: float) -> None:
     """Raise unless the degree of ill-posedness nu is finite and nonnegative; NaN is not."""
     if not nu >= 0.0:
         raise ValueError(f"nu must be nonnegative, got {nu}")
-    if math.isinf(nu):
-        raise ValueError(f"nu must be finite, got {nu}")
+    _check_number(nu, "nu")
 
 
 @dataclass(frozen=True)
@@ -93,8 +94,7 @@ def build_policy(
     it goes with ``VarianceTable``.
     """
     _check_positive(smoothing, "smoothing constant")
-    if not (math.isfinite(sigma_hat) and sigma_hat > 0):
-        raise ValueError(f"noise scale estimate must be finite and positive, got {sigma_hat}")
+    _check_sigma_hats(sigma_hat)
     if n != kernel.n:
         raise ValueError(f"grid length n={n} disagrees with the kernel's length {kernel.n}")
     _check_levels(n, j0, j1)
@@ -109,12 +109,27 @@ def _lambda(method: str, smoothing: float, j: int, kernel: KernelSpec, alpha: fl
     return smoothing * _tau(method, j, kernel, a) * (sigma_hats * c_n(kernel.n, a))
 
 
-def _check_positive(value: float, what: str) -> None:
-    """Raise unless ``value`` is finite and positive; ``what`` names it in the message."""
+def _check_number(value: float, what: str) -> None:
+    """The one finite-number rule: raise unless ``value`` is finite; ``what`` names it."""
     if not math.isfinite(value):
         raise ValueError(f"{what} must be finite, got {value}")
+
+
+def _check_positive(value: float, what: str) -> None:
+    """Raise unless ``value`` is finite and positive; ``what`` names it in the message."""
+    _check_number(value, what)
     if value <= 0:
         raise ValueError(f"{what} must be positive, got {value}")
+
+
+def _check_sigma_hats(sigma_hats) -> np.ndarray:
+    """``sigma_hats`` (one or an array) as floats, under the one rule: finite and positive."""
+    values = np.asarray(sigma_hats, dtype=float)
+    bad = ~(np.isfinite(values) & (values > 0.0))
+    if bad.any():
+        got = float(values[bad][0])
+        raise ValueError(f"noise scale estimate must be finite and positive, got {got}")
+    return values
 
 
 def resolve_smoothing(spec: str | float, alpha: float) -> float:

@@ -1,8 +1,12 @@
 """Each input-domain rule raises its one message at every entry point that takes the input.
 
 The rules: a dependence level alpha in (0, 1], a Hurst index in [1/2, 1), a
-Gamma kernel of shape nu in (0, 1] with a finite positive scale, and a grid
-length that is a power of two >= 32.  NaN and infinity are refused by name wherever a rule applies.
+Gamma kernel of shape nu in (0, 1] with a finite positive scale, a grid
+length that is a power of two >= 32, a finite number ("X must be finite,
+got v"), a finite array ("X are not finite"), a finite positive noise scale
+estimate sigma_hat, and a level range j0 <= j1 <= log2(n) - 2.  NaN and
+infinity are refused by name wherever a rule applies.  Each rule's message
+is written once in the package.
 """
 
 import math
@@ -19,10 +23,11 @@ from lrdwaved.bench import rate_exponent
 from lrdwaved.cli import main
 from lrdwaved.covariance import KernelSpec, fbm_spectral_constant, tau_level
 from lrdwaved.estimator import DeconvolutionProblem
-from lrdwaved.finescale import lemma_bracket, stopping_time
+from lrdwaved.finescale import fine_level_details, kernel_channel, lemma_bracket, stopping_time
+from lrdwaved.meyer import WaveletCoefficients
 from lrdwaved.noise import NoiseModel, fgn_autocovariance
-from lrdwaved.signals import ExperimentConfig, gamma_kernel
-from lrdwaved.thresholds import c_n, fine_level_theoretical
+from lrdwaved.signals import ExperimentConfig, calibrate_sigma, gamma_kernel, generate_dataset
+from lrdwaved.thresholds import build_policy, c_n, fine_level_theoretical
 
 nan, inf = math.nan, math.inf
 
@@ -115,6 +120,11 @@ class TestGridLengthRule:
                     f"--n must be a power of two >= 32, got {n}")
 
 
+TOO_FINE = ("fine level j1={j1} too large for n={n}: need j1 <= log2(n)-2 "
+            "so all band frequencies stay below the Nyquist range")
+SIGMA_NAN = "noise scale estimate must be finite and positive, got nan"
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: rate_exponent(0.5, nan, 0.7, 0.4, 2.0), "loss exponent p must exceed 1, got nan"),
     (lambda: rate_exponent(0.5, 2.0, 0.7, 0.4, nan),
@@ -128,11 +138,40 @@ class TestGridLengthRule:
     (lambda: rate_exponent(0.5, 2.0, 0.7, 0.4, inf), "pi must be finite, got inf"),
     (lambda: fine_level_theoretical(4096, 0.6, nan), "nu must be nonnegative, got nan"),
     (lambda: fine_level_theoretical(4096, 0.6, inf), "nu must be finite, got inf"),
+    # unchecked, calibrate_sigma gives sigma = nan, inf and (with a numpy warning) inf
+    (lambda: calibrate_sigma(np.full(8, nan), 20.0), "blurred signal values are not finite"),
+    (lambda: calibrate_sigma(np.full(8, inf), 20.0), "blurred signal values are not finite"),
+    (lambda: calibrate_sigma(np.full(8, 1e200), 20.0),
+     "blurred signal grid norm must be finite, got inf"),
+    # level 7's band reaches n/2 = 128, so no transform on n = 256 can hold it
+    (lambda: WaveletCoefficients.zeros(3, 7, 256), TOO_FINE.format(j1=7, n=256)),
+    (lambda: tau_level(9, gamma_kernel(512), 0.6), TOO_FINE.format(j1=9, n=512)),
+    (lambda: KernelSpec(np.full(64, nan)), "kernel Fourier coefficients are not finite"),
+    (lambda: build_policy("lrd", gamma_kernel(256), 256, 0.6, nan, 1.0, 3, 5), SIGMA_NAN),
+    (lambda: kernel_channel(gamma_kernel(256), 0.6, nan, None), SIGMA_NAN),
+    (lambda: fine_level_details(generate_dataset(ExperimentConfig("cusp", n=256, alpha=0.6))[0],
+                                0.6, sigma_hat=nan), SIGMA_NAN),
+    (lambda: lemma_bracket(gamma_kernel(256), 0.6, nan, 256**-0.5), SIGMA_NAN),
 ], ids=["rate-p-nan", "rate-pi-nan", "rate-nu-nan", "rate-s-nan", "rate-nu-inf", "rate-s-inf",
-        "rate-p-inf", "rate-pi-inf", "fine-level-nu-nan", "fine-level-nu-inf"])
+        "rate-p-inf", "rate-pi-inf", "fine-level-nu-nan", "fine-level-nu-inf",
+        "calibrate-nan-signal", "calibrate-inf-signal", "calibrate-norm-overflow",
+        "coefficients-j1-too-fine", "tau-level-too-fine", "kernel-nan", "policy-sigma-nan",
+        "channel-sigma-nan", "fine-level-sigma-nan", "bracket-sigma-nan"])
 def test_non_finite_rate_arguments_refused(call, message):
     # unchecked: NaN rates, 0.0 at nu = inf, and a float-to-int error at nu = NaN
     raises_exactly(call, message)
+
+
+RULE_TEMPLATES = ["must be finite, got", "are not finite",
+                  "noise scale estimate must be finite and positive", "too large for n"]
+
+
+@pytest.mark.parametrize("template", RULE_TEMPLATES)
+def test_each_rule_message_is_written_once(template):
+    # a rule's second inline copy would drift from the first: entry points call its function
+    package = Path(lrdwaved.__file__).parent
+    homes = {path.name: path.read_text().count(template) for path in package.glob("*.py")}
+    assert sum(homes.values()) == 1, {name: k for name, k in homes.items() if k}
 
 
 @pytest.mark.parametrize("log_power", [nan, inf])

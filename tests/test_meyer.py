@@ -147,7 +147,9 @@ class TestTransforms:
          "scale must hold 2^3 entries"),
         (lambda: WaveletCoefficients(3, 4, 64, np.zeros(8), {3: np.zeros(8), 4: np.zeros(8)}),
          "detail level 4 must hold 2^4 entries"),
-        (lambda: WaveletCoefficients.zeros(3, 6, 64), "need j0 <= j1 < log2(n), got (3, 6, 64)"),
+        (lambda: WaveletCoefficients.zeros(3, 6, 64),
+         "fine level j1=6 too large for n=64: need j1 <= log2(n)-2 "
+         "so all band frequencies stay below the Nyquist range"),
         (lambda: scale_band_set(-1), "scale level must be nonnegative, got -1"),
     ], ids=["forward-j0-above-j1", "scale-shape", "detail-shape", "j1-at-log2-n",
             "scale-band-negative-level"])

@@ -175,7 +175,7 @@ class TestGenerateDataset:
         assert abs(avg_db) < 1.0
 
     @pytest.mark.parametrize("call, message", [
-        (lambda: calibrate_sigma(np.ones(8), float("nan")), "snr_db must be finite"),
+        (lambda: calibrate_sigma(np.ones(8), float("nan")), "snr_db must be finite, got nan"),
         (lambda: blur(np.zeros(32), gamma_kernel(64)), "signal and kernel grids disagree"),
     ], ids=["calibrate-nan-snr", "blur-grids"])
     def test_public_input_check_message(self, call, message):
