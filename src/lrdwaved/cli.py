@@ -41,7 +41,8 @@ from .signals import (
     _noisy_problem,
     gamma_kernel,
 )
-from .thresholds import DEFAULT_COARSE_LEVEL, DEFAULT_SMOOTHING, _method_alpha, resolve_smoothing
+from .thresholds import _METHODS, _SMOOTHING_SPECS, DEFAULT_COARSE_LEVEL, DEFAULT_SMOOTHING
+from .thresholds import _method_alpha, resolve_smoothing
 
 ENV_SEED = "LRDWAVED_SEED"
 # flags that name an input file; provenance records the file's bytes, not its path
@@ -151,15 +152,17 @@ def _smoothing(spec: str, flag: str, alpha: float = 1.0) -> float:
 
 
 def _method_smoothing(args, alpha: float = 1.0) -> tuple[str, float]:
-    """``--method``'s smoothing spec (--xi for lrd, --eta for iid) and its value at alpha."""
-    flag, spec = ("--xi", args.xi) if args.method == "lrd" else ("--eta", args.eta)
-    return spec, _smoothing(spec, flag, alpha)
+    """``--method``'s smoothing spec (its row's flag) and its value on data at ``alpha``."""
+    flag = _METHODS[args.method].flag
+    spec = getattr(args, flag)
+    return spec, _smoothing(spec, f"--{flag}", _method_alpha(args.method, alpha))
 
 
-def _add_smoothing_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--xi", default=DEFAULT_SMOOTHING["lrd"],
-                        help="LRD smoothing: sqrtalpha|sqrt2alpha|number")
-    parser.add_argument("--eta", default=DEFAULT_SMOOTHING["iid"], help="IID smoothing constant")
+def _add_method_flags(parser: argparse.ArgumentParser, default: str) -> None:
+    parser.add_argument("--method", choices=tuple(_METHODS), default=default)
+    for name, row in _METHODS.items():
+        parser.add_argument(f"--{row.flag}", default=row.default,
+                            help=f"{name.upper()} smoothing: {'|'.join(_SMOOTHING_SPECS)}|number")
 
 
 def _check_threads(threads: int) -> None:
@@ -316,7 +319,7 @@ def cmd_estimate(args) -> int:
         kernel = gamma_kernel(len(y), shape=args.nu, scale=args.kernel_scale)
     problem = DeconvolutionProblem(observations=y, kernel=kernel, alpha=args.alpha)
 
-    _, smoothing = _method_smoothing(args, _method_alpha(args.method, problem.alpha))
+    _, smoothing = _method_smoothing(args, problem.alpha)
     report = run_estimator(
         problem, args.method, smoothing, j1_override=args.j1, j0=args.j0, rng=derive_rng(seed)
     )
@@ -493,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="run the estimator on a dataset CSV")
     p.add_argument("input", help="dataset CSV with columns t,y[,f_true,...]")
-    p.add_argument("--method", choices=tuple(DEFAULT_SMOOTHING), default="iid")
     _add_model_flags(p, omit=("--signal", "--n", "--snr", "--noise-kind"))
     p.set_defaults(nu=None, kernel_scale=None)  # None marks a flag not given
     p.add_argument(
@@ -501,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="CSV with columns ell,re,im: one row per integer frequency |ell| < n/2",
     )
-    _add_smoothing_flags(p)
+    _add_method_flags(p, default="iid")
     p.add_argument("--j0", type=int, default=DEFAULT_COARSE_LEVEL)
     p.add_argument("--j1", type=int, default=None, help="override the data-driven fine level")
     _add_seed_and_out(p)
@@ -524,8 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rates", help="rate-of-convergence experiment")
     _add_model_flags(p, omit=("--n", "--kernel-scale"))
-    p.add_argument("--method", choices=tuple(DEFAULT_SMOOTHING), default="lrd")
-    _add_smoothing_flags(p)
+    _add_method_flags(p, default="lrd")
     p.add_argument("--n-grid", default="1024,2048,4096,8192,16384")
     p.add_argument("--replications", type=int, default=32)
     _add_threads_flag(p)

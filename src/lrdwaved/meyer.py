@@ -129,29 +129,27 @@ class WaveletCoefficients:
     detail: dict[int, np.ndarray]
 
     def __post_init__(self) -> None:
+        _check_levels(self.n, self.j0, self.j1)
         if self.scale.shape != (2**self.j0,):
             raise ValueError(f"scale must hold 2^{self.j0} entries")
         for j in range(self.j0, self.j1 + 1):
             if j not in self.detail or self.detail[j].shape != (2**j,):
                 raise ValueError(f"detail level {j} must hold 2^{j} entries")
-        _check_levels(self.n, self.j0, self.j1)
 
     @classmethod
     def zeros(cls, j0: int, j1: int, n: int) -> "WaveletCoefficients":
-        return cls(
-            j0=j0,
-            j1=j1,
-            n=n,
-            scale=np.zeros(2**j0),
-            detail={j: np.zeros(2**j) for j in range(j0, j1 + 1)},
-        )
+        _check_levels(n, j0, j1)  # before 2**j0 is read
+        detail = {j: np.zeros(2**j) for j in range(j0, j1 + 1)}
+        return cls(j0, j1, n, np.zeros(2**j0), detail)
 
     def levels(self) -> range:
         return range(self.j0, self.j1 + 1)
 
 
 def _check_levels(n: int, j0: int, j1: int) -> None:
-    """The one level-range check: j0 <= j1 first, then ``_check_grid``."""
+    """The one level-range check: 0 <= j0 <= j1 first, then ``_check_grid``."""
+    if j0 < 0:
+        raise ValueError(f"coarse level j0 must be nonnegative, got {j0}")
     if j0 > j1:
         raise ValueError(f"need j0 <= j1, got ({j0}, {j1})")
     _check_grid(n, j1)

@@ -13,8 +13,10 @@ sample factor c_n = sqrt(n^-alpha log n) is recovered with sigma_hat = 1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +32,14 @@ __all__ = [
 ]
 
 DEFAULT_COARSE_LEVEL = 3
-# each method's default smoothing spec, eta for IID and xi for LRD; its keys name the methods
-DEFAULT_SMOOTHING = {"iid": "sqrt6", "lrd": "sqrt2alpha"}
+# each named smoothing spec as a function of the method's alpha
+_SMOOTHING_SPECS = {"sqrt6": lambda alpha: math.sqrt(6.0), "sqrtalpha": math.sqrt,
+                    "sqrt2alpha": lambda alpha: math.sqrt(2.0 * alpha)}
+# the one method table, keyed by method name: each row's smoothing flag, its default spec, and
+# whether it assumes the data's alpha (or alpha = 1), which sets tau_j, c_n and the stopping rule
+_Method = NamedTuple("_Method", [("flag", str), ("default", str), ("assumes_alpha", bool)])
+_METHODS = {"iid": _Method("eta", "sqrt6", False), "lrd": _Method("xi", "sqrt2alpha", True)}
+DEFAULT_SMOOTHING = {name: row.default for name, row in _METHODS.items()}  # by method name
 
 
 def c_n(n: int, alpha: float) -> float:
@@ -133,31 +141,23 @@ def _check_sigma_hats(sigma_hats) -> np.ndarray:
 
 
 def resolve_smoothing(spec: str | float, alpha: float) -> float:
-    """Map a smoothing spec ("sqrt6", "sqrtalpha", "sqrt2alpha" or a number)."""
-    if isinstance(spec, (int, float)):
-        value = float(spec)
+    """Map a smoothing spec (a name in ``_SMOOTHING_SPECS``, a numeric string or a real number)."""
+    if isinstance(spec, str) and spec.lower() in _SMOOTHING_SPECS:
+        value = _SMOOTHING_SPECS[spec.lower()](alpha)
     else:
-        key = spec.lower()
-        if key == "sqrt6":
-            value = math.sqrt(6.0)
-        elif key == "sqrtalpha":
-            value = math.sqrt(alpha)
-        elif key == "sqrt2alpha":
-            value = math.sqrt(2.0 * alpha)
-        else:
-            try:
-                value = float(spec)
-            except ValueError:
-                raise ValueError(f"unknown smoothing spec {spec!r}") from None
+        try:  # a numeric string or a real number only: float() alone takes bytes and arrays too
+            value = float(spec if isinstance(spec, (str, numbers.Real)) else None)
+        except (TypeError, ValueError):
+            raise ValueError(f"unknown smoothing spec {spec!r}") from None
     _check_positive(value, "smoothing")
     return value
 
 
 def _method_alpha(method: str, alpha: float) -> float:
     """The dependence level ``method`` assumes on data at ``alpha``: alpha for LRD, 1 for IID."""
-    if method not in DEFAULT_SMOOTHING:
-        raise ValueError(f"unknown method {method!r}; choose from {tuple(DEFAULT_SMOOTHING)}")
-    return alpha if method == "lrd" else 1.0
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}; choose from {tuple(_METHODS)}")
+    return alpha if _METHODS[method].assumes_alpha else 1.0
 
 
 # the one tau cache: at most 256 (method, level, kernel, alpha) entries, each holding its
@@ -165,4 +165,5 @@ def _method_alpha(method: str, alpha: float) -> float:
 @lru_cache(maxsize=256)
 def _tau(method: str, j: int, kernel: KernelSpec, alpha: float) -> float:
     """``method``'s tau_j at its ``_method_alpha``: LRD tau_{alpha,j}, IID the WaveD tau_j."""
-    return waved_tau_level(j, kernel) if method == "iid" else tau_level(j, kernel, alpha)
+    dependent = _METHODS[method].assumes_alpha
+    return tau_level(j, kernel, alpha) if dependent else waved_tau_level(j, kernel)

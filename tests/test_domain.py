@@ -4,13 +4,16 @@ The rules: a dependence level alpha in (0, 1], a Hurst index in [1/2, 1), a
 Gamma kernel of shape nu in (0, 1] with a finite positive scale, a grid
 length that is a power of two >= 32, a finite number ("X must be finite,
 got v"), a finite array ("X are not finite"), a finite positive noise scale
-estimate sigma_hat, and a level range j0 <= j1 <= log2(n) - 2.  NaN and
-infinity are refused by name wherever a rule applies.  Each rule's message
-is written once in the package.
+estimate sigma_hat, a level range 0 <= j0 <= j1 <= log2(n) - 2, and a
+smoothing spec that is a named spec, a numeric string or a real number.
+NaN and infinity are refused by name wherever a rule applies.  Each rule's
+message is written once in the package, and no module branches on a method
+name: the method table in ``thresholds`` says what each name means.
 """
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,10 +27,10 @@ from lrdwaved.cli import main
 from lrdwaved.covariance import KernelSpec, fbm_spectral_constant, tau_level
 from lrdwaved.estimator import DeconvolutionProblem
 from lrdwaved.finescale import fine_level_details, kernel_channel, lemma_bracket, stopping_time
-from lrdwaved.meyer import WaveletCoefficients
+from lrdwaved.meyer import WaveletCoefficients, forward_transform
 from lrdwaved.noise import NoiseModel, fgn_autocovariance
 from lrdwaved.signals import ExperimentConfig, calibrate_sigma, gamma_kernel, generate_dataset
-from lrdwaved.thresholds import build_policy, c_n, fine_level_theoretical
+from lrdwaved.thresholds import build_policy, c_n, fine_level_theoretical, resolve_smoothing
 
 nan, inf = math.nan, math.inf
 
@@ -123,6 +126,7 @@ class TestGridLengthRule:
 TOO_FINE = ("fine level j1={j1} too large for n={n}: need j1 <= log2(n)-2 "
             "so all band frequencies stay below the Nyquist range")
 SIGMA_NAN = "noise scale estimate must be finite and positive, got nan"
+J0_NEGATIVE = "coarse level j0 must be nonnegative, got -1"
 
 
 @pytest.mark.parametrize("call, message", [
@@ -152,11 +156,25 @@ SIGMA_NAN = "noise scale estimate must be finite and positive, got nan"
     (lambda: fine_level_details(generate_dataset(ExperimentConfig("cusp", n=256, alpha=0.6))[0],
                                 0.6, sigma_hat=nan), SIGMA_NAN),
     (lambda: lemma_bracket(gamma_kernel(256), 0.6, nan, 256**-0.5), SIGMA_NAN),
+    # unchecked, numpy scalars and None raised AttributeError (no .lower())
+    (lambda: resolve_smoothing(None, 0.6), "unknown smoothing spec None"),
+    (lambda: resolve_smoothing(b"1.5", 0.6), "unknown smoothing spec b'1.5'"),
+    (lambda: resolve_smoothing(np.float32(-1.5), 0.6), "smoothing must be positive, got -1.5"),
+    (lambda: resolve_smoothing(np.int64(0), 0.6), "smoothing must be positive, got 0.0"),
+    (lambda: ExperimentConfig("cusp", n=64, methods=("lrd",), smoothing=(np.float32(nan),)),
+     "smoothing must be finite, got nan"),
+    # unchecked, 2**-1 reached np.zeros as a float and raised TypeError
+    (lambda: WaveletCoefficients.zeros(-1, 3, 64), J0_NEGATIVE),
+    (lambda: forward_transform(np.zeros(64), -1, 3), J0_NEGATIVE),
+    (lambda: build_policy("lrd", gamma_kernel(256), 256, 0.6, 1.0, 1.0, -1, 5), J0_NEGATIVE),
 ], ids=["rate-p-nan", "rate-pi-nan", "rate-nu-nan", "rate-s-nan", "rate-nu-inf", "rate-s-inf",
         "rate-p-inf", "rate-pi-inf", "fine-level-nu-nan", "fine-level-nu-inf",
         "calibrate-nan-signal", "calibrate-inf-signal", "calibrate-norm-overflow",
         "coefficients-j1-too-fine", "tau-level-too-fine", "kernel-nan", "policy-sigma-nan",
-        "channel-sigma-nan", "fine-level-sigma-nan", "bracket-sigma-nan"])
+        "channel-sigma-nan", "fine-level-sigma-nan", "bracket-sigma-nan", "smoothing-none",
+        "smoothing-bytes", "smoothing-float32-negative", "smoothing-int64-zero",
+        "config-smoothing-float32-nan", "coefficients-j0-negative", "forward-j0-negative",
+        "policy-j0-negative"])
 def test_non_finite_rate_arguments_refused(call, message):
     # unchecked: NaN rates, 0.0 at nu = inf, and a float-to-int error at nu = NaN
     raises_exactly(call, message)
@@ -172,6 +190,27 @@ def test_each_rule_message_is_written_once(template):
     package = Path(lrdwaved.__file__).parent
     homes = {path.name: path.read_text().count(template) for path in package.glob("*.py")}
     assert sum(homes.values()) == 1, {name: k for name, k in homes.items() if k}
+
+
+@pytest.mark.parametrize("spec, value", [(np.float32(1.5), 1.5), (np.int64(2), 2.0),
+                                         (True, 1.0), ("2.5", 2.5), ("SQRT6", math.sqrt(6.0))],
+                         ids=["float32", "int64", "bool", "numeric-string", "name-any-case"])
+def test_every_real_smoothing_spec_resolves(spec, value):
+    assert resolve_smoothing(spec, 0.6) == value
+    config = ExperimentConfig("cusp", n=64, methods=("lrd",), smoothing=(spec,))
+    assert config.smoothing == (spec,)
+
+
+METHOD_BRANCH = re.compile(r"""[=!]=\s*["'](iid|lrd)["']|["'](iid|lrd)["']\s*[=!]=""")
+
+
+def test_no_module_branches_on_a_method_name():
+    # what a method name means is one row of thresholds._METHODS; a comparison would be a second
+    package = Path(lrdwaved.__file__).parent
+    branches = [f"{path.name}:{i}" for path in sorted(package.glob("*.py"))
+                for i, line in enumerate(path.read_text().splitlines(), 1)
+                if METHOD_BRANCH.search(line)]
+    assert branches == []
 
 
 @pytest.mark.parametrize("log_power", [nan, inf])

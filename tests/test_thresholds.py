@@ -167,6 +167,22 @@ class TestMethodList:
             (method,) = [a for a in subparsers.choices[command]._actions if a.dest == "method"]
             assert tuple(method.choices) == tuple(DEFAULT_SMOOTHING)
 
+    def test_cli_smoothing_flags_are_the_method_rows(self):
+        # each method's flag carries its row's default, and its help names every named spec
+        from lrdwaved.cli import build_parser
+        from lrdwaved.thresholds import _METHODS, _SMOOTHING_SPECS
+
+        subparsers = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        assert DEFAULT_SMOOTHING == {"iid": "sqrt6", "lrd": "sqrt2alpha"}
+        for command in ("estimate", "rates"):
+            actions = {a.dest: a for a in subparsers.choices[command]._actions}
+            for row in _METHODS.values():
+                flag = actions[row.flag]
+                assert flag.option_strings == [f"--{row.flag}"] and flag.default == row.default
+                assert all(spec in flag.help for spec in _SMOOTHING_SPECS), flag.help
+
     def test_unknown_method_gets_one_message(self):
         from lrdwaved.estimator import DeconvolutionProblem, run_estimator
         from lrdwaved.signals import ExperimentConfig
