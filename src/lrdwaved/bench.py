@@ -99,26 +99,27 @@ def _other_cpus() -> set[int]:
     return os.sched_getaffinity(0) - {cpu}
 
 
-def _share_blocks(run_block, blocks: list[range], done: np.ndarray) -> None:
+def _share_blocks(run_block, blocks: list, done: np.ndarray) -> None:
     """Run ``blocks`` on this process and one child helper, marking each finished one done.
 
-    The block indices wait in a pipe as a queue of 4-byte messages, written
-    with one non-blocking write and the write end closed before the fork, so
-    after it no process writes to the pipe.  A process claims a block by
-    reading one message; a shorter read means the queue is empty, and with
-    no writer left that read never blocks, even when the other process died
-    holding an index.  A process whose block fails reads every message left,
-    so neither starts another.  The helper leaves only through
-    ``os._exit``: it never returns into the caller's stack nor flushes its
-    stdio.  It first moves itself off the CPU the caller ran on at the fork
-    (``_other_cpus``), so the scheduler cannot keep both processes on one
-    core for the whole call; the caller's own affinity is never changed, and
-    a move the system refuses, or a CPU that cannot be read, leaves the
-    helper where the fork put it.  It is reaped, and the pipe closed, before
-    this returns or raises; an interrupted or failing caller kills it first.
-    A block that failed, that no one reached, that a dead helper held or
-    that the pipe could not hold is left undone; so is every block when the
-    pipe, its fill or the fork cannot be made.
+    ``blocks`` is any list of units that ``run_block`` takes.  Their indices
+    wait in a pipe as a queue of 4-byte messages, written with one
+    non-blocking write and the write end closed before the fork, so after it
+    no process writes to the pipe.  A process claims a unit by reading one
+    message; a shorter read means the queue is empty, and with no writer
+    left that read never blocks, even when the other process died holding
+    an index.  A process whose unit fails reads every message left, so
+    neither starts another.  The helper leaves only through ``os._exit``: it
+    never returns into the caller's stack nor flushes its stdio.  It first
+    moves itself off the CPU the caller ran on at the fork (``_other_cpus``),
+    so the scheduler cannot keep both processes on one core for the whole
+    call; the caller's own affinity is never changed, and a move the system
+    refuses, or a CPU that cannot be read, leaves the helper where the fork
+    put it.  It is reaped, and the pipe closed, before this returns or
+    raises; an interrupted or failing caller kills it first.  A unit that
+    failed, that no one reached, that a dead helper held or that the pipe
+    could not hold is left undone; so is every unit when the pipe, its fill
+    or the fork cannot be made.
     """
     try:
         fd_in, fd_out = os.pipe()
@@ -177,94 +178,94 @@ def run_benchmark(config: ExperimentConfig, threads: int = 1) -> BenchResult:
     blocking.  The signal, kernel, blur and noise scale are built once per
     call; a block draws each replication's noise into its row of one (B, n)
     stack, row b the dataset ``generate_dataset(config, rep)`` of its
-    replication.
-
-    Every cell keeps its results and a done flag per block in one anonymous
-    mapping.  A cell of two or more blocks runs its blocks on the calling
-    process and one helper it forks for this call, which shares that mapping,
-    when the process may use two or more CPUs and runs no other Python thread
-    (forking beside a live thread can deadlock the helper).  Both processes
-    claim blocks from one queue of block indices, filled before the fork
-    (see ``_share_blocks``); a block reads only its own streams and writes
-    only its own columns, so every output byte is the serial run's.  The
-    helper moves itself off the CPU the caller ran on at the fork, so the
-    scheduler cannot keep both on one core; the caller's affinity is not
-    changed.
-    Otherwise the cell runs serially on the caller: a one-block cell, a
-    process pinned to one CPU, a platform without an affinity call, or a
-    process with another thread alive.  The helper is reaped before the
-    call returns or raises.  Once a block fails neither process starts
-    another; the caller then runs every block not marked done, in block
-    order, and a failing block is rerun one replication at a time to name
-    the replication, so the error is the one a serial run meets first.
+    replication.  The call is a one-cell grid (``_run_grid``), so a cell of
+    two or more blocks shares them with one forked helper.
 
     ``threads`` is not read: the helper depends on the block count, the CPUs
     and the live threads alone.  It stays while callers pass it.
     """
-    n_methods = len(config.methods)
-    blocks = [range(start, min(start + BLOCK, config.replications))
-              for start in range(0, config.replications, BLOCK)]
-    # mses, levels, kept and one done flag per block
-    count = n_methods * config.replications
-    shared = mmap.mmap(-1, 3 * 8 * count + len(blocks))
-    mses, levels, kept = (
-        np.frombuffer(shared, dtype, count, 8 * count * k).reshape(n_methods, -1)
-        for k, dtype in enumerate((np.float64, np.int64, np.float64))
-    )
-    done = np.frombuffer(shared, np.bool_, len(blocks), 3 * 8 * count)
+    return _run_grid([config])[0]
 
-    cell = _clean_cell(config)
-    f_true = cell.f_true
-    rows = [
-        (method, resolve_smoothing(spec, _method_alpha(method, config.alpha)))
-        for method, spec in zip(config.methods, config.smoothing)
-    ]
 
-    def run_block(reps: range) -> None:
-        rngs = [[derive_rng(config.seed, rep, i) for i in range(n_methods)] for rep in reps]
+def _run_grid(configs: list[ExperimentConfig]) -> list[BenchResult]:
+    """``run_benchmark`` of each config, in order, with one scheduler for the call.
+
+    A unit is one (cell index, block) pair, queued cell-major.  Every cell's
+    clean part and method rows are built first, and one anonymous mapping
+    holds every cell's results and a done flag per unit.  Two or more units
+    run on the caller and one helper forked once for the call, sharing that
+    mapping and one queue (``_share_blocks``), when the process may use two
+    or more CPUs and runs no other Python thread (a fork beside a live
+    thread can deadlock the helper); otherwise every unit runs on the
+    caller.  A unit reads only its own streams and writes only its own
+    columns, so every output byte is the serial run's.  Once a unit fails
+    neither process starts another; the caller then runs every unit not
+    marked done, in order, and reruns a failing unit one replication at a
+    time, so the error, naming the replication and its cell's seed, is the
+    one a serial loop over the cells meets first.
+    """
+    cells = [_clean_cell(config) for config in configs]
+    rows = [[(method, resolve_smoothing(spec, _method_alpha(method, config.alpha)))
+             for method, spec in zip(config.methods, config.smoothing)] for config in configs]
+    units = [(i, range(start, min(start + BLOCK, config.replications)))
+             for i, config in enumerate(configs) for start in range(0, config.replications, BLOCK)]
+    # per cell its mses, levels and kept, then one done flag per unit
+    counts = [len(config.methods) * config.replications for config in configs]
+    shared = mmap.mmap(-1, 3 * 8 * sum(counts) + len(units))
+    stores = [[np.frombuffer(shared, dtype, count, 8 * (3 * sum(counts[:i]) + count * k))
+               .reshape(-1, configs[i].replications)
+               for k, dtype in enumerate((np.float64, np.int64, np.float64))]
+              for i, count in enumerate(counts)]
+    done = np.frombuffer(shared, np.bool_, len(units), 3 * 8 * sum(counts))
+
+    def run_unit(unit: tuple[int, range]) -> None:
+        i, reps = unit
+        config, cell, (mses, levels, kept) = configs[i], cells[i], stores[i]
+        n_methods = len(config.methods)
+        rngs = [[derive_rng(config.seed, rep, m) for m in range(n_methods)] for rep in reps]
         # the pass holds the only reference to the block's spectra and frees them before synthesis
         block = _block_pass(
-            _spectra(_observations(cell, reps)), cell.kernel, config.alpha, rows, rngs
+            _spectra(_observations(cell, reps)), cell.kernel, config.alpha, rows[i], rngs
         )
         # rows b*m .. b*m + m-1 of the pass are replication reps[b] under each method
-        sq = np.subtract(block.estimates, f_true)
+        sq = np.subtract(block.estimates, cell.f_true)
         sq *= sq
         cols, shape = slice(reps[0], reps[-1] + 1), (len(reps), n_methods)
         mses[:, cols] = sq.mean(axis=1).reshape(shape).T
         levels[:, cols] = block.levels.reshape(shape).T
         kept[:, cols] = block.kept.reshape(shape).T
 
-    if len(blocks) > 1 and _cpus() >= 2 and threading.active_count() == 1:
-        _share_blocks(run_block, blocks, done)
-    for k, reps in enumerate(blocks):
-        if done[k]:
+    if len(units) > 1 and _cpus() >= 2 and threading.active_count() == 1:
+        _share_blocks(run_unit, units, done)
+    for (i, reps), unit_done in zip(units, done):
+        if unit_done:
             continue
         # the rows of a pass are independent, so a replication that failed
-        # fails again alone: a failed block is rerun one replication at a time
+        # fails again alone: a failed unit is rerun one replication at a time
         try:
-            run_block(reps)
+            run_unit((i, reps))
         except Exception as exc:
+            seed = configs[i].seed
             for rep in reps:
                 try:
-                    run_block(range(rep, rep + 1))
+                    run_unit((i, range(rep, rep + 1)))
                 except Exception as alone:
-                    raise RuntimeError(
-                        f"replication {rep} (seed {config.seed}) failed: {alone}"
-                    ) from alone
+                    raise RuntimeError(f"replication {rep} (seed {seed}) failed: {alone}") from alone
             raise RuntimeError(
-                f"replications {reps[0]}-{reps[-1]} (seed {config.seed}) failed: {exc}"
+                f"replications {reps[0]}-{reps[-1]} (seed {seed}) failed: {exc}"
             ) from exc
 
-    means, mean_kept = mses.mean(axis=1), kept.mean(axis=1)
-    ses = np.zeros(n_methods)
-    if config.replications > 1:
-        ses = mses.std(axis=1, ddof=1) / math.sqrt(config.replications)
-    results = [
-        MethodResult(method, str(spec), float(means[i]), float(ses[i]), _mode(levels[i]),
-                     float(mean_kept[i]), levels[i].copy(), mses[i].copy())
-        for i, (method, spec) in enumerate(zip(config.methods, config.smoothing))
-    ]
-    return BenchResult(config=config, methods=results)
+    results = []
+    for config, (mses, levels, kept) in zip(configs, stores):
+        means, mean_kept, ses = mses.mean(axis=1), kept.mean(axis=1), np.zeros(len(mses))
+        if config.replications > 1:
+            ses = mses.std(axis=1, ddof=1) / math.sqrt(config.replications)
+        results.append(BenchResult(config, [
+            MethodResult(method, str(spec), float(means[i]), float(ses[i]), _mode(levels[i]),
+                         float(mean_kept[i]), levels[i].copy(), mses[i].copy())
+            for i, (method, spec) in enumerate(zip(config.methods, config.smoothing))
+        ]))
+    return results
 
 
 def rate_exponent(s: float, p: float, nu: float, alpha: float, pi: float) -> float:
@@ -350,7 +351,7 @@ def run_rate_experiment(
         )
         for idx, n in enumerate(n_grid)
     ]
-    means = np.array([run_benchmark(c).methods[0].mean_mse for c in configs])
+    means = np.array([r.methods[0].mean_mse for r in _run_grid(configs)])
     x = np.log(np.asarray(n_grid, dtype=float) / np.log(n_grid))
     slope, _ = np.polyfit(x, np.log(means), 1)
     rho = rate_exponent(smoothness, 2.0, nu, alpha, 2.0)

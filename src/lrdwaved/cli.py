@@ -8,11 +8,11 @@ JSON report the same provenance as a block; the hash covers every flag the
 command parsed, the seed resolved and input files by their bytes, except
 --out and --threads, which change no output byte.  Each command declares
 only the flags it reads, except --threads on benchmark and rates: it is
-checked (at least 1) but not read, since a cell of more than 8 replications
-already runs its blocks on the calling process and one helper process
-when the process may use two CPUs and runs no other thread.  The
-model flags set ExperimentConfig's fields and default to them, as do
-benchmark's --methods, --smoothing, --replications and noise's --n, --kind.
+checked (at least 1) but not read, since each call already runs its blocks
+on the calling process and one helper process, forked once per call for more
+than one block in total, when the process may use two CPUs and runs no other
+thread.  The model flags set ExperimentConfig's fields and default to them,
+as do benchmark's --methods, --smoothing, --replications and noise's --n, --kind.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import run_benchmark, run_rate_experiment
+from .bench import _run_grid, run_rate_experiment
 from .covariance import KernelSpec
 from .estimator import DeconvolutionProblem, run_estimator
 from .finescale import fine_level_details
@@ -173,8 +173,8 @@ def _check_threads(threads: int) -> None:
 def _add_threads_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--threads", type=int, default=1,
-        help="not read: a cell of more than 8 replications runs on two processes "
-        "when two CPUs are free (>= 1)",
+        help="not read: the blocks run on two processes, the helper forked once per call, "
+        "when there is more than one block in total and two CPUs are free (>= 1)",
     )
 
 
@@ -376,24 +376,14 @@ def cmd_benchmark(args) -> int:
         for alpha in alphas
     ]
     out = _out_dir(args)
-    results = [run_benchmark(config) for config in configs]
+    results = _run_grid(configs)
 
     provenance = _provenance(args, seed)
-    rows = []
-    for res in results:
-        for m in res.methods:
-            rows.append(
-                [
-                    args.signal,
-                    m.method,
-                    m.smoothing_spec,
-                    res.config.alpha,
-                    args.snr,
-                    m.mean_mse,
-                    m.se,
-                    m.typical_fine_level,
-                ]
-            )
+    rows = [
+        [args.signal, m.method, m.smoothing_spec, res.config.alpha, args.snr, m.mean_mse, m.se,
+         m.typical_fine_level]
+        for res in results for m in res.methods
+    ]
     _write_csv(
         out / "results.csv",
         provenance,
@@ -412,11 +402,15 @@ def cmd_table(args) -> int:
     path = Path(args.results)
     if not path.exists():
         raise ValidationError(f"results file {path} does not exist")
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    results = payload.get("results")
-    if not results:
+    try:  # a file from outside the program: any shape it may have is validation
+        results = json.loads(path.read_text(encoding="utf-8")).get("results")
+        text = _render_table(results) if results else None
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"{path} is not a benchmark results file ({type(exc).__name__}: {exc})"
+        ) from exc
+    if text is None:
         raise ValidationError(f"{path} holds no benchmark results")
-    text = _render_table(results)
     if args.out is not None:
         out = _out_dir(args)
         (out / "table.txt").write_text(text + "\n", encoding="utf-8", newline="\n")

@@ -180,9 +180,13 @@ class ExperimentConfig:
         _stream_words(self.seed, ())  # derive_rng's seed domain, [0, 2**64)
 
     def as_dict(self) -> dict:
-        """Every field by name, tuples as lists."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
+        """Every field by name, tuples as lists and numpy scalars, no JSON values, as Python's."""
+        def plain(v):
+            if isinstance(v, tuple):
+                return [plain(x) for x in v]
+            return v.item() if isinstance(v, np.generic) else v
+
+        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
 
 
 @dataclass(frozen=True)

@@ -1008,6 +1008,147 @@ class TestRunBenchmark:
         assert payload["config"]["signal"] == "cusp"
         assert len(payload["methods"]) == 2
 
+    def test_as_dict_of_numpy_scalars_is_json(self):
+        # numpy scalars in the config leave as_dict as Python's int and float
+        import json
+
+        config = ExperimentConfig("cusp", n=np.int64(64), methods=("lrd",),
+                                  smoothing=(np.float32(1.5),), replications=np.int64(2))
+        plain = ExperimentConfig("cusp", n=64, methods=("lrd",), smoothing=(1.5,), replications=2)
+        assert json.dumps(config.as_dict()) == json.dumps(plain.as_dict())
+        assert json.dumps(run_benchmark(config).as_dict()) == json.dumps(
+            run_benchmark(plain).as_dict())
+
+
+def grid_configs():
+    # different n, a three-method and a one-method cell, a one-block cell and
+    # short last blocks: 3 + 1 + 2 units
+    return [
+        small_config(replications=20, methods=("iid", "lrd", "lrd"),
+                     smoothing=("sqrt6", "sqrtalpha", "sqrt2alpha")),
+        small_config(n=512, alpha=0.8, replications=5, methods=("lrd",),
+                     smoothing=("sqrt2alpha",), seed=4),
+        small_config(n=256, alpha=1.0, replications=12, methods=("iid",),
+                     smoothing=("sqrt6",), seed=5, noise_kind="fgn"),
+    ]
+
+
+class TestRunGrid:
+    """``bench._run_grid``: every cell's (cell, block) units on one scheduler per call."""
+
+    @staticmethod
+    def _summary(result):
+        return [(m.mses.tobytes(), m.fine_levels.tobytes(), m.mean_mse, m.se,
+                 m.typical_fine_level, m.mean_kept) for m in result.methods]
+
+    def test_each_cell_gives_its_run_benchmark_bytes(self, monkeypatch):
+        from lrdwaved.bench import _run_grid
+
+        configs = grid_configs()
+        with monkeypatch.context() as pinned:
+            pinned.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            alone = [self._summary(run_benchmark(config)) for config in configs]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        results = _run_grid(configs)
+        assert [r.config for r in results] == configs
+        assert [self._summary(r) for r in results] == alone
+
+    @pytest.mark.parametrize("replications, forked", [((8, 8, 8), 1), ((8,), 0)],
+                             ids=["three-units", "one-unit"])
+    def test_one_fork_per_call(self, monkeypatch, replications, forked):
+        from lrdwaved.bench import _run_grid
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        forks, reaps, _ = TestRunBenchmark._count_forks(monkeypatch)
+        _run_grid([small_config(replications=m, seed=3 + i) for i, m in enumerate(replications)])
+        assert len(forks) == forked
+        assert reaps == [(pid, 0) for pid in forks]
+
+    @pytest.mark.parametrize("failing, message", [
+        ({(9, 5)}, "replication 5 (seed 9) failed: injected failure"),
+        ({(9, 5), (3, 10)}, "replication 10 (seed 3) failed: injected failure"),
+    ], ids=["second-cell", "both-cells"])
+    def test_failure_is_the_serial_loops_first(self, monkeypatch, failing, message):
+        # a replication fails wherever it runs, in a block or alone: the error
+        # names the first failing replication a loop over the cells meets,
+        # with its cell's seed, and the helper is reaped
+        import lrdwaved.bench as bench_module
+
+        real = bench_module._observations
+
+        def observations(cell, reps):
+            if any((cell.noise.seed, rep) in failing for rep in reps):
+                raise ValueError("injected failure")
+            return real(cell, reps)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(bench_module, "_observations", observations)
+        forks, reaps, _ = TestRunBenchmark._count_forks(monkeypatch)
+        with pytest.raises(RuntimeError) as info:
+            bench_module._run_grid([small_config(replications=12),
+                                    small_config(replications=12, alpha=0.8, seed=9)])
+        assert info.value.args == (message,)
+        assert isinstance(info.value.__cause__, ValueError)
+        assert len(forks) == 1 and reaps == [(forks[0], 0)]
+
+    def test_helper_killed_mid_grid_gives_the_serial_bytes(self):
+        # a fresh interpreter given two CPUs: the helper runs the first unit
+        # it claims and is SIGKILLed right after its second claim returns; the
+        # caller, which waits for that claim, runs the rest, reaps the helper
+        # and reruns the unit it held.  Every cell gives the serial bytes and
+        # no child is left
+        import lrdwaved
+
+        src = str(Path(lrdwaved.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        script = "\n".join([
+            "import mmap, os, signal, time",
+            "import numpy as np",
+            "from lrdwaved.bench import _run_grid",
+            "from lrdwaved.signals import ExperimentConfig",
+            "configs = [ExperimentConfig('cusp', n=1024, alpha=0.6, replications=20, seed=3),",
+            "           ExperimentConfig('doppler', n=512, alpha=0.8, replications=12, seed=4,",
+            "                            methods=('lrd',), smoothing=('sqrt2alpha',)),",
+            "           ExperimentConfig('bumps', n=1024, replications=8, seed=5)]",
+            "def outputs(results):",
+            "    return [m.mses.tobytes() + m.fine_levels.tobytes()",
+            "            for r in results for m in r.methods]",
+            "os.sched_getaffinity = lambda pid: {0}",
+            "serial = outputs(_run_grid(configs))",
+            "os.sched_getaffinity = lambda pid: {0, 1}",
+            "taken = np.frombuffer(mmap.mmap(-1, 8), np.int64)  # the killed claim's index + 1",
+            "caller, real_read, real_waitpid, reaps, claims = os.getpid(), os.read, os.waitpid, [], []",
+            "def read(fd, count):",
+            "    if os.getpid() == caller:",
+            "        deadline = time.monotonic() + 10",
+            "        while not taken[0] and time.monotonic() < deadline:",
+            "            time.sleep(1e-3)",
+            "        return real_read(fd, count)",
+            "    data = real_read(fd, count)",
+            "    claims.append(data)",
+            "    if len(claims) == 2:",
+            "        taken[0] = int.from_bytes(data, 'little') + 1",
+            "        os.kill(os.getpid(), signal.SIGKILL)",
+            "    return data",
+            "def waitpid(pid, options):",
+            "    reaps.append(real_waitpid(pid, options))",
+            "    return reaps[-1]",
+            "os.read, os.waitpid = read, waitpid",
+            "result = _run_grid(configs)",
+            "(_, status), = reaps",
+            "try:",
+            "    os.waitpid(-1, os.WNOHANG)",
+            "    children = True",
+            "except ChildProcessError:",
+            "    children = False",
+            "killed = os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL",
+            "print(int(taken[0]) - 1, killed, children, outputs(result) == serial)",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1", "True", "False", "True"]
+
 
 class TestRateExponent:
     def test_direct_dense_case(self):
@@ -1092,7 +1233,7 @@ class TestRateExperiment:
         from lrdwaved import bench
 
         calls = []
-        monkeypatch.setattr(bench, "run_benchmark", lambda config: calls.append(config))
+        monkeypatch.setattr(bench, "_run_grid", lambda configs: calls.extend(configs))
         with pytest.raises(ValueError, match="seed must be an integer"):
             run_rate_experiment("cusp", "lrd", 1.0, 0.7, (256, 512), replications=2,
                                 seed=2**64 - 1)
@@ -1102,7 +1243,7 @@ class TestRateExperiment:
         from lrdwaved import bench
 
         calls = []
-        monkeypatch.setattr(bench, "run_benchmark", lambda config: calls.append(config))
+        monkeypatch.setattr(bench, "_run_grid", lambda configs: calls.extend(configs))
         with pytest.raises(ValueError, match="unknown noise kind 'bogus'"):
             run_rate_experiment("cusp", "lrd", 1.0, 0.7, (256, 512), replications=2,
                                 noise_kind="bogus")
@@ -1117,18 +1258,18 @@ class TestRateExperiment:
 
         configs = []
 
-        def spy(config):
-            configs.append(config)
+        def spy(grid):
+            configs.extend(grid)
             raise Stop
 
-        monkeypatch.setattr(bench, "run_benchmark", spy)
+        monkeypatch.setattr(bench, "_run_grid", spy)
         with pytest.raises(Stop):
             run_rate_experiment("doppler", "iid", 0.6, 0.5, (256, 512), replications=3,
                                 smoothing="1.5", snr_db=10.0, seed=7, noise_kind="fgn")
         assert configs == [ExperimentConfig(
-            signal="doppler", n=256, alpha=0.6, nu=0.5, snr_db=10.0, methods=("iid",),
-            smoothing=("1.5",), replications=3, seed=7, noise_kind="fgn",
-        )]
+            signal="doppler", n=n, alpha=0.6, nu=0.5, snr_db=10.0, methods=("iid",),
+            smoothing=("1.5",), replications=3, seed=seed, noise_kind="fgn",
+        ) for n, seed in ((256, 7), (512, 8))]
 
     def test_smoothing_defaults_to_the_method_default(self, monkeypatch):
         # the spec rates --xi / --eta default to, which the config's default
@@ -1140,16 +1281,16 @@ class TestRateExperiment:
 
         specs = []
 
-        def spy(config):
-            specs.append(config.smoothing)
+        def spy(grid):
+            specs.extend(config.smoothing for config in grid)
             raise Stop
 
-        monkeypatch.setattr(bench, "run_benchmark", spy)
+        monkeypatch.setattr(bench, "_run_grid", spy)
         for method in ("lrd", "iid"):
             with pytest.raises(Stop):
                 run_rate_experiment("cusp", method, 1.0, 0.7, (256, 512), replications=2)
         iid, _, lrd = ExperimentConfig("cusp").smoothing
-        assert specs == [(lrd,), (iid,)] == [("sqrt2alpha",), ("sqrt6",)]
+        assert specs == [(lrd,)] * 2 + [(iid,)] * 2 == [("sqrt2alpha",)] * 2 + [("sqrt6",)] * 2
 
     def test_needs_grid(self):
         with pytest.raises(ValueError):

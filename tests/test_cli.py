@@ -331,7 +331,10 @@ class TestBenchmarkCommand:
     @pytest.mark.parametrize("payload, message", [
         (None, "results file {path} does not exist"),
         ({"provenance": {}, "results": []}, "{path} holds no benchmark results"),
-    ], ids=["missing", "no-results"])
+        ([], "{path} is not a benchmark results file (AttributeError"),
+        ({"results": [{"config": {}}]}, "{path} is not a benchmark results file (KeyError"),
+        ({"results": "abc"}, "{path} is not a benchmark results file (TypeError"),
+    ], ids=["missing", "no-results", "top-level-list", "no-alpha", "results-string"])
     def test_table_without_results_is_validation_error(self, tmp_path, capsys, payload, message):
         path = tmp_path / "results.json"
         if payload is not None:
