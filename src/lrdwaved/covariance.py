@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .meyer import _band_fold, _check_finite, _check_grid, _detail_plan, psi_hat
+from .meyer import _band_fold, _check_finite, _check_grid, _detail_plan, _scale_plan, psi_hat
 from .noise import _check_alpha, _check_hurst
 
 __all__ = [
@@ -76,19 +76,22 @@ class KernelSpec:
     def n(self) -> int:
         return self.fourier.shape[0]
 
-    def validate_band(self, j: int) -> np.ndarray:
-        """Kernel coefficients over band_set(j); raises if j exceeds the grid or any vanishes."""
-        _check_grid(self.n, j)
-        return self._band_coefficients(_detail_plan(j, self.n), f"level {j}")
 
-    def _band_coefficients(self, plan, band: str) -> np.ndarray:
-        """Kernel coefficients over ``plan``'s band; raises, naming ``band``, if any vanishes."""
-        coeffs = self.fourier[plan.index]
-        dead = np.abs(coeffs) < np.finfo(float).tiny  # a subnormal |K_hat| overflows 1/K_hat
-        if np.any(dead):
-            ell = int(plan.frequencies[np.argmax(dead)])
-            raise ValueError(f"kernel Fourier coefficient vanishes at frequency {ell} ({band})")
-        return coeffs
+# keyed by the kernel's value: deconvolution and both tau factors gather and check each band
+# once; one kernel at n=4096 fills 9 entries (scale 3, levels 3-10)
+@lru_cache(maxsize=64)
+def _kernel_band(kernel: KernelSpec, j: int, scale: bool = False) -> np.ndarray:
+    """Read-only K_hat over level j's detail (or scale) band, checked for the grid and zeros."""
+    band = f"scale level {j}" if scale else f"level {j}"
+    _check_grid(kernel.n, j, band)
+    plan = (_scale_plan if scale else _detail_plan)(j, kernel.n)
+    coeffs = kernel.fourier[plan.index]
+    dead = np.abs(coeffs) < np.finfo(float).tiny  # a subnormal |K_hat| overflows 1/K_hat
+    if np.any(dead):
+        ell = int(plan.frequencies[np.argmax(dead)])
+        raise ValueError(f"kernel Fourier coefficient vanishes at frequency {ell} ({band})")
+    coeffs.setflags(write=False)
+    return coeffs
 
 
 def fbm_spectral_constant(hurst: float) -> float:
@@ -132,7 +135,7 @@ def tau_level(j: int, kernel: KernelSpec, alpha: float) -> float:
     """
     _check_alpha(alpha)
     hurst = 1.0 - alpha / 2.0
-    coeffs = kernel.validate_band(j)
+    coeffs = _kernel_band(kernel, j)
     plan = _detail_plan(j, kernel.n)
     ells = plan.frequencies
     a = plan.synthesis * np.abs(ells) ** (0.5 - hurst) / np.conj(coeffs)
@@ -152,8 +155,7 @@ def waved_tau_level(j: int, kernel: KernelSpec) -> float:
     The root mean of |K_hat|^(-2) over the band (variance-faithful), so tau_j
     grows as the kernel decays: the established WaveD scaling.
     """
-    coeffs = kernel.validate_band(j)
-    return float(np.mean(np.abs(coeffs) ** -2.0) ** 0.5)
+    return float(np.mean(np.abs(_kernel_band(kernel, j)) ** -2.0) ** 0.5)
 
 
 @dataclass

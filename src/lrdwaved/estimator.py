@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from . import meyer
-from .covariance import KernelSpec
+from .covariance import KernelSpec, _kernel_band
 from .finescale import _fine_levels
 from .meyer import WaveletCoefficients
 from .noise import _check_alpha
@@ -152,20 +152,6 @@ def _deconvolve(
             detail[j] = meyer._analyze(quotient, band, "detail")
             meyer._check_finite(detail[j], f"deconvolved coefficients at detail level {j}")
     return scale, detail
-
-
-# validated kernel coefficients keyed by the kernel's value and the level: a cell's blocks
-# gather and check each band once (on a cold cache a cell's helper process computes its
-# own entries, which leave with it); one kernel at n=4096 fills 9 entries (scale 3, levels 3-10)
-@lru_cache(maxsize=64)
-def _kernel_band(kernel: KernelSpec, j: int, scale: bool = False) -> np.ndarray:
-    """Read-only kernel coefficients over level j's scale or detail band; raises if any vanishes."""
-    if scale:
-        coeffs = kernel._band_coefficients(meyer._scale_plan(j, kernel.n), f"scale level {j}")
-    else:
-        coeffs = kernel.validate_band(j)
-    coeffs.setflags(write=False)
-    return coeffs
 
 
 def estimate_sigma(problem: DeconvolutionProblem) -> float:

@@ -161,13 +161,14 @@ def _check_length(n: int, what: str) -> None:
         raise ValueError(f"{what} must be a power of two >= 32, got {n}")
 
 
-def _check_grid(n: int, j1: int) -> None:
-    """The one level-fits-grid rule: n a power of two and level j1's band below n/2."""
+def _check_grid(n: int, j: int, band: str | None = None) -> None:
+    """The one level-fits-grid rule, n = 2^J and j <= J-2; names j as ``band``, else as j1."""
     if n < 2 or (n & (n - 1)) != 0:
         raise ValueError(f"grid length must be a power of two, got {n}")
-    if j1 > int(np.log2(n)) - 2:
+    if j > int(np.log2(n)) - 2:
+        name, symbol = (f"fine level j1={j}", "j1") if band is None else (band, "level")
         raise ValueError(
-            f"fine level j1={j1} too large for n={n}: need j1 <= log2(n)-2 "
+            f"{name} too large for n={n}: need {symbol} <= log2(n)-2 "
             "so all band frequencies stay below the Nyquist range"
         )
 

@@ -178,15 +178,21 @@ class ExperimentConfig:
         if self.replications < 1:
             raise ValueError(f"replications must be at least 1, got {self.replications}")
         _stream_words(self.seed, ())  # derive_rng's seed domain, [0, 2**64)
+        # a numpy scalar would carry its dtype into the noise scale and every cache key
+        for f in fields(self):
+            object.__setattr__(self, f.name, _plain(getattr(self, f.name)))
 
     def as_dict(self) -> dict:
-        """Every field by name, tuples as lists and numpy scalars, no JSON values, as Python's."""
-        def plain(v):
-            if isinstance(v, tuple):
-                return [plain(x) for x in v]
-            return v.item() if isinstance(v, np.generic) else v
+        """Every field by name, tuples as lists; the fields hold Python scalars only."""
+        return {f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v
+                for f in fields(self)}
 
-        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
+
+def _plain(value):
+    """``value`` with each numpy scalar as Python's int, float, bool or str; a list as a tuple."""
+    if isinstance(value, (tuple, list)):
+        return tuple(_plain(v) for v in value)
+    return value.item() if isinstance(value, np.generic) else value
 
 
 @dataclass(frozen=True)

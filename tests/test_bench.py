@@ -1019,6 +1019,26 @@ class TestRunBenchmark:
         assert json.dumps(run_benchmark(config).as_dict()) == json.dumps(
             run_benchmark(plain).as_dict())
 
+    def test_numpy_scalar_fields_give_the_python_scalar_bytes(self):
+        # a config stores Python scalars: a float32 alpha would scale the noise
+        # in float32 and key the kernel and tau caches by float32 values
+        model = dict(n=64, alpha=0.5, nu=0.75, snr_db=20.0, replications=2, seed=3,
+                     kernel_scale=0.25)
+        numpy = {name: (np.int64 if isinstance(v, int) else np.float32)(v)
+                 for name, v in model.items()}
+        methods = ("iid", "lrd")
+        config = ExperimentConfig("cusp", methods=methods,
+                                  smoothing=("sqrt6", np.float32(1.5)), **numpy)
+        plain = ExperimentConfig("cusp", methods=methods, smoothing=("sqrt6", 1.5), **model)
+        listed = ExperimentConfig("cusp", methods=list(methods),
+                                  smoothing=["sqrt6", np.float32(1.5)], **numpy)
+        assert config == plain == listed and hash(listed) == hash(plain)
+        assert config.as_dict() == plain.as_dict()
+        assert [type(v) for v in config.as_dict().values()] == [
+            type(v) for v in plain.as_dict().values()]
+        assert [m.mses.tobytes() for m in run_benchmark(config).methods] == [
+            m.mses.tobytes() for m in run_benchmark(plain).methods]
+
 
 def grid_configs():
     # different n, a three-method and a one-method cell, a one-block cell and

@@ -288,6 +288,22 @@ class TestTauLevel:
         with pytest.raises(ValueError):
             tau_level(6, kernel, 1.0)
 
+    def test_tau_reads_the_bands_deconvolution_cached(self):
+        # both tau factors read the one kernel-band cache that deconvolution fills:
+        # after a deconvolution through an equal kernel they gather no band
+        from lrdwaved.covariance import _kernel_band
+        from lrdwaved.estimator import DeconvolutionProblem, deconvolve_coefficients
+
+        kernel = gamma_kernel(256)
+        _kernel_band.cache_clear()
+        deconvolve_coefficients(DeconvolutionProblem(np.zeros(256), kernel), 3, 5)
+        misses = _kernel_band.cache_info().misses
+        equal = KernelSpec(kernel.fourier)
+        for j in (3, 4, 5):
+            tau_level(j, equal, 0.6)
+            waved_tau_level(j, equal)
+        assert _kernel_band.cache_info().misses == misses
+
 class TestWavedTau:
     def test_identity_kernel(self):
         kernel = identity_kernel()

@@ -24,7 +24,13 @@ import pytest
 import lrdwaved
 from lrdwaved.bench import rate_exponent
 from lrdwaved.cli import main
-from lrdwaved.covariance import KernelSpec, fbm_spectral_constant, tau_level
+from lrdwaved.covariance import (
+    KernelSpec,
+    _kernel_band,
+    fbm_spectral_constant,
+    tau_level,
+    waved_tau_level,
+)
 from lrdwaved.estimator import DeconvolutionProblem
 from lrdwaved.finescale import fine_level_details, kernel_channel, lemma_bracket, stopping_time
 from lrdwaved.meyer import WaveletCoefficients, forward_transform
@@ -125,6 +131,8 @@ class TestGridLengthRule:
 
 TOO_FINE = ("fine level j1={j1} too large for n={n}: need j1 <= log2(n)-2 "
             "so all band frequencies stay below the Nyquist range")
+BAND_TOO_FINE = ("{band} too large for n={n}: need level <= log2(n)-2 "
+                 "so all band frequencies stay below the Nyquist range")
 SIGMA_NAN = "noise scale estimate must be finite and positive, got nan"
 J0_NEGATIVE = "coarse level j0 must be nonnegative, got -1"
 
@@ -149,7 +157,12 @@ J0_NEGATIVE = "coarse level j0 must be nonnegative, got -1"
      "blurred signal grid norm must be finite, got inf"),
     # level 7's band reaches n/2 = 128, so no transform on n = 256 can hold it
     (lambda: WaveletCoefficients.zeros(3, 7, 256), TOO_FINE.format(j1=7, n=256)),
-    (lambda: tau_level(9, gamma_kernel(512), 0.6), TOO_FINE.format(j1=9, n=512)),
+    # a kernel band names its own level, not a fine level
+    (lambda: tau_level(9, gamma_kernel(512), 0.6), BAND_TOO_FINE.format(band="level 9", n=512)),
+    (lambda: waved_tau_level(9, gamma_kernel(512)), BAND_TOO_FINE.format(band="level 9", n=512)),
+    (lambda: _kernel_band(gamma_kernel(512), 8), BAND_TOO_FINE.format(band="level 8", n=512)),
+    (lambda: _kernel_band(gamma_kernel(512), 8, scale=True),
+     BAND_TOO_FINE.format(band="scale level 8", n=512)),
     (lambda: KernelSpec(np.full(64, nan)), "kernel Fourier coefficients are not finite"),
     (lambda: build_policy("lrd", gamma_kernel(256), 256, 0.6, nan, 1.0, 3, 5), SIGMA_NAN),
     (lambda: kernel_channel(gamma_kernel(256), 0.6, nan, None), SIGMA_NAN),
@@ -170,7 +183,8 @@ J0_NEGATIVE = "coarse level j0 must be nonnegative, got -1"
 ], ids=["rate-p-nan", "rate-pi-nan", "rate-nu-nan", "rate-s-nan", "rate-nu-inf", "rate-s-inf",
         "rate-p-inf", "rate-pi-inf", "fine-level-nu-nan", "fine-level-nu-inf",
         "calibrate-nan-signal", "calibrate-inf-signal", "calibrate-norm-overflow",
-        "coefficients-j1-too-fine", "tau-level-too-fine", "kernel-nan", "policy-sigma-nan",
+        "coefficients-j1-too-fine", "tau-level-too-fine", "waved-tau-too-fine",
+        "detail-band-too-fine", "scale-band-too-fine", "kernel-nan", "policy-sigma-nan",
         "channel-sigma-nan", "fine-level-sigma-nan", "bracket-sigma-nan", "smoothing-none",
         "smoothing-bytes", "smoothing-float32-negative", "smoothing-int64-zero",
         "config-smoothing-float32-nan", "coefficients-j0-negative", "forward-j0-negative",
