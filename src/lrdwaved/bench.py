@@ -279,7 +279,7 @@ def rate_exponent(s: float, p: float, nu: float, alpha: float, pi: float) -> flo
         raise ValueError(f"loss exponent p must exceed 1, got {p}")
     if not pi >= 1:
         raise ValueError(f"Besov integrability pi must be >= 1, got {pi}")
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     _check_nu(nu)
     lower = 1.0 / pi - nu - alpha / 2.0
     if not s > lower:

@@ -238,7 +238,7 @@ def _read_dataset(path: Path) -> dict[str, np.ndarray]:
         raise ValidationError(f"input file {path} does not exist")
     names: list[str] | None = None
     data: list[list[float]] = []
-    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for number, line in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
         if not line or line.startswith("#"):
             continue
         fields = line.split(",")

@@ -133,8 +133,7 @@ def tau_level(j: int, kernel: KernelSpec, alpha: float) -> float:
     differ by multiples of 2^j (at level j-1 the contributing members differ
     by exactly 2^j), so tau does not depend on k.
     """
-    _check_alpha(alpha)
-    hurst = 1.0 - alpha / 2.0
+    hurst = 1.0 - _check_alpha(alpha) / 2.0
     coeffs = _kernel_band(kernel, j)
     plan = _detail_plan(j, kernel.n)
     ells = plan.frequencies

@@ -63,7 +63,7 @@ class DeconvolutionProblem:
         meyer._check_finite(y, "observations")
         if y.shape[0] != self.kernel.n:
             raise ValueError("observation grid and kernel grid disagree")
-        _check_alpha(self.alpha)
+        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
 
     @property
     def n(self) -> int:
@@ -135,23 +135,11 @@ def _deconvolve(
     each band is analysed once for the whole stack.  Raises ValueError, naming
     the level, if any coefficient is not finite (Y_hat / K_hat can overflow).
     """
-    n = spectra.shape[-1]
-    meyer._check_levels(n, j0, j1)
-    plan = meyer._scale_plan(j0, n)
-    scale_kernel = _kernel_band(kernel, j0, scale=True)
-    detail_kernel = {j: _kernel_band(kernel, j) for j in range(j0, j1 + 1)}
-
-    # Y_hat / K_hat is needed on the bands only; what overflows there, the finite checks refuse
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = meyer._analyze(np.take(spectra, plan.index, axis=-1) / scale_kernel, plan, "scale")
-        meyer._check_finite(scale, f"deconvolved coefficients at scale level {j0}")
-        detail = {}
-        for j, coeffs in detail_kernel.items():
-            band = meyer._detail_plan(j, n)
-            quotient = np.take(spectra, band.index, axis=-1) / coeffs
-            detail[j] = meyer._analyze(quotient, band, "detail")
-            meyer._check_finite(detail[j], f"deconvolved coefficients at detail level {j}")
-    return scale, detail
+    meyer._check_levels(spectra.shape[-1], j0, j1)
+    kernel_bands = [_kernel_band(kernel, j0, scale=True)]  # every band refused before analysis
+    kernel_bands += [_kernel_band(kernel, j) for j in range(j0, j1 + 1)]
+    return meyer._analysis(spectra, j0, j1, kernel_bands,
+                           "deconvolved coefficients at {kind} level {j}")
 
 
 def estimate_sigma(problem: DeconvolutionProblem) -> float:

@@ -74,7 +74,7 @@ _FIRST_WIDTH = 128
 @lru_cache(maxsize=32)
 def _cutoffs(n_freq: int, alpha: float, epsilon: float, log_power: float) -> np.ndarray:
     """Read-only cutoff(l) for l = 1..n_freq, cached by value."""
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     _check_number(log_power, "log_power")
@@ -146,7 +146,7 @@ def kernel_channel(
     (``noise_alpha``), whatever level the stopping rule later assumes.  With
     rng None the channel is noiseless (the deterministic crossing).
     """
-    return _channel(kernel, noise_alpha, [sigma_hat], [rng], 0, kernel.n // 2 - 1)[0]
+    return _channel(kernel, _check_alpha(noise_alpha), [sigma_hat], [rng], 0, kernel.n // 2 - 1)[0]
 
 
 def _channel(kernel, noise_alpha: float, sigma_hats, rngs, lo: int, hi: int) -> np.ndarray:

@@ -162,9 +162,8 @@ def _check_length(n: int, what: str) -> None:
 
 
 def _check_grid(n: int, j: int, band: str | None = None) -> None:
-    """The one level-fits-grid rule, n = 2^J and j <= J-2; names j as ``band``, else as j1."""
-    if n < 2 or (n & (n - 1)) != 0:
-        raise ValueError(f"grid length must be a power of two, got {n}")
+    """The one level-fits-grid rule: ``_check_length``, then j <= log2(n)-2 (named ``band``)."""
+    _check_length(n, "grid length")
     if j > int(np.log2(n)) - 2:
         name, symbol = (f"fine level j1={j}", "j1") if band is None else (band, "level")
         raise ValueError(
@@ -279,25 +278,37 @@ def _detail_from_spectrum(spectrum: np.ndarray, j: int, n: int) -> np.ndarray:
 
 
 def forward_transform(signal: np.ndarray, j0: int, j1: int) -> WaveletCoefficients:
-    """Analyze a sampled periodic signal into periodized Meyer coefficients.
-
-    The signal length must be a power of two and j1 <= log2(n) - 2 so that
-    every band frequency is representable without aliasing.
-    """
+    """Analyze a sampled periodic signal into periodized Meyer coefficients at levels j0..j1."""
     signal = np.asarray(signal, dtype=float)
     n = signal.shape[0]
     _check_levels(n, j0, j1)
     _check_finite(signal, "signal values")
-    spectrum, plan = _spectra(signal[np.newaxis])[0], _scale_plan(j0, n)
-    # a finite signal near the float limit can overflow here; the checks refuse it
+    unit = [1.0] * (j1 - j0 + 2)
+    scale, detail = _analysis(_spectra(signal[np.newaxis]), j0, j1, unit,
+                              "{kind} coefficients at level {j}")
+    return WaveletCoefficients(j0, j1, n, scale[0], {j: d[0] for j, d in detail.items()})
+
+
+def _analysis(
+    spectra: np.ndarray, j0: int, j1: int, divisors, label: str
+) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """The one band loop: the scale band at j0, then detail bands j0..j1, of a (B, n) stack.
+
+    Each band of the spectra is divided by its entry of ``divisors`` (scale
+    first, then detail j0..j1), analysed for the whole stack and refused if
+    not finite, named by ``label`` filled in with the band's kind and level.
+    Returns the (B, 2^j0) scale stack and a (B, 2^j) detail stack per level.
+    """
+    n = spectra.shape[-1]
+    plans = [("scale", _scale_plan(j0, n))]
+    plans += [("detail", _detail_plan(j, n)) for j in range(j0, j1 + 1)]
+    coeffs = []
+    # a band of a finite spectrum can overflow, by itself or over its divisor; the checks refuse it
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = _analyze(np.take(spectrum, plan.index, axis=-1), plan, "scale")
-        _check_finite(scale, f"scale coefficients at level {j0}")
-        detail = {}
-        for j in range(j0, j1 + 1):
-            detail[j] = _detail_from_spectrum(spectrum, j, n)
-            _check_finite(detail[j], f"detail coefficients at level {j}")
-    return WaveletCoefficients(j0=j0, j1=j1, n=n, scale=scale, detail=detail)
+        for (kind, plan), divisor in zip(plans, divisors):
+            coeffs.append(_analyze(np.take(spectra, plan.index, axis=-1) / divisor, plan, kind))
+            _check_finite(coeffs[-1], label.format(kind=kind, j=plan.level))
+    return coeffs[0], dict(zip(range(j0, j1 + 1), coeffs[1:]))
 
 
 def _check_finite(values: np.ndarray, what: str) -> None:

@@ -88,10 +88,11 @@ def _philox_types():
     return Generator, Philox, FixedKey
 
 
-def _check_alpha(alpha: float) -> None:
-    """Raise unless the dependence level lies in (0, 1]; NaN does not."""
+def _check_alpha(alpha: float) -> float:
+    """The dependence level as a Python float (not a numpy scalar); raise unless it is in (0, 1]."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    return float(alpha)
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
+        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
 

@@ -18,7 +18,7 @@ import numpy as np
 from .covariance import KernelSpec
 from .estimator import DeconvolutionProblem
 from .meyer import _check_finite, _check_length
-from .noise import NOISE_KINDS, NoiseModel, _check_alpha, _stream_words
+from .noise import NoiseModel, _check_alpha, _stream_words
 from .thresholds import DEFAULT_SMOOTHING, _check_number, _check_positive, _method_alpha
 from .thresholds import resolve_smoothing
 
@@ -167,8 +167,7 @@ class ExperimentConfig:
         _check_alpha(self.alpha)
         _check_kernel_flags(self.nu, self.kernel_scale)
         _check_number(self.snr_db, "snr_db")
-        if self.noise_kind not in NOISE_KINDS:
-            raise ValueError(f"unknown noise kind {self.noise_kind!r}")
+        NoiseModel(self.alpha, self.noise_kind)  # the noise kind rule, on the cells' own model
         if not self.methods:
             raise ValueError("methods must name at least one method")
         if len(self.methods) != len(self.smoothing):

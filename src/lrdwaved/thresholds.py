@@ -46,7 +46,7 @@ def c_n(n: int, alpha: float) -> float:
     """Sample-size factor sqrt(n^-alpha log n), natural log."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     return math.sqrt(n ** (-alpha) * math.log(n))
 
 
@@ -54,7 +54,7 @@ def fine_level_theoretical(n: int, alpha: float, nu: float) -> int:
     """j1 with 2^j1 = (n^alpha / log n)^(1/(alpha + 2 nu)), floored."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     _check_nu(nu)
     value = (n**alpha / math.log(n)) ** (1.0 / (alpha + 2.0 * nu))
     return int(math.floor(math.log2(value)))
@@ -157,7 +157,7 @@ def _method_alpha(method: str, alpha: float) -> float:
     """The dependence level ``method`` assumes on data at ``alpha``: alpha for LRD, 1 for IID."""
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {tuple(_METHODS)}")
-    return alpha if _METHODS[method].assumes_alpha else 1.0
+    return _check_alpha(alpha) if _METHODS[method].assumes_alpha else 1.0
 
 
 # the one tau cache: at most 256 (method, level, kernel, alpha) entries, each holding its

@@ -88,6 +88,18 @@ class TestEstimate:
         prov = report["provenance"]
         assert prov["seed"] == 5 and "config_hash" in prov and "lrdwaved" in prov
 
+    def test_utf8_bom_dataset_reads_as_plain(self, tmp_path):
+        # a spreadsheet's "CSV UTF-8" export starts with a BOM; unchecked, the first
+        # header field read "\ufefft" and the dataset was refused for want of a t column
+        dataset = self._simulate(tmp_path)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + dataset.read_bytes())
+        for path, out in ((dataset, "plain"), (bom, "bom")):
+            assert run_cli(["estimate", path, "--seed", 5, "--out", tmp_path / out]) == 0
+        assert read_csv(tmp_path / "bom" / "estimate.csv") == read_csv(
+            tmp_path / "plain" / "estimate.csv"
+        )
+
     def test_lrd_level_not_above_iid(self, tmp_path):
         dataset = self._simulate(tmp_path)
         run_cli(["estimate", dataset, "--method", "lrd", "--alpha", "0.5",

@@ -1,11 +1,12 @@
 """Each input-domain rule raises its one message at every entry point that takes the input.
 
-The rules: a dependence level alpha in (0, 1], a Hurst index in [1/2, 1), a
-Gamma kernel of shape nu in (0, 1] with a finite positive scale, a grid
-length that is a power of two >= 32, a finite number ("X must be finite,
-got v"), a finite array ("X are not finite"), a finite positive noise scale
-estimate sigma_hat, a level range 0 <= j0 <= j1 <= log2(n) - 2, and a
-smoothing spec that is a named spec, a numeric string or a real number.
+The rules: a dependence level alpha in (0, 1], taken as a Python float,
+a noise kind in ``NOISE_KINDS``, a Hurst index in [1/2, 1), a Gamma
+kernel of shape nu in (0, 1] with a finite positive scale, a grid length
+that is a power of two >= 32, a finite number ("X must be finite, got v"),
+a finite array ("X are not finite"), a finite positive noise scale estimate
+sigma_hat, a level range 0 <= j0 <= j1 <= log2(n) - 2, and a smoothing spec
+that is a named spec, a numeric string or a real number.
 NaN and infinity are refused by name wherever a rule applies.  Each rule's
 message is written once in the package, and no module branches on a method
 name: the method table in ``thresholds`` says what each name means.
@@ -13,6 +14,7 @@ name: the method table in ``thresholds`` says what each name means.
 
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -22,6 +24,7 @@ import numpy as np
 import pytest
 
 import lrdwaved
+from lrdwaved import finescale
 from lrdwaved.bench import rate_exponent
 from lrdwaved.cli import main
 from lrdwaved.covariance import (
@@ -34,7 +37,7 @@ from lrdwaved.covariance import (
 from lrdwaved.estimator import DeconvolutionProblem
 from lrdwaved.finescale import fine_level_details, kernel_channel, lemma_bracket, stopping_time
 from lrdwaved.meyer import WaveletCoefficients, forward_transform
-from lrdwaved.noise import NoiseModel, fgn_autocovariance
+from lrdwaved.noise import NoiseModel, derive_rng, fgn_autocovariance
 from lrdwaved.signals import ExperimentConfig, calibrate_sigma, gamma_kernel, generate_dataset
 from lrdwaved.thresholds import build_policy, c_n, fine_level_theoretical, resolve_smoothing
 
@@ -64,6 +67,9 @@ ALPHA_ENTRY_POINTS = {
     "DeconvolutionProblem": lambda a: DeconvolutionProblem(np.zeros(64), gamma_kernel(64), a),
     "rate_exponent": lambda a: rate_exponent(0.5, 2.0, 0.7, a, 2.0),
     "stopping_time": lambda a: stopping_time(np.ones(10), a, 0.01),
+    "kernel_channel": lambda a: kernel_channel(gamma_kernel(256), a, 0.05, derive_rng(7)),
+    "lemma_bracket": lambda a: lemma_bracket(gamma_kernel(256), a, 0.05, 256**-0.5),
+    "build_policy": lambda a: build_policy("lrd", gamma_kernel(256), 256, a, 1.0, 1.0, 3, 5),
 }
 
 
@@ -72,6 +78,23 @@ ALPHA_ENTRY_POINTS = {
 def test_alpha_rule_at_every_entry_point(entry, alpha):
     message = f"alpha must lie in (0, 1], got {alpha}"
     raises_exactly(lambda: ALPHA_ENTRY_POINTS[entry](alpha), message)
+
+
+@pytest.mark.parametrize("entry", ALPHA_ENTRY_POINTS)
+def test_float32_alpha_computes_as_its_float(entry):
+    # unchecked, c_n, tau, the cutoffs, the channel noise and the rate ran in float32, and
+    # the value classes stored the float32
+    def fresh(alpha):
+        # a float32 and its float are one cache key: each call must fill the cache itself
+        finescale._cutoffs.cache_clear()
+        finescale._channel_noise_sd.cache_clear()
+        return ALPHA_ENTRY_POINTS[entry](alpha)
+
+    alpha = np.float32(0.6)
+    got, want = fresh(alpha), fresh(float(alpha))
+    assert pickle.dumps(got) == pickle.dumps(want)
+    if hasattr(got, "alpha"):
+        assert type(got.alpha) is float
 
 
 HURST_ENTRY_POINTS = {
@@ -127,6 +150,19 @@ class TestGridLengthRule:
     def test_simulate_flag(self, n, tmp_path, capsys):
         cli_refuses(["simulate", "--signal", "cusp", "--n", n], tmp_path, capsys,
                     f"--n must be a power of two >= 32, got {n}")
+
+    # a transform, a coefficient set and a kernel band check the grid by the same rule
+    def test_forward_transform(self, n):
+        raises_exactly(lambda: forward_transform(np.zeros(n), 2, 2),
+                       f"grid length must be a power of two >= 32, got {n}")
+
+    def test_wavelet_coefficients(self, n):
+        raises_exactly(lambda: WaveletCoefficients.zeros(2, 2, n),
+                       f"grid length must be a power of two >= 32, got {n}")
+
+    def test_tau_level(self, n):
+        raises_exactly(lambda: tau_level(2, KernelSpec(np.ones(n)), 0.6),
+                       f"grid length must be a power of two >= 32, got {n}")
 
 
 TOO_FINE = ("fine level j1={j1} too large for n={n}: need j1 <= log2(n)-2 "
@@ -195,7 +231,8 @@ def test_non_finite_rate_arguments_refused(call, message):
 
 
 RULE_TEMPLATES = ["must be finite, got", "are not finite",
-                  "noise scale estimate must be finite and positive", "too large for n"]
+                  "noise scale estimate must be finite and positive", "too large for n",
+                  "unknown noise kind", "must be a power of two"]
 
 
 @pytest.mark.parametrize("template", RULE_TEMPLATES)

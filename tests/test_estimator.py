@@ -201,6 +201,33 @@ class TestDeconvolveCoefficients:
         with pytest.raises(ValueError, match=r"vanishes at frequency -?20 \(level 4\)"):
             deconvolve_coefficients(problem, 3, 5)
 
+    def test_unit_kernel_gives_the_forward_transform_bytes(self):
+        # deconvolution analyses Y_hat / K_hat and the forward transform Y_hat over unit
+        # divisors, in one band loop: with K_hat = 1 the two agree bit for bit on every band
+        y = derive_rng(6).standard_normal(256)
+        got = deconvolve_coefficients(DeconvolutionProblem(y, KernelSpec(np.ones(256))), 3, 6)
+        want = forward_transform(y, 3, 6)
+        assert got.scale.tobytes() == want.scale.tobytes()
+        for j in range(3, 7):
+            assert got.detail[j].tobytes() == want.detail[j].tobytes(), j
+
+    def test_one_band_loop_per_transform(self, monkeypatch):
+        # the forward transform and deconvolution each run meyer._analysis once, over all bands
+        from lrdwaved import meyer
+
+        calls, real = [], meyer._analysis
+
+        def counting(spectra, j0, j1, divisors, label):
+            calls.append((j0, j1))
+            return real(spectra, j0, j1, divisors, label)
+
+        monkeypatch.setattr(meyer, "_analysis", counting)
+        y = derive_rng(6).standard_normal(256)
+        forward_transform(y, 3, 6)
+        assert calls == [(3, 6)]
+        deconvolve_coefficients(DeconvolutionProblem(y, gamma_kernel(256)), 3, 5)
+        assert calls == [(3, 6), (3, 5)]
+
     def test_kernel_bands_gathered_once_per_kernel_value(self):
         # the validated band coefficients are cached by (kernel value, level) and
         # read-only: a second problem through an equal kernel gathers and checks
@@ -568,6 +595,13 @@ class TestRunEstimator:
         payload = json.loads(json.dumps(report.as_dict(), sort_keys=True))
         assert payload["method"] == "lrd"
         assert "lambdas" in payload and "kept_count" in payload
+
+    def test_report_json_with_a_float32_alpha(self):
+        # unchecked, the problem kept the float32 and json.dumps refused the report's alpha
+        problem, _ = generate_dataset(ExperimentConfig("cusp", n=1024, alpha=0.6))
+        problem = DeconvolutionProblem(problem.observations, problem.kernel, np.float32(0.6))
+        report = run_estimator(problem, "lrd", 1.0, rng=derive_rng(5, 0))
+        assert json.loads(json.dumps(report.as_dict()))["alpha"] == float(np.float32(0.6))
 
     def test_warm_replication_evaluates_no_window(self, monkeypatch):
         # after one warm-up run at a given n, a replication reads every band
