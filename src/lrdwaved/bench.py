@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import math
 import mmap
 import os
@@ -105,11 +106,13 @@ def _share_blocks(run_block, blocks: list, done: np.ndarray) -> None:
     ``blocks`` is any list of units that ``run_block`` takes.  Their indices
     wait in a pipe as a queue of 4-byte messages, written with one
     non-blocking write and the write end closed before the fork, so after it
-    no process writes to the pipe.  A process claims a unit by reading one
-    message; a shorter read means the queue is empty, and with no writer
-    left that read never blocks, even when the other process died holding
-    an index.  A process whose unit fails reads every message left, so
-    neither starts another.  The helper leaves only through ``os._exit``: it
+    no process writes to the pipe.  The pipe is first asked to hold every
+    index (``F_SETPIPE_SZ``, within the system's limit for one pipe); where
+    it cannot, it keeps its size and holds a prefix.  A process claims a
+    unit by reading one message; a shorter read means the queue is empty,
+    and with no writer left that read never blocks, even when the other
+    process died holding an index.  A process whose unit fails reads every
+    message left, so neither starts another.  The helper leaves only through ``os._exit``: it
     never returns into the caller's stack nor flushes its stdio.  It first
     moves itself off the CPU the caller ran on at the fork (``_other_cpus``),
     so the scheduler cannot keep both processes on one core for the whole
@@ -137,6 +140,8 @@ def _share_blocks(run_block, blocks: list, done: np.ndarray) -> None:
             done[k] = True  # only after the block's columns are written
 
     try:
+        with contextlib.suppress(OSError, AttributeError):  # no such call: the default size
+            fcntl.fcntl(fd_out, fcntl.F_SETPIPE_SZ, 4 * len(blocks))
         try:
             os.set_blocking(fd_out, False)  # a full pipe takes a prefix, never waits
             os.write(fd_out, np.arange(len(blocks), dtype="<u4").tobytes())
@@ -191,27 +196,30 @@ def _run_grid(configs: list[ExperimentConfig]) -> list[BenchResult]:
     """``run_benchmark`` of each config, in order, with one scheduler for the call.
 
     A unit is one (cell index, block) pair, queued cell-major.  Every cell's
-    clean part and method rows are built first, and one anonymous mapping
-    holds every cell's results and a done flag per unit.  Two or more units
-    run on the caller and one helper forked once for the call, sharing that
-    mapping and one queue (``_share_blocks``), when the process may use two
-    or more CPUs and runs no other Python thread (a fork beside a live
-    thread can deadlock the helper); otherwise every unit runs on the
-    caller.  A unit reads only its own streams and writes only its own
-    columns, so every output byte is the serial run's.  Once a unit fails
-    neither process starts another; the caller then runs every unit not
-    marked done, in order, and reruns a failing unit one replication at a
-    time, so the error, naming the replication and its cell's seed, is the
-    one a serial loop over the cells meets first.
+    clean part and method rows are built first, and one store holds every
+    cell's results and a done flag per unit.  Two or more units run on the
+    caller and one helper forked once for the call, sharing the store, then
+    an anonymous mapping, and one queue (``_share_blocks``), when the
+    process may use two or more CPUs and runs no other Python thread (a fork
+    beside a live thread can deadlock the helper); otherwise every unit runs
+    on the caller and the store is plain memory.  A unit reads only its own
+    streams and writes only its own columns, so every output byte is the
+    serial run's.  Once a unit fails neither process starts another; the
+    caller then runs every unit not marked done, in order, and reruns a
+    failing unit one replication at a time, so the error, naming the
+    replication and its cell's seed, is the one a serial loop over the cells
+    meets first.
     """
     cells = [_clean_cell(config) for config in configs]
     rows = [[(method, resolve_smoothing(spec, _method_alpha(method, config.alpha)))
              for method, spec in zip(config.methods, config.smoothing)] for config in configs]
     units = [(i, range(start, min(start + BLOCK, config.replications)))
              for i, config in enumerate(configs) for start in range(0, config.replications, BLOCK)]
+    forked = len(units) > 1 and _cpus() >= 2 and threading.active_count() == 1
     # per cell its mses, levels and kept, then one done flag per unit
     counts = [len(config.methods) * config.replications for config in configs]
-    shared = mmap.mmap(-1, 3 * 8 * sum(counts) + len(units))
+    size = 3 * 8 * sum(counts) + len(units)
+    shared = mmap.mmap(-1, size) if forked else bytearray(size)  # only a mapping shares writes
     stores = [[np.frombuffer(shared, dtype, count, 8 * (3 * sum(counts[:i]) + count * k))
                .reshape(-1, configs[i].replications)
                for k, dtype in enumerate((np.float64, np.int64, np.float64))]
@@ -235,7 +243,7 @@ def _run_grid(configs: list[ExperimentConfig]) -> list[BenchResult]:
         levels[:, cols] = block.levels.reshape(shape).T
         kept[:, cols] = block.kept.reshape(shape).T
 
-    if len(units) > 1 and _cpus() >= 2 and threading.active_count() == 1:
+    if forked:
         _share_blocks(run_unit, units, done)
     for (i, reps), unit_done in zip(units, done):
         if unit_done:

@@ -120,25 +120,22 @@ def deconvolve_coefficients(problem: DeconvolutionProblem, j0: int, j1: int) -> 
     beta_hat[j,k] = sum over band_set(j) of (Y_hat[l]/K_hat[l]) conj(Psi_hat[j,k][l]);
     the scale coefficients use the scaling window the same way.
     """
-    scale, detail = _deconvolve(problem.spectrum[np.newaxis], problem.kernel, j0, j1)
-    return WaveletCoefficients(
-        j0=j0, j1=j1, n=problem.n, scale=scale[0], detail={j: d[0] for j, d in detail.items()}
-    )
+    stack = _deconvolve(problem.spectrum[np.newaxis], problem.kernel, j0, j1)
+    scale, detail = meyer._stack_plan(j0, j1, problem.n).split(stack[0])
+    return WaveletCoefficients(j0=j0, j1=j1, n=problem.n, scale=scale, detail=detail)
 
 
-def _deconvolve(
-    spectra: np.ndarray, kernel: KernelSpec, j0: int, j1: int
-) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+def _deconvolve(spectra: np.ndarray, kernel: KernelSpec, j0: int, j1: int) -> np.ndarray:
     """``deconvolve_coefficients`` of every row of a (B, n) stack of spectra.
 
-    Returns the (B, 2^j0) scale stack and a (B, 2^j) detail stack per level;
-    each band is analysed once for the whole stack.  Raises ValueError, naming
-    the level, if any coefficient is not finite (Y_hat / K_hat can overflow).
+    Returns the (B, width) band stack of ``meyer._stack_plan(j0, j1, n)``,
+    analysed once for the whole stack.  Raises ValueError, naming the band,
+    if any coefficient is not finite (Y_hat / K_hat can overflow).
     """
     meyer._check_levels(spectra.shape[-1], j0, j1)
     kernel_bands = [_kernel_band(kernel, j0, scale=True)]  # every band refused before analysis
     kernel_bands += [_kernel_band(kernel, j) for j in range(j0, j1 + 1)]
-    return meyer._analysis(spectra, j0, j1, kernel_bands,
+    return meyer._analysis(spectra, j0, j1, np.concatenate(kernel_bands),
                            "deconvolved coefficients at {kind} level {j}")
 
 
@@ -152,15 +149,11 @@ def hard_threshold(coeffs: WaveletCoefficients, policy: ThresholdPolicy) -> Wave
 
     Scale coefficients pass through.
     """
-    detail = {j: _threshold_rows(coeffs.detail[j], [policy.lam(j)])[0] for j in coeffs.levels()}
+    detail = {j: np.where(np.abs(coeffs.detail[j]) < policy.lam(j), 0.0, coeffs.detail[j])
+              for j in coeffs.levels()}
     return WaveletCoefficients(
         j0=coeffs.j0, j1=coeffs.j1, n=coeffs.n, scale=coeffs.scale.copy(), detail=detail
     )
-
-
-def _threshold_rows(values: np.ndarray, lams) -> np.ndarray:
-    """Row i of ``values`` hard-thresholded at lams[i]; a 1-d ``values`` serves every row."""
-    return np.where(np.abs(values) < np.asarray(lams)[:, np.newaxis], 0.0, values)
 
 
 @dataclass
@@ -230,8 +223,8 @@ class _BlockPass(NamedTuple):
     levels: np.ndarray  # (B*m,) fine levels
     fine: list[tuple[int, int | None, bool]]  # (level, M, saturated); M None if overridden
     sigma_hats: np.ndarray  # (B,) per dataset
-    scale: np.ndarray  # (B, 2^j0), per dataset
-    detail: dict[int, np.ndarray]  # j -> (B*m, 2^j) thresholded stack; 0 above a row's level
+    scale: np.ndarray  # (B, 2^j0), per dataset (a scale coefficient is never thresholded)
+    detail: dict[int, np.ndarray]  # j -> (B*m, 2^j) thresholded block; 0 above a row's level
     lambdas: dict[int, np.ndarray]  # j -> (B*m,) lambda_j; +inf above a row's level
     counts: dict[int, np.ndarray]  # j -> (B*m,) kept counts
     kept: np.ndarray  # (B*m,) kept totals over the levels
@@ -255,15 +248,17 @@ def _block_pass(
     b with stopping-rule stream rngs[b][i], and row b*m + i equals
     ``run_estimator`` on dataset b with method i's arguments bit for bit.
     The stopping rule scans every row together, and Y_hat / K_hat is
-    analysed once per level; the pass then drops ``spectra``, so a stack
-    passed with no other reference is freed before synthesis.  Each level up
-    to the largest fine level is thresholded as one stack of all rows; a
-    method with a row at level j takes one ``thresholds._lambda`` call over
-    every dataset's sigma_hat, so tau is read only for methods with a row at
-    j, and a row above its own fine level gets lambda = +inf, which zeroes
-    its coefficients (``_deconvolve`` has checked that they are finite).
-    One ``meyer._synthesize`` call gives every row's samples, a view of a
-    (B*m, n) spectrum that no later pass reuses.
+    analysed once, into one band stack up to the largest fine level; the
+    pass then drops ``spectra``, so a stack passed with no other reference is
+    freed before synthesis.  A method with a row at level j takes one
+    ``thresholds._lambda`` call over every dataset's sigma_hat, so tau is
+    read only for methods with a row at j, and a row above its own fine level
+    gets lambda = +inf, which zeroes its coefficients (``_deconvolve`` has
+    checked that they are finite); the scale band's lambda is 0, which keeps
+    every coefficient.  One ``np.where`` thresholds every row and level, and
+    the ``detail``, ``lambdas`` and ``counts`` of a level are column views of
+    the pass's stacks.  One ``meyer._synthesize`` call gives every row's
+    samples, a view of a (B*m, n) spectrum that no later pass reuses.
     """
     n = spectra.shape[-1]
     sigma_hats = _sigma_hats(spectra)
@@ -282,19 +277,25 @@ def _block_pass(
         fine = [(j1_override, None, False)] * problem_of.size
     levels = np.array([level for level, _, _ in fine])
 
-    scale, raw = _deconvolve(spectra, kernel, j0, int(levels.max()))
+    top = int(levels.max())
+    rows = _deconvolve(spectra, kernel, j0, top)[problem_of]  # row b*m + i is dataset b's
     del spectra
-    detail, lambdas, counts = {}, {}, {}
-    for j, coeffs in raw.items():
-        above = levels < j
-        lambdas[j] = np.full(problem_of.size, np.inf)
+    plan = meyer._stack_plan(j0, top, n)
+    lam = np.full((problem_of.size, len(plan.bands)), np.inf)  # a column per band
+    lam[:, 0] = 0.0  # the scale band keeps every coefficient
+    for j in range(j0, top + 1):
+        above, column = levels < j, lam[:, j - j0 + 1]
         for i, (method, smoothing) in enumerate(methods):  # method i is column i of (B, m)
             if not above[i::m].all():
-                lambdas[j][i::m] = _lambda(method, smoothing, j, kernel, alpha, sigma_hats)
-        lambdas[j][above] = np.inf  # zeroes every (finite) coefficient of the row
-        detail[j] = _threshold_rows(coeffs[problem_of], lambdas[j])
-        counts[j] = np.count_nonzero(detail[j], axis=1)
-    del raw
-    kept = sum(counts.values())
-    estimates = meyer._synthesize(np.repeat(scale, m, axis=0), detail, n)
-    return _BlockPass(estimates, levels, fine, sigma_hats, scale, detail, lambdas, counts, kept)
+                column[i::m] = _lambda(method, smoothing, j, kernel, alpha, sigma_hats)
+        column[above] = np.inf  # zeroes every (finite) coefficient of the row
+    thresholded = np.where(np.abs(rows) < np.repeat(lam, np.diff(plan.starts), axis=1), 0.0, rows)
+    del rows
+    counts = np.add.reduceat(thresholded != 0, plan.starts[1:-1], axis=1, dtype=np.intp)
+    scale, detail = plan.split(thresholded)
+    estimates = meyer._synthesize(scale, detail, n)
+    levels_of = range(j0, top + 1)
+    return _BlockPass(
+        estimates, levels, fine, sigma_hats, scale[::m], detail,
+        dict(zip(levels_of, lam[:, 1:].T)), dict(zip(levels_of, counts.T)), counts.sum(axis=1),
+    )

@@ -5,7 +5,9 @@ so every periodized basis function has finitely many nonzero Fourier
 coefficients.  Analysis and synthesis of length-n sampled signals therefore
 reduce to an FFT plus per-level sums over small frequency bands.  A band's
 layout and windows depend only on (level, n), so each pair's spectral plan
-is built on first use and then read from a bounded cache.
+is built on first use and then read from a bounded cache.  A pass holds the
+bands of levels j0..j1 as one band stack, whose plan (keyed by (j0, j1, n))
+concatenates theirs, so each step runs over every level at once.
 
 Fourier convention throughout: for samples y_0..y_{n-1} on t_i = i/n,
 
@@ -248,6 +250,52 @@ def _scale_plan(j: int, n: int) -> _BandPlan:
     return _plan(j, n, ells, phi_hat(ells / 2**j))
 
 
+@dataclass(frozen=True)
+class _StackPlan:
+    """Read-only layout of a band stack: the scale band at j0, then detail bands j0..j1.
+
+    A pass holds its coefficients as one (rows, width) stack, band b in the
+    columns ``starts[b]:starts[b + 1]``.  The stacked arrays concatenate the
+    bands' plans in that order: ``index`` (FFT positions), ``residues`` (fold
+    classes, offset by each band's column start), the ``analysis`` and
+    ``synthesis`` windows, and ``gains``, each column's 2^(level/2).
+    """
+
+    j0: int
+    bands: tuple[tuple[str, _BandPlan], ...]
+    starts: np.ndarray
+    index: np.ndarray
+    residues: np.ndarray
+    analysis: np.ndarray
+    synthesis: np.ndarray
+    gains: np.ndarray
+
+    def split(self, stack: np.ndarray) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+        """The scale block and a detail block per level of ``stack``, as column views."""
+        blocks = [stack[..., a:b] for a, b in zip(self.starts[:-1], self.starts[1:])]
+        return blocks[0], dict(zip(range(self.j0, self.j0 + len(blocks) - 1), blocks[1:]))
+
+
+# A stack plan depends only on (j0, j1, n); callers check the levels first.
+@lru_cache(maxsize=64)
+def _stack_plan(j0: int, j1: int, n: int) -> _StackPlan:
+    bands = (("scale", _scale_plan(j0, n)),) + tuple(
+        ("detail", _detail_plan(j, n)) for j in range(j0, j1 + 1))
+    widths = [2**plan.level for _, plan in bands]
+    starts = np.concatenate([[0], np.cumsum(widths)])
+    arrays = {
+        "starts": starts,
+        "index": np.concatenate([plan.index for _, plan in bands]),
+        "residues": np.concatenate([plan.residues + a for (_, plan), a in zip(bands, starts)]),
+        "analysis": np.concatenate([plan.analysis for _, plan in bands]),
+        "synthesis": np.concatenate([plan.synthesis for _, plan in bands]),
+        "gains": np.repeat([2.0 ** (plan.level / 2.0) for _, plan in bands], widths),
+    }
+    for values in arrays.values():
+        values.setflags(write=False)
+    return _StackPlan(j0=j0, bands=bands, **arrays)
+
+
 def _analyze(values: np.ndarray, plan: _BandPlan, what: str) -> np.ndarray:
     """Coefficients of one band from ``values``, the spectrum at ``plan.index``.
 
@@ -283,32 +331,37 @@ def forward_transform(signal: np.ndarray, j0: int, j1: int) -> WaveletCoefficien
     n = signal.shape[0]
     _check_levels(n, j0, j1)
     _check_finite(signal, "signal values")
-    unit = [1.0] * (j1 - j0 + 2)
-    scale, detail = _analysis(_spectra(signal[np.newaxis]), j0, j1, unit,
-                              "{kind} coefficients at level {j}")
-    return WaveletCoefficients(j0, j1, n, scale[0], {j: d[0] for j, d in detail.items()})
+    stack = _analysis(_spectra(signal[np.newaxis]), j0, j1, 1.0, "{kind} coefficients at level {j}")
+    scale, detail = _stack_plan(j0, j1, n).split(stack[0])
+    return WaveletCoefficients(j0, j1, n, scale, detail)
 
 
-def _analysis(
-    spectra: np.ndarray, j0: int, j1: int, divisors, label: str
-) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """The one band loop: the scale band at j0, then detail bands j0..j1, of a (B, n) stack.
+def _analysis(spectra: np.ndarray, j0: int, j1: int, divisors, label: str) -> np.ndarray:
+    """The one band analysis: the (B, width) band stack (``_stack_plan``) of a (B, n) stack.
 
-    Each band of the spectra is divided by its entry of ``divisors`` (scale
-    first, then detail j0..j1), analysed for the whole stack and refused if
-    not finite, named by ``label`` filled in with the band's kind and level.
-    Returns the (B, 2^j0) scale stack and a (B, 2^j) detail stack per level.
+    Every band of the spectra is divided by ``divisors`` (a scalar, or the
+    bands' divisors concatenated in stack order), windowed and folded into its
+    column block at once; each block is inverse transformed in place.  The
+    stack is refused unless real and finite; the band named is the first
+    whose check fails, scale first, then detail j0..j1, the real-part check
+    before the finite one, the latter named by ``label`` filled in with the
+    band's kind and level.
     """
-    n = spectra.shape[-1]
-    plans = [("scale", _scale_plan(j0, n))]
-    plans += [("detail", _detail_plan(j, n)) for j in range(j0, j1 + 1)]
-    coeffs = []
+    plan = _stack_plan(j0, j1, spectra.shape[-1])
     # a band of a finite spectrum can overflow, by itself or over its divisor; the checks refuse it
     with np.errstate(over="ignore", invalid="ignore"):
-        for (kind, plan), divisor in zip(plans, divisors):
-            coeffs.append(_analyze(np.take(spectra, plan.index, axis=-1) / divisor, plan, kind))
-            _check_finite(coeffs[-1], label.format(kind=kind, j=plan.level))
-    return coeffs[0], dict(zip(range(j0, j1 + 1), coeffs[1:]))
+        values = np.take(spectra, plan.index, axis=-1) / divisors
+        values *= plan.analysis
+        z = _band_fold(values, plan.residues, plan.starts[-1])
+        for a, b in zip(plan.starts[:-1], plan.starts[1:]):
+            np.fft.ifft(z[:, a:b], axis=-1, out=z[:, a:b])
+        z *= plan.gains
+    coeffs = z.real
+    if not ((np.abs(z.imag) <= 1e-9).all() and np.isfinite(coeffs).all()):
+        for (kind, band), a, b in zip(plan.bands, plan.starts[:-1], plan.starts[1:]):
+            block = _real_part(z[:, a:b], f"{kind} coefficients at level {band.level}")
+            _check_finite(block, label.format(kind=kind, j=band.level))
+    return coeffs
 
 
 def _check_finite(values: np.ndarray, what: str) -> None:
@@ -320,28 +373,32 @@ def _check_finite(values: np.ndarray, what: str) -> None:
 def _synthesize(scale: np.ndarray, detail: dict, n: int) -> np.ndarray:
     """(rows, n) samples from a (rows, 2^j0) scale stack and detail stacks, one inverse FFT.
 
-    ``detail`` maps each level j to the (rows, 2^j) stack of every row; a row
-    that stops below j holds zeros there, which add only signed zeros.  Each
-    band is added in the order scale, then detail j0, j0+1, ...; a row is its
-    one-row synthesis exactly.  The rows share one complex (rows, n)
-    spectrum, inverse transformed in place with no 1/n (the forward norm's
-    inverse); the samples are its real view.
+    ``detail`` maps each level j0..j1 to the (rows, 2^j) stack of every row;
+    a row that stops below j holds zeros there, which add only signed zeros.
+    Each band's FFT fills its column block of one band stack, and one gather,
+    one window multiply and one scatter add every term to a complex (rows, n)
+    spectrum, each frequency's terms in the band order scale, then detail j0,
+    j0+1, ...; a row is its one-row synthesis exactly.  The spectrum is
+    inverse transformed in place with no 1/n (the forward norm's inverse);
+    the samples are its real view.
     """
-    _check_grid(n, max(detail, default=0))
-    spectrum = np.zeros((scale.shape[0], n), dtype=complex)
-    plan = _scale_plan(scale.shape[-1].bit_length() - 1, n)
-    spectrum[:, plan.index] += _band_terms(plan, scale)
-    for j in sorted(detail):
-        plan = _detail_plan(j, n)
-        spectrum[:, plan.index] += _band_terms(plan, detail[j])
+    j0, j1 = scale.shape[-1].bit_length() - 1, max(detail, default=0)
+    _check_grid(n, j1)
+    plan = _stack_plan(j0, j1, n)
+    blocks = [scale] + [detail[j] for j in range(j0, j1 + 1)]
+    spectrum = np.zeros((scale.shape[0], n), dtype=complex)  # first, so the temporaries free above it
+    bands = np.empty((scale.shape[0], plan.starts[-1]), dtype=complex)
+    for values, a, b in zip(blocks, plan.starts[:-1], plan.starts[1:]):
+        np.fft.fft(values, axis=-1, out=bands[:, a:b])
+    terms = np.take(bands, plan.residues, axis=-1)
+    del bands
+    np.multiply(plan.synthesis, terms, out=terms)  # the window first: x*y and y*x may differ
+    # one flat add.at, row by row: each frequency's (at most two) terms in band order
+    flat = np.add.outer(np.arange(0, spectrum.size, n), plan.index).ravel()
+    np.add.at(spectrum.reshape(-1), flat, terms.ravel())
+    del terms, flat
     samples = np.fft.ifft(spectrum, axis=-1, out=spectrum, norm="forward")
     return _real_part(samples, "synthesized samples")
-
-
-def _band_terms(plan: _BandPlan, values) -> np.ndarray:
-    """Spectrum terms of a (rows, 2^level) stack of one band's coefficients, row by row."""
-    fb = np.fft.fft(np.asarray(values, dtype=complex), axis=-1)
-    return plan.synthesis * np.take(fb, plan.residues, axis=-1)
 
 
 def inverse_transform(coeffs: WaveletCoefficients, n: int) -> np.ndarray:

@@ -293,33 +293,28 @@ class TestRunBenchmark:
                     assert result.methods[i].fine_levels[rep] == report.fine_level_used
         assert len({int(m.fine_levels.max()) for m in result.methods}) > 1
 
-    def test_one_analysis_per_band_per_block(self, monkeypatch):
-        # the replications and default methods of a block share one analysis
-        # of Y_hat / K_hat, up to the largest fine level among them, and one
-        # analysis of the raw data for sigma_hat (counted apart); each call
-        # is keyed to its block by its stack height (8 or 4 problems) and
-        # each block's calls keep their order.  The calls are counted in this
-        # process, so it is pinned to one CPU and runs both blocks itself
+    def test_one_analysis_per_block(self, monkeypatch):
+        # the replications and default methods of a block share one band-stack
+        # analysis of Y_hat / K_hat, from j0 up to the largest fine level among
+        # them, and one analysis of the raw data for sigma_hat (counted apart);
+        # each call is keyed to its block by its stack height (8 or 4
+        # problems).  The calls are counted in this process, so it is pinned
+        # to one CPU and runs both blocks itself
         from lrdwaved import meyer
 
-        calls, sigma_calls, inside_sigma = {8: [], 4: []}, [], []
-        real_analyze, real_detail = meyer._analyze, meyer._detail_from_spectrum
+        calls, sigma_calls = {8: [], 4: []}, []
+        real_analysis, real_detail = meyer._analysis, meyer._detail_from_spectrum
 
-        def counting(values, plan, what):
-            if not inside_sigma:
-                calls[len(values)].append((what, plan.level))
-            return real_analyze(values, plan, what)
+        def counting(spectra, j0, j1, divisors, label):
+            calls[len(spectra)].append((j0, j1))
+            return real_analysis(spectra, j0, j1, divisors, label)
 
         def sigma_detail(spectrum, j, n):
-            inside_sigma.append(j)
             sigma_calls.append(np.shape(spectrum))
-            try:
-                return real_detail(spectrum, j, n)
-            finally:
-                inside_sigma.pop()
+            return real_detail(spectrum, j, n)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(meyer, "_analyze", counting)
+        monkeypatch.setattr(meyer, "_analysis", counting)
         monkeypatch.setattr(meyer, "_detail_from_spectrum", sigma_detail)
         config = ExperimentConfig("cusp", n=1024, alpha=0.4, snr_db=30.0, replications=12, seed=3)
         result = run_benchmark(config)
@@ -327,8 +322,7 @@ class TestRunBenchmark:
         assert sorted(sigma_calls) == [(4, 1024), (8, 1024)]
         for height, block in ((8, range(0, 8)), (4, range(8, 12))):
             top = max(int(m.fine_levels[rep]) for m in result.methods for rep in block)
-            expected = [("scale", 3)] + [("detail", j) for j in range(3, top + 1)]
-            assert calls[height] == expected
+            assert calls[height] == [(3, top)]
 
     def test_one_synthesis_per_block(self, monkeypatch):
         # every (replication, method) row of a block is synthesized by one
@@ -1168,6 +1162,85 @@ class TestRunGrid:
                               env=dict(os.environ, PYTHONPATH=path), timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["1", "True", "False", "True"]
+
+    def test_unforked_call_maps_nothing(self, monkeypatch):
+        # a one-block cell forks no helper, so its store is plain memory: with
+        # no anonymous mapping to be had it still gives the pinned bytes of
+        # test_pinned_cusp_outputs' alpha=1 cell
+        def refuse(*args, **kwargs):
+            raise OSError(errno.ENOMEM, "no mapping in this test")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(mmap, "mmap", refuse)
+        config = ExperimentConfig("cusp", n=4096, alpha=1.0, snr_db=20.0, replications=4, seed=11)
+        h = hashlib.sha256()
+        for m in run_benchmark(config).methods:
+            h.update(m.mses.tobytes() + m.fine_levels.tobytes())
+        assert h.hexdigest() == "9762c9e1308b1fc129851a9f798bf6523bbe8b09876b2cbd9cf457f0f70858c2"
+
+    def test_forked_call_maps_its_store(self, monkeypatch):
+        # a two-block cell on two CPUs maps one store per call, and the blocks
+        # the helper runs reach the caller through it: every run gives the
+        # serial bytes, and the helper ran some of the blocks
+        import lrdwaved.bench as bench_module
+
+        config = small_config(replications=16)
+        serial = TestRunBenchmark()._serial_outputs(monkeypatch, config)
+        caller, real = os.getpid(), bench_module._observations
+        helper_blocks, real_mmap, maps = shared_ints(1), mmap.mmap, []
+
+        def observations(cell, reps):
+            if os.getpid() != caller:
+                helper_blocks[0] += 1
+            return real(cell, reps)
+
+        def mapping(*args, **kwargs):
+            maps.append(args)
+            return real_mmap(*args, **kwargs)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(bench_module, "_observations", observations)
+        monkeypatch.setattr(mmap, "mmap", mapping)
+        forks, _, _ = TestRunBenchmark._count_forks(monkeypatch)
+        runs = {TestRunBenchmark._outputs(run_benchmark(config)) for _ in range(10)}
+        assert len(forks) == 10 and len(maps) == 10
+        assert runs == {serial}
+        assert helper_blocks[0] > 0
+
+    @pytest.mark.parametrize("sized", [True, False], ids=["sized-pipe", "default-pipe"])
+    def test_helper_reaches_the_end_of_a_long_queue(self, monkeypatch, sized):
+        # 20,000 no-op units, more than a default 64 KiB pipe's 16,384 indices:
+        # a pipe sized for the queue holds them all, so every unit is done and
+        # the helper runs some past index 16,384.  The caller holds unit 0
+        # until the helper has run one, so neither gets a head start.  Where
+        # the pipe cannot be sized, a prefix is queued and the rest left undone
+        import fcntl
+
+        from lrdwaved.bench import _share_blocks
+
+        if not sized:
+            monkeypatch.delattr(fcntl, "F_SETPIPE_SZ", raising=False)
+        units, caller = 20_000, os.getpid()
+        done = np.frombuffer(mmap.mmap(-1, units), np.bool_)
+        by_helper = shared_ints(units)
+
+        def run_unit(k):
+            if os.getpid() != caller:
+                by_helper[k] = 1
+            elif k == 0:
+                deadline = time.monotonic() + 10.0
+                while not by_helper.any() and time.monotonic() < deadline:
+                    time.sleep(0.001)
+
+        _share_blocks(run_unit, list(range(units)), done)
+        queued = int(done.sum())
+        assert done[:queued].all() and not done[queued:].any()
+        if sized:
+            assert queued == units
+            assert by_helper[16_384:].any()
+        else:
+            assert queued < units
+            assert not by_helper[queued:].any()
 
 
 class TestRateExponent:

@@ -701,6 +701,39 @@ class TestRunEstimator:
                     lambdas[j].hex() == policy.lambdas[j].hex() for j in policy.lambdas
                 )
 
+    def test_block_stack_is_each_rows_hard_threshold(self):
+        # every row of the pass's one thresholded band stack, its lambda and
+        # kept count per level, equal hard_threshold of that row's dataset's
+        # deconvolved coefficients under run_estimator's policy, bit for bit;
+        # the scale block is the dataset's, untouched
+        from lrdwaved.estimator import _block_pass, deconvolve_coefficients
+        from lrdwaved.meyer import _spectra
+        from lrdwaved.signals import ExperimentConfig, _clean_cell, _noisy_problem, _observations
+
+        config = ExperimentConfig("cusp", n=1024, alpha=0.4, snr_db=30.0, seed=3)
+        cell = _clean_cell(config)
+        methods = [("iid", 2.1), ("lrd", 0.7), ("lrd", 1.3)]
+        rngs = [[derive_rng(7, rep, i) for i in range(3)] for rep in range(4)]
+        block = _block_pass(_spectra(_observations(cell, range(4))), cell.kernel, 0.4, methods,
+                            rngs)
+        top = max(block.detail)
+        assert len(set(block.levels.tolist())) > 1
+        for r, j1 in enumerate(block.levels.tolist()):
+            b, i = divmod(r, 3)
+            problem = _noisy_problem(cell, b)
+            report = run_estimator(problem, *methods[i], rng=derive_rng(7, b, i))
+            kept = hard_threshold(deconvolve_coefficients(problem, 3, j1), report.policy)
+            assert block.scale[b].tobytes() == kept.scale.tobytes()
+            for j in range(3, top + 1):
+                if j <= j1:
+                    assert block.detail[j][r].tobytes() == kept.detail[j].tobytes()
+                    assert block.lambdas[j][r] == report.policy.lambdas[j]
+                    assert block.counts[j][r] == np.count_nonzero(kept.detail[j])
+                    assert block.counts[j][r] == report.kept_count[j]
+                else:
+                    assert not block.detail[j][r].any() and block.counts[j][r] == 0
+            assert block.kept[r] == sum(report.kept_count.values())
+
     def test_block_rows_stop_at_their_own_fine_level(self):
         # a block whose rows stop at levels 4, 5 and 6 thresholds every row at
         # every level up to 6: above a row's own level its coefficients are 0,

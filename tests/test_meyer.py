@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -365,6 +367,13 @@ class TestExactScaling:
         for row, spectrum in zip(rows, stacked):
             assert spectrum.tobytes() == (np.fft.fft(row) / n).tobytes()
 
+    @staticmethod
+    def _band_terms(plan, values):
+        # one band's spectrum terms, row by row: the window times the band's
+        # FFT at each frequency's residue class
+        fb = np.fft.fft(np.asarray(values, dtype=complex), axis=-1)
+        return plan.synthesis * np.take(fb, plan.residues, axis=-1)
+
     @pytest.mark.parametrize("n", [64, 1024, 4096])
     def test_synthesis_equals_scaled_inverse_fft(self, n):
         rng = np.random.default_rng(n + 1)
@@ -374,11 +383,11 @@ class TestExactScaling:
         detail[top][2] = 0.0  # row 2 stops one level below the others
         spectrum = np.zeros((3, n), dtype=complex)
         plan = meyer._scale_plan(3, n)
-        spectrum[:, plan.index] += meyer._band_terms(plan, scale)
+        spectrum[:, plan.index] += self._band_terms(plan, scale)
         for j, values in sorted(detail.items()):
             # the expected spectrum adds each band only to the rows that reach it
             plan, rows = meyer._detail_plan(j, n), np.arange(3)[: 3 - (j == top)]
-            spectrum[rows[:, np.newaxis], plan.index] += meyer._band_terms(plan, values[rows])
+            spectrum[rows[:, np.newaxis], plan.index] += self._band_terms(plan, values[rows])
         expected = (np.fft.ifft(spectrum, axis=-1) * n).real
         assert meyer._synthesize(scale, detail, n).tobytes() == expected.tobytes()
 
@@ -427,3 +436,125 @@ class TestExactScaling:
         assert self._full_check(values) == 2
         with pytest.raises(AssertionError, match=r"x \(row 2\) should be real"):
             meyer._real_part(values, "x")
+
+
+class TestBandStack:
+    """One (rows, width) band stack per pass: scale at j0, then detail j0..j1."""
+
+    @staticmethod
+    def _level_pairs(n):
+        top = int(np.log2(n)) - 2
+        return [(j0, j1) for j1 in range(top + 1) for j0 in range(j1 + 1)]
+
+    @staticmethod
+    def _band_plans(j0, j1, n):
+        return [meyer._scale_plan(j0, n)] + [meyer._detail_plan(j, n) for j in range(j0, j1 + 1)]
+
+    def test_stack_layout(self):
+        plan = meyer._stack_plan(3, 5, 256)
+        assert plan.starts.tolist() == [0, 8, 16, 32, 64]
+        assert [(kind, band.level) for kind, band in plan.bands] == [
+            ("scale", 3), ("detail", 3), ("detail", 4), ("detail", 5)]
+        bands = self._band_plans(3, 5, 256)
+        np.testing.assert_array_equal(plan.index, np.concatenate([b.index for b in bands]))
+        np.testing.assert_array_equal(
+            plan.residues, np.concatenate([b.residues + a for b, a in zip(bands, plan.starts)]))
+        np.testing.assert_array_equal(plan.gains, np.repeat(2.0 ** (np.array([3, 3, 4, 5]) / 2),
+                                                            [8, 8, 16, 32]))
+        for name in ("starts", "index", "residues", "analysis", "synthesis", "gains"):
+            assert not getattr(plan, name).flags.writeable
+        assert meyer._stack_plan(3, 5, 256) is meyer._stack_plan(np.int64(3), np.int64(5), 256)
+
+    @pytest.mark.parametrize("n", [32, 64, 4096])
+    def test_stacked_analysis_equals_each_band(self, n):
+        # one gather, divide, window and fold, and an inverse FFT per column
+        # block, give every band's own analysis bit for bit, over unit and
+        # kernel divisors alike, for every (j0, j1) the grid allows; spectra
+        # scaled by 1e12 leave imaginary residuals above 1e-9 but within each
+        # band's bound, so the stack passes through the band-by-band check
+        from lrdwaved.covariance import _kernel_band
+        from lrdwaved.signals import gamma_kernel
+
+        rng = np.random.default_rng(n)
+        spectra = meyer._spectra(rng.standard_normal((3, n)))
+        spectra[2, :] = -0.0  # signed zeros analyse as they do band by band
+        kernel = gamma_kernel(n, shape=0.7, scale=0.25)
+        for (j0, j1), factor in itertools.product(self._level_pairs(n), (1.0, 1e12)):
+            plan = meyer._stack_plan(j0, j1, n)
+            kernels = [_kernel_band(kernel, j0, scale=True)]
+            kernels += [_kernel_band(kernel, j) for j in range(j0, j1 + 1)]
+            for divisors, per_band in ((1.0, [1.0] * len(kernels)),
+                                       (np.concatenate(kernels), kernels)):
+                stack = meyer._analysis(factor * spectra, j0, j1, divisors, "{kind} {j}")
+                assert stack.shape == (3, plan.starts[-1])
+                for (kind, band), a, b, divisor in zip(plan.bands, plan.starts[:-1],
+                                                       plan.starts[1:], per_band):
+                    values = np.take(factor * spectra, band.index, axis=-1) / divisor
+                    alone = meyer._analyze(values, band, kind)
+                    assert stack[:, a:b].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("n", [32, 64, 4096])
+    def test_stacked_synthesis_equals_band_by_band(self, n):
+        # one scatter of every band's terms adds each frequency's terms in
+        # band order, as a sequential band-by-band sum does, bit for bit
+        rng = np.random.default_rng(n + 2)
+        for j0, j1 in self._level_pairs(n):
+            scale = rng.standard_normal((3, 2**j0))
+            detail = {j: rng.standard_normal((3, 2**j)) for j in range(j0, j1 + 1)}
+            detail[j1][1] = -0.0  # row 1 stops below j1 with signed zeros
+            spectrum = np.zeros((3, n), dtype=complex)
+            for plan, values in zip(self._band_plans(j0, j1, n), [scale, *detail.values()]):
+                spectrum[:, plan.index] += TestExactScaling._band_terms(plan, values)
+            expected = (np.fft.ifft(spectrum, axis=-1) * n).real
+            assert meyer._synthesize(scale, detail, n).tobytes() == expected.tobytes()
+
+    LABEL = "band {kind} {j}"
+    # (kind, level) of the bands of _stack_plan(3, 6, 256), in stack order
+    BANDS = [("scale", 3), ("detail", 3), ("detail", 4), ("detail", 5), ("detail", 6)]
+
+    def _refused(self, zero=None, imaginary=None):
+        # the stack of (3, 6) at n=256 over unit divisors, but 1e-10 at the
+        # first entry of band ``zero``, where row 0's spectrum is 1e300 (its
+        # coefficients overflow), and 1j at the second entry of band
+        # ``imaginary`` (its coefficients turn complex); the other row is zero
+        # at that frequency and its conjugate, so each fault sits in one row,
+        # and one band can hold both
+        plan = meyer._stack_plan(3, 6, 256)
+        spans = np.cumsum([0] + [band.index.size for _, band in plan.bands])
+        divisors = np.ones(spans[-1], dtype=complex)
+        spectra = meyer._spectra(np.random.default_rng(5).standard_normal((2, 256)))
+        for row, band, divisor in ((0, zero, 1e-10), (1, imaginary, 1j)):
+            if band is not None:
+                at = spans[band] + row
+                divisors[at] = divisor
+                pair = [plan.index[at], -plan.index[at] % 256]
+                spectra[1 - row, pair] = 0.0
+                if row == 0:
+                    spectra[0, pair] = 1e300
+        return meyer._analysis(spectra, 3, 6, divisors, self.LABEL)
+
+    @pytest.mark.parametrize("band", range(5))
+    def test_non_finite_band_is_named(self, band):
+        kind, j = self.BANDS[band]
+        with pytest.raises(ValueError, match=f"^band {kind} {j} are not finite$"):
+            self._refused(zero=band)
+
+    @pytest.mark.parametrize("band", range(5))
+    def test_complex_band_is_named_with_its_row(self, band):
+        kind, j = self.BANDS[band]
+        with pytest.raises(AssertionError,
+                           match=rf"^{kind} coefficients at level {j} \(row 1\) should be real"):
+            self._refused(imaginary=band)
+
+    @pytest.mark.parametrize("zero, imaginary", [(1, 3), (3, 1), (2, 2), (0, 0), (0, 4), (4, 0)])
+    def test_first_failing_band_is_named(self, zero, imaginary):
+        # bands are checked in stack order, each for realness before finiteness
+        if imaginary <= zero:
+            kind, j = self.BANDS[imaginary]
+            with pytest.raises(AssertionError,
+                               match=rf"^{kind} coefficients at level {j} \(row 1\) "):
+                self._refused(zero, imaginary)
+        else:
+            kind, j = self.BANDS[zero]
+            with pytest.raises(ValueError, match=f"^band {kind} {j} are not finite$"):
+                self._refused(zero, imaginary)
